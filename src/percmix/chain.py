@@ -1,18 +1,25 @@
 """Continuous-time simple random walk on a connected graph.
 
 The generator has off-diagonal rates 1/deg(x) toward each neighbour and -1 on
-the diagonal, so the uniformized jump kernel is exactly the discrete simple
-random walk kernel P and e^{tQ} is the Poisson(t) mixture of powers of P.
-Transient distributions are therefore computed by truncated Poisson mixing
-(numerically stable for all t), and time is advanced across large spans by
-composing uniformized kernels through the semigroup identity
-e^{(s+u)Q} = e^{sQ} e^{uQ}.
+the diagonal. It is similar to the symmetric matrix S = D^{1/2} Q D^{-1/2}
+(D the diagonal of the stationary law), so with S = V diag(lambda) V^T the
+transient kernel is e^{tQ} = D^{-1/2} V e^{t lambda} V^T D^{1/2}
+(Levin-Peres-Wilmer, Markov Chains and Mixing Times, Lemma 12.2). Mixing
+probes build their kernels from that one dense eigendecomposition, keeping
+only the modes with e^{t lambda} > tol/m.
+
+The uniformized jump kernel is exactly the discrete simple random walk
+kernel P, so e^{tQ} is also the Poisson(t) mixture of powers of P. That
+route serves single transient distributions, stationarity-mode mixing above
+the pairwise cap (composing uniformized kernels through e^{(s+u)Q} =
+e^{sQ} e^{uQ}), and the test oracle for the spectral kernels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -70,6 +77,27 @@ class Chain:
         q = self.kernel.toarray()
         np.fill_diagonal(q, -1.0)
         return q
+
+    @cached_property
+    def symmetrized(self) -> sparse.csr_matrix:
+        """S = D^{1/2} Q D^{-1/2}: entries 1/sqrt(deg x * deg y), diagonal -1."""
+        inv_sqrt = 1.0 / np.sqrt(self.degrees)
+        adj = self.graph.adjacency
+        s = sparse.csr_matrix(adj.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :]))
+        s = s - sparse.identity(self.m, format="csr")
+        return s.tocsr()
+
+    @cached_property
+    def eigensystem(self) -> tuple:
+        """Dense eigendecomposition (ascending eigenvalues, eigenvector columns) of S.
+
+        Computed once per chain and shared by the spectral gap and the
+        mixing kernels; both arrays are read-only.
+        """
+        w, v = np.linalg.eigh(self.symmetrized.toarray())
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
 
 
 def build_chain(graph: ClusterGraph) -> Chain:
@@ -158,7 +186,7 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _KernelCache:
-    """Uniformized kernels at dyadically related times.
+    """Uniformized kernels at dyadically related times (above the pairwise cap).
 
     Small times are swept directly; larger ones split as e^{tQ} =
     (e^{tQ/2})^2. Bisection repeatedly halves its step, so the dyadic family
@@ -188,22 +216,56 @@ class _KernelCache:
         return mat
 
 
+def _spectral_kernel(chain: Chain, t: float, tol: float) -> np.ndarray:
+    """Row-stochastic e^{tQ} from the chain's eigensystem, low modes dropped.
+
+    The kernel is D^{-1/2} A A^T D^{1/2} with A = V e^{t lambda / 2} over the
+    modes with e^{t lambda} > tol/m; the row normalisation absorbs D^{-1/2}.
+    By Cauchy-Schwarz with weights pi, the dropped modes move row x by at most
+    pi(x)^{-1/2} tol/m in L1, which is below tol * sqrt(deg_max / deg_min).
+    """
+    w, v = chain.eigensystem
+    decay = np.exp(t * w)
+    # eigenvalues ascend, so the kept modes are a suffix; the stationary one is last
+    k = max(1, int(np.count_nonzero(decay > tol / chain.m)))
+    a = v[:, chain.m - k:] * np.sqrt(decay[chain.m - k:])
+    mat = a @ a.T
+    mat *= np.sqrt(chain.pi)
+    mat /= mat.sum(axis=1, keepdims=True)
+    return mat
+
+
+def _eigen_residual(chain: Chain, block: int = 512) -> float:
+    """max_k ||S v_k - lambda_k v_k||_2 over the chain's eigensystem."""
+    w, v = chain.eigensystem
+    s = chain.symmetrized
+    worst = 0.0
+    for lo in range(0, chain.m, block):
+        cols = v[:, lo:lo + block]
+        res = s @ cols - cols * w[lo:lo + block]
+        worst = max(worst, float(np.linalg.norm(res, axis=0).max()))
+    return worst
+
+
 def _stationarity_distance(mat: np.ndarray, pi: np.ndarray) -> float:
     return min(1.0, 0.5 * float(np.abs(mat - pi).sum(axis=1).max()))
 
 
 def _pairwise_sup_distance(mat: np.ndarray, pi: np.ndarray,
-                           chunk: int = 2048) -> float:
+                           chunk: int = 1024) -> float:
     """Exact sup over start pairs of the TV distance between rows.
 
-    Small matrices get a direct scan. Otherwise two rigorous prunings close
-    in on the maximizing pair: rows whose distance to stationarity r_i is too
-    small to beat the incumbent (via TV_ij <= r_i + r_j) are dropped, and the
-    survivors' pairwise chi-square-type distances (one Gram product of the
-    1/sqrt(pi)-weighted deviations; TV_ij <= chi_ij / 2 by Cauchy-Schwarz
-    with weights pi) order the remaining pairs so the scan stops as soon as
-    the bound falls below the best exact value. Every discard is certified by
-    a bound, so the result is the exact maximum.
+    Small matrices get a direct scan. Otherwise the incumbent is the farthest
+    row from the row farthest from stationarity (one vectorised scan), and
+    two rigorous prunings close in on the maximizing pair: rows whose
+    distance to stationarity r_i is too small to beat the incumbent (via
+    TV_ij <= r_i + r_j) are dropped, and the survivors' pairwise
+    chi-square-type distances (one Gram product of the 1/sqrt(pi)-weighted
+    deviations; TV_ij <= chi_ij / 2 by Cauchy-Schwarz with weights pi) bound
+    the remaining pairs. Those are evaluated exactly in chunks of the largest
+    bounds (top-k by ``argpartition``) until no bound beats the best exact
+    value. Every discard is certified by a bound, so the result is the exact
+    maximum.
     """
     m = mat.shape[0]
     dev = mat - pi
@@ -215,9 +277,9 @@ def _pairwise_sup_distance(mat: np.ndarray, pi: np.ndarray,
         return min(1.0, best)
 
     r = 0.5 * np.abs(dev).sum(axis=1)
-    top = np.argsort(-r, kind="stable")[:2]
-    best = 0.5 * float(np.abs(dev[top[0]] - dev[top[1]]).sum())
-    rmax = float(r[top[0]])
+    far = int(np.argmax(r))
+    best = 0.5 * float(np.abs(dev - dev[far]).sum(axis=1).max())
+    rmax = float(r[far])
 
     keep = np.nonzero(r > best - rmax - 1e-12)[0]
     if keep.size < 2:
@@ -231,21 +293,16 @@ def _pairwise_sup_distance(mat: np.ndarray, pi: np.ndarray,
     np.minimum(bound, r[keep][iu] + r[keep][ju], out=bound)
 
     alive = np.nonzero(bound > best)[0]
-    if alive.size == 0:
-        return min(1.0, best)
-    order = alive[np.argsort(-bound[alive], kind="stable")]
     kept_dev = dev[keep]
-    for lo in range(0, order.size, chunk):
-        idx = order[lo:lo + chunk]
-        if bound[idx[0]] <= best:
-            break
-        idx = idx[bound[idx] > best]
-        if idx.size == 0:
-            continue
+    while alive.size:
+        if alive.size > chunk:
+            part = np.argpartition(-bound[alive], chunk - 1)
+            idx, alive = alive[part[:chunk]], alive[part[chunk:]]
+        else:
+            idx, alive = alive, alive[:0]
         tv = 0.5 * np.abs(kept_dev[iu[idx]] - kept_dev[ju[idx]]).sum(axis=1)
-        cand = float(tv.max())
-        if cand > best:
-            best = cand
+        best = max(best, float(tv.max()))
+        alive = alive[bound[alive] > best]
     return min(1.0, best)
 
 
@@ -255,6 +312,8 @@ class MixingResult:
 
     ``t_lo``/``t_hi`` bracket the first crossing of the e^{-1} threshold with
     d(t_lo) above and d(t_hi) at or below it; ``tau1`` is the bracket midpoint.
+    ``error_bound`` bounds the numerical error of d(t_lo) and d(t_hi) on the
+    kernel route used.
     """
 
     tau1: float
@@ -266,6 +325,13 @@ class MixingResult:
     resolution: float
     poisson_tol: float
     trace: list = field(default_factory=list)  # (t, d) pairs in time order
+    error_bound: float = 0.0
+
+    @property
+    def certified(self) -> bool:
+        """Both bracket ends sit on their side of e^{-1} by more than the error bound."""
+        return (self.d_lo - TV_THRESHOLD > self.error_bound
+                and TV_THRESHOLD - self.d_hi > self.error_bound)
 
     def check_monotone(self, slack: float = 1e-8) -> None:
         for (t0, d0), (t1, d1) in zip(self.trace, self.trace[1:]):
@@ -273,16 +339,6 @@ class MixingResult:
                 raise PercmixError(
                     f"distance trace is not non-increasing: d({t0})={d0} vs d({t1})={d1}"
                 )
-
-
-def _relaxation_time_dense(chain: Chain) -> float:
-    """Relaxation time from a dense symmetric eigensolve (internal hint)."""
-    inv_sqrt = 1.0 / np.sqrt(chain.degrees)
-    s = chain.graph.adjacency.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
-    s = s.toarray()
-    np.fill_diagonal(s, -1.0)
-    lam = np.linalg.eigvalsh(s)
-    return float(-1.0 / lam[-2])
 
 
 def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pairwise",
@@ -295,13 +351,18 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     the stationary law, which brackets the pairwise profile within a factor
     of two. ``auto`` selects pairwise up to its memory cap.
 
-    Probe kernels are assembled from uniformized atoms: small times are swept
-    directly, larger ones squared up dyadically, and bisection steps multiply
-    the lower-bracket kernel by uniformized increments. Since the mixing time
-    is never below the relaxation time, the search starts its bracket at the
-    relaxation time (supplied as ``tau2_hint`` or computed on the spot for
-    mid-size chains) and only verifies that endpoint if bisection ever pins
-    the crossing against it.
+    Up to ``PAIRWISE_CAP`` vertices each probe kernel is built directly at its
+    time from the chain's one eigendecomposition, keeping only the modes with
+    e^{t lambda} > tol/m, so ``tol`` bounds the truncation as the Poisson
+    tolerance does. Above the cap (stationarity mode only) kernels come from
+    uniformization: small times swept as Poisson mixtures, larger ones squared
+    up dyadically, and bisection steps multiply the lower-bracket kernel by
+    uniformized increments. Both routes probe the same times: doubling, then
+    bisection by exact dyadic halving. Since the mixing time is never below
+    the relaxation time, the search starts its bracket at the relaxation time
+    (supplied as ``tau2_hint`` or read from the eigensystem for mid-size
+    chains) and only verifies that endpoint if bisection ever pins the
+    crossing against it.
     """
     if mode == "auto":
         mode = "pairwise" if chain.m <= PAIRWISE_CAP else "stationarity"
@@ -312,9 +373,11 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         )
     if mode not in ("pairwise", "stationarity"):
         raise DomainError(f"unknown mixing mode {mode!r}")
+    if tol <= 0:
+        raise DomainError("tolerance must be positive")
     # tau2_hint: None = compute one when worthwhile; <= 0 = forced doubling search
     if tau2_hint is None and 256 < chain.m <= PAIRWISE_CAP:
-        tau2_hint = _relaxation_time_dense(chain)
+        tau2_hint = -1.0 / float(chain.eigensystem[0][-2])
     if tau2_hint is not None and tau2_hint <= 0.0:
         tau2_hint = None
     if resolution is None:
@@ -338,7 +401,26 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         trace[t] = d
         return d
 
-    cache = _KernelCache(chain, tol)
+    eps = np.finfo(float).eps
+    if chain.m <= PAIRWISE_CAP:
+        cache = None
+        kernel = lambda t: _spectral_kernel(chain, t, tol)
+        ratio = float(chain.degrees.max()) / float(chain.degrees.min())
+        residual = _eigen_residual(chain)
+
+        def error_bound(t):
+            # truncation, plus roughly m eps rounding and t times the eigen-residual,
+            # each moved to a row's L1 by pi(x)^{-1/2}; renormalisation doubles it
+            rounding = math.sqrt(chain.m * ratio) * (chain.m * eps + t * residual)
+            return 2.0 * (math.sqrt(ratio) * tol + rounding)
+    else:
+        cache = _KernelCache(chain, tol)
+        kernel = cache.get
+
+        def error_bound(t):
+            # each swept atom is off by 2 tol after renormalisation, each product
+            # adds its factors' errors: at most 2t/atom_max atoms plus one per probe
+            return (2.0 * tol + chain.m * eps) * (2.0 * t / cache.atom_max + 1 + len(trace))
 
     if tau2_hint is not None:
         # crossing is at or above the relaxation time; verify lazily
@@ -351,26 +433,28 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
                     f"distance still above e^-1 at t={t / 2:.3g} (cap {t_max:.3g})",
                     best=t / 2, residual=trace.get(t / 2),
                 )
-            d = evaluate(cache.get(t), t)
+            d = evaluate(kernel(t), t)
             if d <= thr:
                 t_hi, d_hi = t, d
                 break
             t_lo, d_lo = t, d
             t *= 2.0
-        mat_lo = cache.get(t_lo)
     else:
         t0 = max(resolution / 2.0, 0.5)
-        d0 = evaluate(cache.get(t0), t0)
+        d0 = evaluate(kernel(t0), t0)
         while d0 <= thr:
             if t0 <= resolution:
                 # already mixed within one resolution step of zero
                 d_zero = 1.0 if mode == "pairwise" else 1.0 - chain.pi_min
-                result = MixingResult(t0 / 2, 0.0, t0, d_zero, d0, mode,
-                                      resolution, tol, sorted(trace.items()))
+                result = MixingResult(
+                    tau1=t0 / 2, t_lo=0.0, t_hi=t0, d_lo=d_zero, d_hi=d0, mode=mode,
+                    resolution=resolution, poisson_tol=tol,
+                    trace=sorted(trace.items()), error_bound=error_bound(t0),
+                )
                 result.check_monotone()
                 return result
             t0 /= 4.0
-            d0 = evaluate(cache.get(t0), t0)
+            d0 = evaluate(kernel(t0), t0)
         t_lo, d_lo = t0, d0
         while True:
             t_next = 2.0 * t_lo
@@ -380,29 +464,33 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
                     f"(cap {t_max:.3g})",
                     best=t_lo, residual=d_lo,
                 )
-            d_next = evaluate(cache.get(t_next), t_next)
+            d_next = evaluate(kernel(t_next), t_next)
             if d_next <= thr:
                 t_hi, d_hi = t_next, d_next
                 break
             t_lo, d_lo = t_next, d_next
-        mat_lo = cache.get(t_lo)
 
-    # bisection: exact dyadic halving keeps increments in one kernel family
+    # bisection: exact dyadic halving (keeps uniformized increments in one family)
+    mat_lo = None if cache is None else cache.get(t_lo)
     width = t_hi - t_lo
     while width > resolution:
         delta = width / 2.0
-        cand = _compose(mat_lo, cache.get(delta))
         t_mid = t_lo + delta
+        if cache is None:
+            cand = kernel(t_mid)
+        else:
+            cand = _compose(mat_lo, cache.get(delta))
         d_mid = evaluate(cand, t_mid)
         if d_mid > thr:
-            t_lo, mat_lo, d_lo = t_mid, cand, d_mid
+            t_lo, d_lo = t_mid, d_mid
+            mat_lo = None if cache is None else cand
         else:
             t_hi, d_hi = t_mid, d_mid
         width = delta
 
     if d_lo is None:
         # bisection never confirmed the lower endpoint: verify the hint
-        d_lo = evaluate(cache.get(t_lo), t_lo)
+        d_lo = evaluate(kernel(t_lo), t_lo)
         if d_lo <= thr:
             # hint overshot the true crossing; redo with a plain doubling search
             return mixing_time(chain, resolution=resolution, mode=mode, tol=tol,
@@ -411,7 +499,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     result = MixingResult(
         tau1=(t_lo + t_hi) / 2.0, t_lo=t_lo, t_hi=t_hi, d_lo=d_lo, d_hi=d_hi,
         mode=mode, resolution=resolution, poisson_tol=tol,
-        trace=sorted(trace.items()),
+        trace=sorted(trace.items()), error_bound=error_bound(t_hi),
     )
     result.check_monotone()
     return result
@@ -419,7 +507,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
 
 def distance_profile(chain: Chain, times, mode: str = "pairwise",
                      tol: float = DEFAULT_POISSON_TOL) -> list:
-    """d(t) evaluated on an explicit time grid (diagnostic helper)."""
+    """d(t) on an explicit time grid from uniformized kernels (diagnostic and test oracle)."""
     pi = chain.pi
     out = []
     for t in times:

@@ -253,10 +253,15 @@ def _quantity_rows(inst: _Instance) -> list:
                     f"gap={s.gap!r} method={s.method} residual={s.residual:.2e}")
             elif quantity == "tau1":
                 mix = inst.mixing
-                cert = "exact" if mix.mode == "pairwise" else "heuristic"
-                add("tau1", mix.tau1, cert,
-                    f"t_lo={mix.t_lo!r} t_hi={mix.t_hi!r} mode={mix.mode} "
-                    f"resolution={mix.resolution!r}")
+                detail = (f"t_lo={mix.t_lo!r} t_hi={mix.t_hi!r} mode={mix.mode} "
+                          f"resolution={mix.resolution!r}")
+                cert = "heuristic"
+                if mix.mode == "pairwise" and mix.certified:
+                    cert = "exact"
+                elif mix.mode == "pairwise":
+                    # a bracket end within the kernel error of e^-1 is not certified
+                    detail += f" uncertified error_bound={mix.error_bound:.1e}"
+                add("tau1", mix.tau1, cert, detail)
             elif quantity == "phi_upper":
                 value, source = inst.phi_upper_value()
                 add("phi_upper", value, "upper-bound", f"source={source}")
@@ -390,6 +395,31 @@ def _append_instance(path: Path, cfg, n, seed, rows) -> None:
         os.fsync(fh.fileno())
 
 
+def _truncate_after_last_sentinel(path: Path) -> None:
+    """Cut a partial file back to the end of its last complete ``_done`` line.
+
+    A crash inside ``_append_instance`` leaves a torn tail: rows, possibly a
+    half row, of an instance without its sentinel. Dropping the tail reruns
+    that instance and keeps the file appendable; with no sentinel at all the
+    file goes.
+    """
+    data = path.read_bytes()
+    sentinel = _SENTINEL.encode()
+    start = end = 0
+    while (stop := data.find(b"\n", start)) >= 0:
+        parts = data[start:stop].split(b",", 7)
+        if len(parts) == 8 and parts[4] == sentinel:
+            end = stop + 1
+        start = stop + 1
+    if end == 0:
+        path.unlink()
+    elif end < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
+            fh.flush()
+            os.fsync(fh.fileno())
+
+
 def _format_row(r: Row) -> str:
     return (f"{r.d},{r.p!r},{r.n},{r.seed},{r.quantity},{r.value!r},"
             f"{r.certification},{r.detail}\n")
@@ -476,21 +506,24 @@ def run_scaling(cfg: ExperimentConfig, resume: bool = False,
                 stop_after: int | None = None) -> ScalingReport:
     """Run the sweep, appending per-instance rows for resumability.
 
-    ``resume`` reuses completed instances from a previous partial file;
-    ``stop_after`` aborts after that many fresh instances (testing hook for
-    the interruption/resume contract).
+    ``resume`` reuses completed instances from a previous partial file,
+    after cutting it back to its last completed instance; ``stop_after``
+    aborts after that many fresh instances (testing hook for the
+    interruption/resume contract).
     """
     partial = _partial_path(cfg)
     done = {}
+    if partial is not None and partial.exists():
+        if resume:
+            _truncate_after_last_sentinel(partial)
+        else:
+            partial.unlink()
     if resume and partial is not None and partial.exists():
-        pending = {}
+        # every row left precedes its instance's sentinel
         for r in read_rows(partial):
-            pending.setdefault((r.n, r.seed), []).append(r)
-        for key, rows in pending.items():
-            if any(r.quantity == _SENTINEL for r in rows):
-                done[key] = [r for r in rows if r.quantity != _SENTINEL]
-    elif partial is not None and partial.exists():
-        partial.unlink()
+            rows = done.setdefault((r.n, r.seed), [])
+            if r.quantity != _SENTINEL:
+                rows.append(r)
 
     jobs = [(n, seed) for n in cfg.n_list for seed in cfg.seed_list
             if (n, seed) not in done]

@@ -3,9 +3,10 @@
 The generator Q is similar to the symmetric matrix S = D^{1/2} Q D^{-1/2}
 (D the diagonal of the stationary law), whose off-diagonal entries are
 1/sqrt(deg x * deg y) and diagonal is -1. Eigensolves run on S: dense for
-moderate sizes, otherwise a Lanczos solve on S with the known stationary
-eigenvector sqrt(pi) deflated analytically (shifted out of the spectrum),
-which keeps tiny gaps resolvable.
+moderate sizes (the chain's one cached eigendecomposition), otherwise a
+Lanczos solve on S with the known stationary eigenvector sqrt(pi) deflated
+analytically (shifted out of the spectrum), which keeps tiny gaps
+resolvable.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
@@ -43,22 +43,18 @@ class SpectralResult:
         return 1.0 / self.gap
 
 
-def _symmetrized(chain: Chain) -> sparse.csr_matrix:
-    inv_sqrt = 1.0 / np.sqrt(chain.degrees)
-    adj = chain.graph.adjacency
-    s = sparse.csr_matrix(adj.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :]))
-    s = s - sparse.identity(chain.m, format="csr")
-    return s.tocsr()
-
-
 def spectral_gap(chain: Chain, rtol: float = 1e-10,
                  dense_cap: int = DENSE_CAP) -> SpectralResult:
-    """Spectral gap -lambda_2 of the generator, with the achieved residual."""
-    s = _symmetrized(chain)
+    """Spectral gap -lambda_2 of the generator, with the achieved residual.
+
+    The dense path reads the chain's cached eigensystem, which the mixing
+    kernels share.
+    """
+    s = chain.symmetrized
     if chain.m <= dense_cap:
-        w, v = np.linalg.eigh(s.toarray())
+        w, v = chain.eigensystem
         lam2 = w[-2]
-        vec = v[:, -2]
+        vec = v[:, -2].copy()
         method = "dense"
     else:
         sqrt_pi = np.sqrt(chain.pi)

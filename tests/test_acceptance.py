@@ -49,6 +49,7 @@ def _rows(report, quantity):
     return [(r.n, r.value) for r in report.rows if r.quantity == quantity]
 
 
+@pytest.mark.slow
 def test_criterion_1_mixing_time_scaling(preset_run):
     _, report, _ = preset_run
     rows = [r for r in report.rows if r.quantity == "tau1"]
@@ -62,6 +63,7 @@ def test_criterion_1_mixing_time_scaling(preset_run):
             f"(per-seed slope={per_seed.slope:.3f} r2={per_seed.r_squared:.3f})")
 
 
+@pytest.mark.slow
 def test_criterion_2_relaxation_time_scaling(preset_run):
     _, report, _ = preset_run
     fit = fit_loglog_geomean(_rows(report, "tau2"))
@@ -74,6 +76,7 @@ def test_criterion_2_relaxation_time_scaling(preset_run):
             f"slope={fit.slope:.3f}, p=1 control slope={cfit.slope:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_3_cheeger_upper_envelope():
     cfg = ExperimentConfig(n_list=(8, 12, 16, 24, 32), seed_list=(0, 1, 2, 3, 4),
                            quantities=("phi_upper",), dense_cap=2500)
@@ -102,6 +105,7 @@ def _tiny_instances(count=25):
     return picked
 
 
+@pytest.mark.slow
 def test_criterion_4_exact_inequality_suite(preset_run):
     _, report, _ = preset_run
     ineq_rows = [r for r in report.rows if r.quantity.startswith("ineq_")]
@@ -258,6 +262,7 @@ def test_criterion_8_renormalization_density_trend():
             f"p=0.7 on {p_wins}/20; condition-2 flips {flips}/{sites}")
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(preset_run, tmp_path):
     cfg0, _, out0 = preset_run
     cfg = default_preset(out=str(tmp_path / "rerun"))

@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import percmix as pm
+from percmix import chain as chain_module
 from percmix.chain import (
+    MixingResult,
     _compose,
     _kernel_matrix,
     _pairwise_sup_distance,
+    _spectral_kernel,
     _stationarity_distance,
     distance_profile,
 )
-from percmix.errors import CapacityError, DomainError, NonConvergenceError
+from percmix.errors import CapacityError, DomainError, EmptyClusterError, NonConvergenceError
 from percmix.fixtures import (
     complete_graph,
     cycle_graph,
@@ -218,3 +221,75 @@ def test_stationarity_distance_definition():
     mat = _kernel_matrix(ch, 2.0, 1e-10)
     expect = max(pm.tv_distance(mat[i], ch.pi) for i in range(ch.m))
     assert _stationarity_distance(mat, ch.pi) == pytest.approx(expect)
+
+
+@given(st.integers(0, 10_000), st.integers(2, 5), st.floats(0.5, 1.0),
+       st.floats(0.05, 400.0))
+@settings(max_examples=40, deadline=None)
+def test_spectral_kernel_matches_uniformized(seed, n, p, t):
+    try:
+        cluster = small_cluster(n=n, p=p, seed=seed)
+    except EmptyClusterError:
+        assume(False)
+    assume(cluster.num_vertices >= 2)
+    ch = pm.build_chain(cluster)
+    fast = _spectral_kernel(ch, t, 1e-12)
+    oracle = _kernel_matrix(ch, t, 1e-12)
+    assert np.abs(fast - oracle).max() < 1e-9
+
+
+@pytest.mark.parametrize("n, mode", [(6, "pairwise"), (6, "stationarity"),
+                                     (10, "pairwise")])
+def test_mixing_trace_matches_uniformized_profile(n, mode):
+    ch = pm.build_chain(small_cluster(n=n))
+    result = pm.mixing_time(ch, resolution=2.0, mode=mode)
+    oracle = distance_profile(ch, [t for t, _ in result.trace], mode=mode, tol=1e-12)
+    assert len(oracle) == len(result.trace) >= 5
+    for (t, d), (_, d_ref) in zip(result.trace, oracle):
+        assert abs(d - d_ref) < 1e-9, t
+    assert 0.0 < result.error_bound < 1e-6
+
+
+@pytest.mark.parametrize("m", [40, 256, 300, 500])
+def test_pairwise_sup_exact_on_random_kernels(m):
+    rng = np.random.default_rng(m)
+    pi = rng.random(m) + 0.5
+    pi /= pi.sum()
+    for spread in (1e-3, 0.3, 3.0):
+        mat = pi * np.exp(spread * rng.standard_normal((m, m)))
+        # a few far rows, as started near a bottleneck
+        far = rng.choice(m, size=3, replace=False)
+        mat[far] *= np.exp(spread * np.linspace(-2.0, 2.0, m))
+        mat /= mat.sum(axis=1, keepdims=True)
+        dev = mat - pi
+        brute = max(
+            0.5 * float(np.abs(dev[i + 1:] - dev[i]).sum(axis=1).max())
+            for i in range(m - 1)
+        )
+        for chunk in (64, 1024):
+            assert abs(_pairwise_sup_distance(mat, pi, chunk=chunk) - brute) < 1e-12
+
+
+def test_certified_needs_margins_above_error_bound():
+    thr = math.exp(-1.0)
+
+    def bracket(d_lo, d_hi, err):
+        return MixingResult(tau1=1.5, t_lo=1.0, t_hi=2.0, d_lo=d_lo, d_hi=d_hi,
+                            mode="pairwise", resolution=1.0, poisson_tol=1e-10,
+                            error_bound=err)
+
+    assert bracket(thr + 1e-4, thr - 1e-4, 1e-10).certified
+    assert not bracket(thr + 1e-11, thr - 1e-4, 1e-10).certified
+    assert not bracket(thr + 1e-4, thr - 1e-11, 1e-10).certified
+    assert not bracket(thr + 1e-4, thr, 0.0).certified
+
+
+def test_uniformized_route_above_cap_matches_spectral(monkeypatch):
+    ch = pm.build_chain(small_cluster(n=6))
+    spectral = pm.mixing_time(ch, resolution=0.5, mode="stationarity")
+    monkeypatch.setattr(chain_module, "PAIRWISE_CAP", 10)
+    uniformized = pm.mixing_time(ch, resolution=0.5, mode="stationarity")
+    assert (uniformized.t_lo, uniformized.t_hi) == (spectral.t_lo, spectral.t_hi)
+    for (t, d), (t_ref, d_ref) in zip(uniformized.trace, spectral.trace):
+        assert t == t_ref and abs(d - d_ref) < 1e-9
+    assert uniformized.certified and 0.0 < uniformized.error_bound < 1e-6

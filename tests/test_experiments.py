@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import percmix as pm
+from percmix import experiments
+from percmix.chain import MixingResult
 from percmix.errors import DomainError
 from percmix.experiments import (
     SCHEMA_VERSION,
@@ -223,3 +225,37 @@ def test_workers_pool_matches_serial(tmp_path):
     cfg_serial = small_config(tmp_path, out=str(tmp_path / "s"))
     cfg_pool = small_config(tmp_path, out=str(tmp_path / "p"), workers=2)
     assert run_scaling(cfg_serial).rows == run_scaling(cfg_pool).rows
+
+
+def test_resume_survives_torn_partial_file(tmp_path):
+    # a crash mid-append leaves any prefix of the last instance's bytes
+    small = dict(n_list=(2, 3), quantities=("census",))
+    run_scaling(small_config(tmp_path, out=str(tmp_path / "full"), **small))
+    expected = (tmp_path / "full" / "rows.csv").read_bytes()
+    data = (tmp_path / "full" / "rows.partial.csv").read_bytes()
+    sentinels = [i for i in range(len(data)) if data.startswith(b",_done,", i)]
+    last_start = data.index(b"\n", sentinels[-2]) + 1
+
+    for cut in range(last_start, len(data) + 1):
+        out = tmp_path / f"cut{cut}"
+        out.mkdir()
+        (out / "rows.partial.csv").write_bytes(data[:cut])
+        run_scaling(small_config(tmp_path, out=str(out), **small), resume=True)
+        assert (out / "rows.csv").read_bytes() == expected, f"cut at byte {cut}"
+        assert (out / "rows.partial.csv").read_bytes() == data, f"cut at byte {cut}"
+
+
+@pytest.mark.parametrize("margin, cert", [(1e-12, "heuristic"), (1e-4, "exact")])
+def test_tau1_exact_needs_margin_above_kernel_error(monkeypatch, margin, cert):
+    thr = math.exp(-1.0)
+
+    def near_threshold(chain, resolution, mode, tol, tau2_hint):
+        return MixingResult(tau1=10.5, t_lo=10.0, t_hi=11.0, d_lo=thr + margin,
+                            d_hi=thr - 1e-3, mode=mode, resolution=resolution,
+                            poisson_tol=tol, error_bound=1e-10)
+
+    monkeypatch.setattr(experiments, "mixing_time", near_threshold)
+    rows = run_instance(small_config(quantities=("tau1",)), 4, 0)
+    tau1 = next(r for r in rows if r.quantity == "tau1")
+    assert tau1.certification == cert
+    assert ("uncertified" in tau1.detail) == (cert == "heuristic")
