@@ -4,15 +4,14 @@ The generator has off-diagonal rates 1/deg(x) toward each neighbour and -1 on
 the diagonal. It is similar to the symmetric matrix S = D^{1/2} Q D^{-1/2}
 (D the diagonal of the stationary law), so with S = V diag(lambda) V^T the
 transient kernel is e^{tQ} = D^{-1/2} V e^{t lambda} V^T D^{1/2}
-(Levin-Peres-Wilmer, Markov Chains and Mixing Times, Lemma 12.2). Mixing
-probes build their kernels from that one dense eigendecomposition, keeping
-only the modes with e^{t lambda} > tol/m.
+(Levin-Peres-Wilmer, Markov Chains and Mixing Times, Lemma 12.2). Every
+mixing probe builds its kernel from that one dense eigendecomposition,
+keeping only the modes with e^{t lambda} > tol/m.
 
 The uniformized jump kernel is exactly the discrete simple random walk
 kernel P, so e^{tQ} is also the Poisson(t) mixture of powers of P. That
-route serves single transient distributions, stationarity-mode mixing above
-the pairwise cap (composing uniformized kernels through e^{(s+u)Q} =
-e^{sQ} e^{uQ}), and the test oracle for the spectral kernels.
+route serves single transient distributions and the test oracle for the
+spectral kernels.
 """
 
 from __future__ import annotations
@@ -179,43 +178,6 @@ def _kernel_matrix(chain: Chain, t: float, tol: float) -> np.ndarray:
     return mat
 
 
-def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = a @ b
-    out /= out.sum(axis=1, keepdims=True)
-    return out
-
-
-class _KernelCache:
-    """Uniformized kernels at dyadically related times (above the pairwise cap).
-
-    Small times are swept directly; larger ones split as e^{tQ} =
-    (e^{tQ/2})^2. Bisection repeatedly halves its step, so the dyadic family
-    gets heavy reuse. Entries are evicted largest-time-first under a byte
-    budget (halved times are the ones bisection asks for next).
-    """
-
-    def __init__(self, chain: Chain, tol: float, atom_max: float = 48.0,
-                 byte_budget: float = 1.2e9):
-        self.chain = chain
-        self.tol = tol
-        self.atom_max = atom_max
-        self.max_entries = max(3, int(byte_budget / (8 * chain.m**2 + 1)))
-        self.memo = {}
-
-    def get(self, t: float) -> np.ndarray:
-        if t in self.memo:
-            return self.memo[t]
-        if t <= self.atom_max:
-            mat = _kernel_matrix(self.chain, t, self.tol)
-        else:
-            half = self.get(t / 2.0)
-            mat = _compose(half, half)
-        while len(self.memo) >= self.max_entries:
-            del self.memo[max(self.memo)]
-        self.memo[t] = mat
-        return mat
-
-
 def _spectral_kernel(chain: Chain, t: float, tol: float) -> np.ndarray:
     """Row-stochastic e^{tQ} from the chain's eigensystem, low modes dropped.
 
@@ -312,8 +274,8 @@ class MixingResult:
 
     ``t_lo``/``t_hi`` bracket the first crossing of the e^{-1} threshold with
     d(t_lo) above and d(t_hi) at or below it; ``tau1`` is the bracket midpoint.
-    ``error_bound`` bounds the numerical error of d(t_lo) and d(t_hi) on the
-    kernel route used.
+    ``error_bound`` bounds the numerical error of d(t_lo) and d(t_hi); it is
+    NaN where it was not computed, which leaves the result uncertified.
     """
 
     tau1: float
@@ -325,7 +287,7 @@ class MixingResult:
     resolution: float
     poisson_tol: float
     trace: list = field(default_factory=list)  # (t, d) pairs in time order
-    error_bound: float = 0.0
+    error_bound: float = math.nan
 
     @property
     def certified(self) -> bool:
@@ -351,18 +313,16 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     the stationary law, which brackets the pairwise profile within a factor
     of two. ``auto`` selects pairwise up to its memory cap.
 
-    Up to ``PAIRWISE_CAP`` vertices each probe kernel is built directly at its
-    time from the chain's one eigendecomposition, keeping only the modes with
-    e^{t lambda} > tol/m, so ``tol`` bounds the truncation as the Poisson
-    tolerance does. Above the cap (stationarity mode only) kernels come from
-    uniformization: small times swept as Poisson mixtures, larger ones squared
-    up dyadically, and bisection steps multiply the lower-bracket kernel by
-    uniformized increments. Both routes probe the same times: doubling, then
-    bisection by exact dyadic halving. Since the mixing time is never below
-    the relaxation time, the search starts its bracket at the relaxation time
-    (supplied as ``tau2_hint`` or read from the eigensystem for mid-size
-    chains) and only verifies that endpoint if bisection ever pins the
-    crossing against it.
+    Each probe kernel is built directly at its time from the chain's one
+    eigendecomposition, keeping only the modes with e^{t lambda} > tol/m, so
+    ``tol`` bounds the truncation as the Poisson tolerance does. The probe
+    times are doubling, then bisection by exact dyadic halving. Since the
+    mixing time is never below the relaxation time, the search starts its
+    bracket at the relaxation time (supplied as ``tau2_hint`` or read from
+    the eigensystem above 256 vertices) and only verifies that endpoint if
+    bisection ever pins the crossing against it. Pairwise results carry the
+    kernel error bound that decides ``certified``; stationarity results,
+    which are never tagged exact, leave it at NaN.
     """
     if mode == "auto":
         mode = "pairwise" if chain.m <= PAIRWISE_CAP else "stationarity"
@@ -373,10 +333,14 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         )
     if mode not in ("pairwise", "stationarity"):
         raise DomainError(f"unknown mixing mode {mode!r}")
+    if chain.m > MATRIX_HARD_CAP:
+        raise CapacityError(
+            f"kernel matrix for {chain.m} vertices exceeds the memory cap"
+        )
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     # tau2_hint: None = compute one when worthwhile; <= 0 = forced doubling search
-    if tau2_hint is None and 256 < chain.m <= PAIRWISE_CAP:
+    if tau2_hint is None and chain.m > 256:
         tau2_hint = -1.0 / float(chain.eigensystem[0][-2])
     if tau2_hint is not None and tau2_hint <= 0.0:
         tau2_hint = None
@@ -390,37 +354,26 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     pi = chain.pi
     if mode == "pairwise":
         dist_of = lambda mat: _pairwise_sup_distance(mat, pi)
-    else:
-        dist_of = lambda mat: _stationarity_distance(mat, pi)
-
-    thr = TV_THRESHOLD
-    trace = {}
-
-    def evaluate(mat, t):
-        d = dist_of(mat)
-        trace[t] = d
-        return d
-
-    eps = np.finfo(float).eps
-    if chain.m <= PAIRWISE_CAP:
-        cache = None
-        kernel = lambda t: _spectral_kernel(chain, t, tol)
         ratio = float(chain.degrees.max()) / float(chain.degrees.min())
         residual = _eigen_residual(chain)
 
         def error_bound(t):
             # truncation, plus roughly m eps rounding and t times the eigen-residual,
             # each moved to a row's L1 by pi(x)^{-1/2}; renormalisation doubles it
+            eps = np.finfo(float).eps
             rounding = math.sqrt(chain.m * ratio) * (chain.m * eps + t * residual)
             return 2.0 * (math.sqrt(ratio) * tol + rounding)
     else:
-        cache = _KernelCache(chain, tol)
-        kernel = cache.get
+        dist_of = lambda mat: _stationarity_distance(mat, pi)
+        error_bound = lambda t: math.nan
 
-        def error_bound(t):
-            # each swept atom is off by 2 tol after renormalisation, each product
-            # adds its factors' errors: at most 2t/atom_max atoms plus one per probe
-            return (2.0 * tol + chain.m * eps) * (2.0 * t / cache.atom_max + 1 + len(trace))
+    thr = TV_THRESHOLD
+    trace = {}
+
+    def evaluate(t):
+        d = dist_of(_spectral_kernel(chain, t, tol))
+        trace[t] = d
+        return d
 
     if tau2_hint is not None:
         # crossing is at or above the relaxation time; verify lazily
@@ -433,7 +386,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
                     f"distance still above e^-1 at t={t / 2:.3g} (cap {t_max:.3g})",
                     best=t / 2, residual=trace.get(t / 2),
                 )
-            d = evaluate(kernel(t), t)
+            d = evaluate(t)
             if d <= thr:
                 t_hi, d_hi = t, d
                 break
@@ -441,7 +394,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
             t *= 2.0
     else:
         t0 = max(resolution / 2.0, 0.5)
-        d0 = evaluate(kernel(t0), t0)
+        d0 = evaluate(t0)
         while d0 <= thr:
             if t0 <= resolution:
                 # already mixed within one resolution step of zero
@@ -454,7 +407,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
                 result.check_monotone()
                 return result
             t0 /= 4.0
-            d0 = evaluate(kernel(t0), t0)
+            d0 = evaluate(t0)
         t_lo, d_lo = t0, d0
         while True:
             t_next = 2.0 * t_lo
@@ -464,33 +417,27 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
                     f"(cap {t_max:.3g})",
                     best=t_lo, residual=d_lo,
                 )
-            d_next = evaluate(kernel(t_next), t_next)
+            d_next = evaluate(t_next)
             if d_next <= thr:
                 t_hi, d_hi = t_next, d_next
                 break
             t_lo, d_lo = t_next, d_next
 
-    # bisection: exact dyadic halving (keeps uniformized increments in one family)
-    mat_lo = None if cache is None else cache.get(t_lo)
+    # bisection by exact dyadic halving
     width = t_hi - t_lo
     while width > resolution:
         delta = width / 2.0
         t_mid = t_lo + delta
-        if cache is None:
-            cand = kernel(t_mid)
-        else:
-            cand = _compose(mat_lo, cache.get(delta))
-        d_mid = evaluate(cand, t_mid)
+        d_mid = evaluate(t_mid)
         if d_mid > thr:
             t_lo, d_lo = t_mid, d_mid
-            mat_lo = None if cache is None else cand
         else:
             t_hi, d_hi = t_mid, d_mid
         width = delta
 
     if d_lo is None:
         # bisection never confirmed the lower endpoint: verify the hint
-        d_lo = evaluate(kernel(t_lo), t_lo)
+        d_lo = evaluate(t_lo)
         if d_lo <= thr:
             # hint overshot the true crossing; redo with a plain doubling search
             return mixing_time(chain, resolution=resolution, mode=mode, tol=tol,

@@ -75,6 +75,8 @@ class ExperimentConfig:
         unknown = set(self.quantities) - set(QUANTITIES)
         if unknown:
             raise DomainError(f"unknown quantities: {sorted(unknown)}")
+        if len(set(self.quantities)) != len(self.quantities):
+            raise DomainError(f"quantities repeat: {list(self.quantities)}")
         if self.mode not in ("pairwise", "stationarity", "auto"):
             raise DomainError(f"unknown mixing mode {self.mode!r}")
         if self.workers < 1:
@@ -519,11 +521,19 @@ def run_scaling(cfg: ExperimentConfig, resume: bool = False,
         else:
             partial.unlink()
     if resume and partial is not None and partial.exists():
-        # every row left precedes its instance's sentinel
+        # an instance's rows directly precede its sentinel, each quantity once;
+        # rows of a run that never reached its sentinel (a crash before torn
+        # tails were cut) are dropped, also when the instance's rerun follows
+        pending = {}
         for r in read_rows(partial):
-            rows = done.setdefault((r.n, r.seed), [])
-            if r.quantity != _SENTINEL:
-                rows.append(r)
+            key = (r.n, r.seed)
+            if r.quantity == _SENTINEL:
+                done[key] = pending.pop(key, [])
+                continue
+            rows = pending.setdefault(key, [])
+            if any(q.quantity == r.quantity for q in rows):
+                rows.clear()
+            rows.append(r)
 
     jobs = [(n, seed) for n in cfg.n_list for seed in cfg.seed_list
             if (n, seed) not in done]

@@ -9,7 +9,6 @@ import percmix as pm
 from percmix import chain as chain_module
 from percmix.chain import (
     MixingResult,
-    _compose,
     _kernel_matrix,
     _pairwise_sup_distance,
     _spectral_kernel,
@@ -194,7 +193,8 @@ def test_composed_kernel_matches_direct_sweep():
     ch = pm.build_chain(small_cluster(n=5))
     direct = _kernel_matrix(ch, 37.0, 1e-12)
     half = _kernel_matrix(ch, 18.5, 1e-12)
-    composed = _compose(half, half)
+    composed = half @ half
+    composed /= composed.sum(axis=1, keepdims=True)
     assert np.abs(direct - composed).max() < 1e-9
     d1 = _pairwise_sup_distance(direct, ch.pi)
     d2 = _pairwise_sup_distance(composed, ch.pi)
@@ -247,7 +247,10 @@ def test_mixing_trace_matches_uniformized_profile(n, mode):
     assert len(oracle) == len(result.trace) >= 5
     for (t, d), (_, d_ref) in zip(result.trace, oracle):
         assert abs(d - d_ref) < 1e-9, t
-    assert 0.0 < result.error_bound < 1e-6
+    if mode == "pairwise":
+        assert 0.0 < result.error_bound < 1e-6
+    else:
+        assert math.isnan(result.error_bound) and not result.certified
 
 
 @pytest.mark.parametrize("m", [40, 256, 300, 500])
@@ -284,12 +287,12 @@ def test_certified_needs_margins_above_error_bound():
     assert not bracket(thr + 1e-4, thr, 0.0).certified
 
 
-def test_uniformized_route_above_cap_matches_spectral(monkeypatch):
+def test_auto_mode_above_pairwise_cap_and_hard_cap(monkeypatch):
     ch = pm.build_chain(small_cluster(n=6))
-    spectral = pm.mixing_time(ch, resolution=0.5, mode="stationarity")
+    reference = pm.mixing_time(ch, resolution=0.5, mode="stationarity")
     monkeypatch.setattr(chain_module, "PAIRWISE_CAP", 10)
-    uniformized = pm.mixing_time(ch, resolution=0.5, mode="stationarity")
-    assert (uniformized.t_lo, uniformized.t_hi) == (spectral.t_lo, spectral.t_hi)
-    for (t, d), (t_ref, d_ref) in zip(uniformized.trace, spectral.trace):
-        assert t == t_ref and abs(d - d_ref) < 1e-9
-    assert uniformized.certified and 0.0 < uniformized.error_bound < 1e-6
+    auto = pm.mixing_time(ch, resolution=0.5, mode="auto")
+    assert auto.mode == "stationarity" and auto.trace == reference.trace
+    monkeypatch.setattr(chain_module, "MATRIX_HARD_CAP", 10)
+    with pytest.raises(CapacityError):
+        pm.mixing_time(ch, resolution=0.5, mode="stationarity")

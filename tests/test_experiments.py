@@ -73,6 +73,8 @@ def test_config_validation():
     with pytest.raises(DomainError):
         ExperimentConfig(quantities=("tau9",))
     with pytest.raises(DomainError):
+        ExperimentConfig(quantities=("tau1", "census", "tau1"))
+    with pytest.raises(DomainError):
         ExperimentConfig(mode="warp")
 
 
@@ -243,6 +245,25 @@ def test_resume_survives_torn_partial_file(tmp_path):
         run_scaling(small_config(tmp_path, out=str(out), **small), resume=True)
         assert (out / "rows.csv").read_bytes() == expected, f"cut at byte {cut}"
         assert (out / "rows.partial.csv").read_bytes() == data, f"cut at byte {cut}"
+
+    # rows of an instance that never reached its sentinel, left mid-file by an
+    # earlier crash, never count: neither next to its rerun nor without one
+    lines = data.splitlines(keepends=True)
+    head, body = lines[:2], lines[2:]
+    ends = [i + 1 for i, line in enumerate(body) if b",_done," in line]
+    blocks = [body[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    assert len(blocks) == 4 and all(len(b) >= 3 for b in blocks)
+    layouts = {
+        "orphan before rerun": blocks[0][:2] + blocks[0] + blocks[1] + blocks[2],
+        "orphan apart from rerun": blocks[0] + blocks[2][:1] + blocks[1] + blocks[2],
+        "orphan never rerun": blocks[3][:2] + blocks[0] + blocks[1] + blocks[2],
+    }
+    for name, layout in layouts.items():
+        out = tmp_path / name.replace(" ", "_")
+        out.mkdir()
+        (out / "rows.partial.csv").write_bytes(b"".join(head + layout))
+        run_scaling(small_config(tmp_path, out=str(out), **small), resume=True)
+        assert (out / "rows.csv").read_bytes() == expected, name
 
 
 @pytest.mark.parametrize("margin, cert", [(1e-12, "heuristic"), (1e-4, "exact")])
