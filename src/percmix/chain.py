@@ -25,14 +25,11 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.special import gammaln
 
+from .caps import MATRIX_HARD_CAP, PAIRWISE_CAP
 from .errors import CapacityError, DomainError, NonConvergenceError, PercmixError
 from .percolation import ClusterGraph
 
 TV_THRESHOLD = math.exp(-1.0)
-
-# Full pairwise mixing needs the complete |V| x |V| kernel matrix in memory.
-PAIRWISE_CAP = 5000
-MATRIX_HARD_CAP = 12000
 
 DEFAULT_POISSON_TOL = 1e-10
 

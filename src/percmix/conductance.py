@@ -9,6 +9,18 @@ the exact oracle gives way to certified upper bounds: translated sub-box
 windows and a spectral sweep cut, both optionally improved by reattaching all
 but the largest complement component when a witness has a disconnected
 complement (that surgery preserves the cut edge set while growing the mass).
+
+The window bound works one tiling (a window radius and an axis offset) at a
+time with whole-array calls. Every vertex gets a window index; one
+connected-components pass over the edges whose ends share a window labels
+all window pieces at once, and ``bincount`` gives their sizes, degree sums
+and inner edge counts. Contracting each piece to a node gives the quotient
+graph Q, multi-edges kept. Pieces are disjoint connected sets, so the
+cluster minus a piece is connected iff Q minus the piece's node is; one
+connected-components pass over a block-diagonal batch, copy j being Q without
+node j, answers that for every recorded piece, and the same batch yields the
+reattached cut: the complement component of largest degree sum, its size,
+and its crossing, the Q-edges between it and the piece.
 """
 
 from __future__ import annotations
@@ -16,9 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from .chain import Chain
@@ -308,27 +320,30 @@ class ConductanceProfile:
                 fh.write(f"{p.x!r},{p.phi!r},{p.certification},{p.witness_size}\n")
 
     @classmethod
-    def from_cuts(cls, cuts, certification: str) -> "ConductanceProfile":
-        """Lower envelope (running minimum in mass order) of a bag of cuts."""
-        by_mass = {}
-        for cut in cuts:
-            key = cut.deg_a
-            if key not in by_mass or cut.phi_fraction < by_mass[key].phi_fraction:
-                by_mass[key] = cut
+    def lower_envelope(cls, cuts, total: int, certification: str) -> "ConductanceProfile":
+        """Lower envelope (running minimum in mass order) of a bag of cuts.
+
+        ``cuts`` holds one (crossing, degree sum, size) row per cut of a
+        chain with total degree ``total``. Among cuts of equal degree sum the
+        first one of least crossing is the witness.
+        """
+        cuts = np.asarray(cuts, dtype=np.int64).reshape(-1, 3)
+        crossing, deg, size = cuts.T
         points = []
         running = None
-        running_cut = None
-        for key in sorted(by_mass):
-            cut = by_mass[key]
-            if running is None or cut.phi_fraction < running:
-                running = cut.phi_fraction
-                running_cut = cut
+        running_size = 0
+        for i in _first_per_group(deg, crossing):
+            key = int(deg[i])
+            val = Fraction(int(crossing[i]) * total, key * (total - key))
+            if running is None or val < running:
+                running = val
+                running_size = int(size[i])
             points.append(ProfilePoint(
-                x=key / cut.deg_total,
+                x=key / total,
                 phi=float(running),
                 certification=certification,
-                witness_size=len(running_cut.members),
-                x_fraction=Fraction(key, cut.deg_total),
+                witness_size=running_size,
+                x_fraction=Fraction(key, total),
                 phi_fraction=running,
             ))
         return cls(points)
@@ -454,14 +469,141 @@ def _window_offsets(d: int, k: int) -> list:
     return seen
 
 
+# Bound on copies x (quotient nodes + quotient edges) per batched complement
+# test, so memory stays bounded however many windows a tiling has.
+_BATCH_ENTRIES = 1 << 21
+
+
+def _window_ids(coords: np.ndarray, n: int, k: int, off: tuple) -> np.ndarray:
+    """Row-major window index of each vertex in one tiling, -1 outside all.
+
+    Windows of side 2k+1 start at -n + off[a] on axis a and end no later
+    than n, so the index order is the ``product`` order of window centers.
+    """
+    stride = 2 * k + 1
+    wid = np.zeros(coords.shape[0], dtype=np.int64)
+    inside = np.ones(coords.shape[0], dtype=bool)
+    for a, o in enumerate(off):
+        count = len(range(-n + k + o, n - k + 1, stride))
+        t = coords[:, a] + n - o
+        idx = t // stride
+        inside &= (t >= 0) & (idx < count)
+        wid = wid * count + idx
+    wid[~inside] = -1
+    return wid
+
+
+def _first_per_group(group: np.ndarray, *keys) -> np.ndarray:
+    """Index of the first element of each group under ascending ``keys``.
+
+    ``lexsort`` is stable, so elements equal in every key keep input order.
+    """
+    order = np.lexsort(keys[::-1] + (group,))
+    g = group[order]
+    lead = np.ones(order.size, dtype=bool)
+    lead[1:] = g[1:] != g[:-1]
+    return order[lead]
+
+
+def _tiling_cuts(chain: Chain, wid: np.ndarray) -> np.ndarray:
+    """(crossing, degree sum, size) rows of one tiling's cuts, in window order.
+
+    Every window contributes its largest piece (ties to the piece holding
+    the lowest vertex) when its mass is at most 1/2, followed by that
+    piece's reattached cut when the piece's complement is disconnected.
+    """
+    m, total = chain.m, chain.total_degree
+    eu, ev = chain.graph.edges_local.T
+    intra = (wid[eu] == wid[ev]) & (wid[eu] >= 0)
+    pieces = sparse.coo_matrix(
+        (np.ones(int(intra.sum()), dtype=np.int8), (eu[intra], ev[intra])), shape=(m, m)
+    )
+    # csgraph numbers components in the order of their lowest vertex, so
+    # piece labels and batch components below follow vertex order
+    K, labels = csgraph.connected_components(pieces.tocsr(), directed=False)
+    low = np.unique(labels, return_index=True)[1]  # lowest vertex of each piece
+    size = np.bincount(labels, minlength=K)
+    degsum = np.bincount(labels, weights=chain.degrees, minlength=K).astype(np.int64)
+    crossing = degsum - 2 * np.bincount(labels[eu[intra]], minlength=K)
+
+    in_window = np.nonzero(wid[low] >= 0)[0]
+    if in_window.size == 0:
+        return np.zeros((0, 3), dtype=np.int64)
+    chosen = in_window[_first_per_group(wid[low[in_window]], -size[in_window],
+                                        low[in_window])]
+    chosen = chosen[2 * degsum[chosen] <= total]
+    J = chosen.size
+    out = np.zeros((J, 2, 3), dtype=np.int64)
+    out[:, 0] = np.stack([crossing[chosen], degsum[chosen], size[chosen]], axis=1)
+    has_reattached = np.zeros(J, dtype=bool)
+
+    # Quotient graph Q: one node per piece, one edge per cluster edge between
+    # pieces. Pieces are disjoint connected sets, so the cluster minus piece P
+    # is connected iff Q minus node(P) is; each batch copy j is Q minus node j.
+    lu, lv = labels[eu[~intra]], labels[ev[~intra]]
+    q = sparse.coo_matrix((np.ones(lu.size, dtype=np.int64), (lu, lv)), shape=(K, K))
+    q = (q + q.T).tocsr()
+    qa, qb = sparse.triu(q).nonzero()
+    per_copy = K + qa.size
+    chunk = max(1, _BATCH_ENTRIES // per_copy)
+    for lo in range(0, J, chunk):
+        sel = np.arange(lo, min(lo + chunk, J))
+        P = chosen[sel]
+        c = sel.size
+        keep = (qa[None, :] != P[:, None]) & (qb[None, :] != P[:, None])
+        jj, ee = np.nonzero(keep)
+        batch = sparse.coo_matrix(
+            (np.ones(jj.size, dtype=np.int8), (jj * K + qa[ee], jj * K + qb[ee])),
+            shape=(c * K, c * K),
+        )
+        nc, bl = csgraph.connected_components(batch.tocsr(), directed=False)
+        comp_first = np.unique(bl, return_index=True)[1]
+        comp_copy = comp_first // K
+        # each copy holds its removed node's singleton plus the complement's parts
+        split = np.bincount(comp_copy, minlength=c) > 2
+        if not split.any():
+            continue
+        node_q = np.tile(np.arange(K), c)
+        removed = bl[np.arange(c) * K + P]
+        comp_deg = np.bincount(bl, weights=degsum[node_q], minlength=nc).astype(np.int64)
+        comp_deg[removed] = -1
+        comp_size = np.bincount(bl, weights=size[node_q], minlength=nc).astype(np.int64)
+        starts = q.indptr[P]
+        lens = q.indptr[P + 1] - starts
+        pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        owner = np.repeat(np.arange(c), lens)
+        comp_cross = np.bincount(bl[owner * K + q.indices[pos]], weights=q.data[pos],
+                                 minlength=nc).astype(np.int64)
+        # heaviest complement component, ties to the one holding the lowest vertex
+        heavy = _first_per_group(comp_copy, -comp_deg, comp_first)
+        heavy = heavy[split]
+        rows = sel[split]
+        h_deg, h_size = comp_deg[heavy], comp_size[heavy]
+        small = 2 * h_deg <= total
+        out[rows, 1, 0] = comp_cross[heavy]
+        out[rows, 1, 1] = np.where(small, h_deg, total - h_deg)
+        out[rows, 1, 2] = np.where(small, h_size, m - h_size)
+        has_reattached[rows] = True
+    emitted = np.stack([np.ones(J, dtype=bool), has_reattached], axis=1)
+    return out[emitted]
+
+
 def profile_upper_box(chain: Chain, config=None, k_values=None) -> ConductanceProfile:
     """Upper-bound conductance profile from translated sub-box windows.
 
     For each window radius k < n the box is tiled by disjoint translates
-    (side 2k+1) at a few axis offsets; each window is intersected with the
-    cluster, the largest connected piece is evaluated exactly, and cuts with
-    disconnected complements are additionally reattached. Every recorded
-    point dominates the true profile at its mass.
+    (side 2k+1) at a few axis offsets. Each tiling costs a few whole-array
+    calls: every vertex gets its window index, one connected-components pass
+    over the edges inside windows labels every window piece, and ``bincount``
+    gives the pieces' sizes, degree sums and crossing counts. The largest
+    piece of each window is recorded. Contracting every piece to a node gives
+    the quotient graph Q; a piece's complement in the cluster is connected iff
+    Q without the piece's node is, which one connected-components pass over a
+    block-diagonal batch of such copies decides for all recorded pieces at
+    once. When it is not, the complement's heaviest component (or the set
+    around it) is recorded too, with crossing equal to the Q-edges between
+    it and the piece. Every recorded point dominates the true profile at its
+    mass.
     """
     graph = chain.graph
     if graph.box is None or graph.coords is None:
@@ -469,41 +611,16 @@ def profile_upper_box(chain: Chain, config=None, k_values=None) -> ConductancePr
     if config is not None and config.box != graph.box:
         raise DomainError("configuration does not match the cluster's box")
     n, d = graph.box.n, graph.box.d
-    coords = graph.coords
-    total = chain.total_degree
-    cuts = []
     ks = list(k_values) if k_values is not None else list(range(1, n))
     for k in ks:
         if not 1 <= k < n:
             raise DomainError(f"window radius {k} outside [1, n)")
-        stride = 2 * k + 1
+    cuts = [np.zeros((0, 3), dtype=np.int64)]
+    for k in ks:
         for off in _window_offsets(d, k):
-            axes = []
-            for a in range(d):
-                start = -n + k + off[a]
-                axes.append(range(start, n - k + 1, stride))
-            for center in product(*axes):
-                c = np.asarray(center, dtype=np.int64)
-                mask = (np.abs(coords - c) <= k).all(axis=1)
-                cnt = int(mask.sum())
-                if cnt == 0 or cnt == chain.m:
-                    continue
-                idx = np.nonzero(mask)[0]
-                sub = graph.adjacency[idx][:, idx]
-                ncomp, labels = csgraph.connected_components(sub, directed=False)
-                if ncomp > 1:
-                    sizes = np.bincount(labels)
-                    idx = idx[labels == int(np.argmax(sizes))]
-                if idx.size == 0 or idx.size == chain.m:
-                    continue
-                if 2 * int(chain.degrees[idx].sum()) > total:
-                    continue
-                cut = set_conductance(chain, idx)
-                cuts.append(cut)
-                if not cut.ac_connected:
-                    cuts.extend(reattach_complement(chain, cut))
-    admissible = [c for c in cuts if 2 * c.deg_a <= total]
-    return ConductanceProfile.from_cuts(admissible, "upper-bound")
+            cuts.append(_tiling_cuts(chain, _window_ids(graph.coords, n, k, off)))
+    return ConductanceProfile.lower_envelope(np.concatenate(cuts), chain.total_degree,
+                                             "upper-bound")
 
 
 def sweep_cut(chain: Chain, spectral: SpectralResult | None = None) -> CutValue:

@@ -15,13 +15,15 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 
 from . import conductance as cond
 from . import spectral as spec
-from .chain import PAIRWISE_CAP, Chain, build_chain, mixing_time
+from .caps import DENSE_CAP, PAIRWISE_CAP
+from .chain import Chain, build_chain, mixing_time
 from .errors import DomainError, InequalityViolationError, PercmixError
 from .fitting import fit_loglog
 from .geometry import classify_good_vertices, fpp_regression
@@ -36,6 +38,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_PARTIAL = 3
+
+# Environment variables that set the BLAS/OpenMP thread count.
+THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class SweepInterrupted(PercmixError):
@@ -59,7 +64,7 @@ class ExperimentConfig:
     fpp_l1_lo: int = 10
     fpp_l1_hi: int = 60
     renorm_blocks: tuple = (8, 16)
-    dense_cap: int = 5000  # eigensolver switch: dense below, Lanczos above
+    dense_cap: int = DENSE_CAP  # eigensolver switch: dense up to it, Lanczos above
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
@@ -499,9 +504,11 @@ def compute_fits(rows) -> tuple:
     return fits, refusals
 
 
-def _run_one(args):
-    cfg, n, seed = args
-    return n, seed, run_instance(cfg, n, seed)
+def _lost_instance_rows(cfg: ExperimentConfig, n: int, seed: int, exc) -> list:
+    """Error rows, one per quantity, for an instance whose worker died."""
+    detail = _clean_detail(f"{type(exc).__name__}: {exc}")
+    return [Row(cfg.d, cfg.p, n, seed, q, float("nan"), "error", detail)
+            for q in cfg.quantities]
 
 
 def run_scaling(cfg: ExperimentConfig, resume: bool = False,
@@ -511,7 +518,9 @@ def run_scaling(cfg: ExperimentConfig, resume: bool = False,
     ``resume`` reuses completed instances from a previous partial file,
     after cutting it back to its last completed instance; ``stop_after``
     aborts after that many fresh instances (testing hook for the
-    interruption/resume contract).
+    interruption/resume contract). When a worker process dies, every
+    instance the pool lost gets one ``error`` row per quantity and the sweep
+    goes on.
     """
     partial = _partial_path(cfg)
     done = {}
@@ -540,24 +549,33 @@ def run_scaling(cfg: ExperimentConfig, resume: bool = False,
     all_rows = [r for rows in done.values() for r in rows]
 
     fresh = 0
+
+    def record(n, seed, rows, finished=True):
+        nonlocal fresh
+        all_rows.extend(rows)
+        if finished and partial is not None:
+            _append_instance(partial, cfg, n, seed, rows)
+        fresh += 1
+        if stop_after is not None and fresh >= stop_after and (n, seed) != jobs[-1]:
+            raise SweepInterrupted(f"stopped after {fresh} instances")
+
     if cfg.workers > 1 and jobs:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for n, seed, rows in pool.map(_run_one, [(cfg, n, s) for n, s in jobs]):
-                all_rows.extend(rows)
-                if partial is not None:
-                    _append_instance(partial, cfg, n, seed, rows)
-                fresh += 1
-                if stop_after is not None and fresh >= stop_after and (n, seed) != jobs[-1]:
-                    raise SweepInterrupted(f"stopped after {fresh} instances")
+            futures = [pool.submit(run_instance, cfg, n, s) for n, s in jobs]
+            for (n, seed), future in zip(jobs, futures):
+                try:
+                    rows = future.result()
+                except BrokenProcessPool as exc:
+                    # a dead worker takes its instance and every pending one
+                    # with it; they stay out of the partial file so a resume
+                    # reruns them
+                    record(n, seed, _lost_instance_rows(cfg, n, seed, exc),
+                           finished=False)
+                    continue
+                record(n, seed, rows)
     else:
         for n, seed in jobs:
-            rows = run_instance(cfg, n, seed)
-            all_rows.extend(rows)
-            if partial is not None:
-                _append_instance(partial, cfg, n, seed, rows)
-            fresh += 1
-            if stop_after is not None and fresh >= stop_after and (n, seed) != jobs[-1]:
-                raise SweepInterrupted(f"stopped after {fresh} instances")
+            record(n, seed, run_instance(cfg, n, seed))
 
     all_rows.sort(key=lambda r: (r.n, r.seed, r.quantity))
     fits, refusals = compute_fits(all_rows)
@@ -603,6 +621,9 @@ def emit_report(report: ScalingReport, out_dir) -> dict:
         fh.write(f"inequalities.checked={checked}\n")
         fh.write(f"inequalities.violations={report.violations}\n")
         fh.write(f"rows.errors={report.error_rows}\n")
+        # the last digits of dense eigensolves depend on the BLAS thread count
+        for var in THREAD_ENV_VARS:
+            fh.write(f"env.{var}={os.environ.get(var, 'unset')}\n")
     paths["summary"] = summary_path
 
     quantities = sorted({r.quantity for r in report.rows

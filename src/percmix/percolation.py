@@ -170,47 +170,16 @@ def bernoulli_site_field(seed: int, count: int, p: float) -> np.ndarray:
     return _threshold_mask(seed, count, p, _SITE_SALT)
 
 
-class _UnionFind:
-    """Union by size with path halving."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-    def roots(self) -> np.ndarray:
-        parent = np.asarray(self.parent, dtype=np.int64)
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                return parent
-            parent = grand
-
-
-def _component_roots(config: BondConfig, graph: BoxGraph) -> np.ndarray:
-    uf = _UnionFind(graph.num_vertices)
+def _component_labels(config: BondConfig, graph: BoxGraph) -> np.ndarray:
+    """Open-cluster label of every box vertex; isolated vertices are singletons."""
     open_ids = config.open_edges()
-    tails = graph.edge_tail[open_ids].tolist()
-    heads = graph.edge_head[open_ids].tolist()
-    union = uf.union
-    for a, b in zip(tails, heads):
-        union(a, b)
-    return uf.roots()
+    v = graph.num_vertices
+    adj = sparse.coo_matrix(
+        (np.ones(open_ids.size, dtype=np.int8),
+         (graph.edge_tail[open_ids], graph.edge_head[open_ids])),
+        shape=(v, v),
+    )
+    return csgraph.connected_components(adj.tocsr(), directed=False)[1]
 
 
 class ClusterGraph:
@@ -281,22 +250,18 @@ def largest_cluster(config: BondConfig) -> ClusterGraph:
     if config.open_count == 0:
         raise EmptyClusterError("configuration has no open edges")
     graph = build_box(config.box)
-    roots = _component_roots(config, graph)
+    labels = _component_labels(config, graph)
 
     open_ids = config.open_edges()
-    edge_roots = roots[graph.edge_tail[open_ids]]
-    edge_counts = np.bincount(edge_roots, minlength=graph.num_vertices)
-    best_edges = edge_counts.max()
-    candidates = np.nonzero(edge_counts == best_edges)[0]
-    # roots array is indexed by vertex id, so the first vertex whose root is a
+    edge_labels = labels[graph.edge_tail[open_ids]]
+    edge_counts = np.bincount(edge_labels, minlength=graph.num_vertices)
+    candidates = np.nonzero(edge_counts == edge_counts.max())[0]
+    # labels are indexed by vertex id, so the first vertex whose label is a
     # candidate identifies the component with the smallest contained VertexId.
-    member_mask = np.isin(roots, candidates)
-    first_vertex = int(np.argmax(member_mask))
-    best_root = roots[first_vertex]
+    best = labels[int(np.argmax(np.isin(labels, candidates)))]
 
-    vertex_ids = np.nonzero(roots == best_root)[0]
-    in_cluster = edge_roots == best_root
-    cluster_edges = open_ids[in_cluster]
+    vertex_ids = np.nonzero(labels == best)[0]
+    cluster_edges = open_ids[edge_labels == best]
     tails = np.searchsorted(vertex_ids, graph.edge_tail[cluster_edges])
     heads = np.searchsorted(vertex_ids, graph.edge_head[cluster_edges])
     return ClusterGraph(
@@ -357,13 +322,9 @@ class ClusterCensus:
 
 def cluster_census(config: BondConfig) -> ClusterCensus:
     graph = build_box(config.box)
-    roots = _component_roots(config, graph)
-    open_ids = config.open_edges()
-    edge_counts = np.bincount(roots[graph.edge_tail[open_ids]], minlength=graph.num_vertices)
-    vertex_counts = np.bincount(roots, minlength=graph.num_vertices)
-    present = vertex_counts > 0
-    edges = edge_counts[present]
-    verts = vertex_counts[present]
+    labels = _component_labels(config, graph)
+    verts = np.bincount(labels)
+    edges = np.bincount(labels[graph.edge_tail[config.open_edges()]], minlength=verts.size)
     order = np.lexsort((-verts, -edges))
     return ClusterCensus(config.box, config.p, config.seed, edges[order], verts[order])
 

@@ -17,10 +17,10 @@ import numpy as np
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from .caps import DENSE_CAP
 from .chain import Chain
 from .errors import DomainError, InequalityViolationError, NonConvergenceError
 
-DENSE_CAP = 5000
 _DEFLATE_SHIFT = 3.0  # pushes the 0 eigenvalue below the [-2, 0] spectrum
 
 

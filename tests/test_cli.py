@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 
 import percmix as pm
+from percmix import experiments
 from percmix.cli import main
 
 
@@ -84,6 +87,23 @@ def test_scaling_partial_exit_code(tmp_path):
     code = main(["scaling", "--d", "3", "--n", "2", "--seeds", "0",
                  "--quantities", "census,fpp", "--out", str(tmp_path / "out")])
     assert code == 3
+
+
+_RUN_INSTANCE = experiments.run_instance
+
+
+def _exit_on_seed1(cfg, n, seed):
+    if seed == 1:
+        os._exit(1)
+    return _RUN_INSTANCE(cfg, n, seed)
+
+
+def test_scaling_dead_worker_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "run_instance", _exit_on_seed1)
+    code = main(["scaling", "--n", "3", "--seeds", "0,1", "--quantities", "census",
+                 "--workers", "2", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "BrokenProcessPool" in (tmp_path / "out" / "rows.csv").read_text()
 
 
 def test_renorm_csv(tmp_path):

@@ -1,14 +1,20 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 import percmix as pm
+import percmix.conductance as conductance_module
 from percmix.conductance import (
     EXHAUSTIVE_CAP,
     ConductanceProfile,
     ProfilePoint,
+    _window_offsets,
     cheeger_unrestricted,
     connected_subsets,
     profile_unrestricted,
@@ -282,3 +288,157 @@ def test_profile_csv_roundtrippable(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,phi,certification,witness_size"
     assert len(lines) == 1 + len(prof.points)
+
+
+# ---------------------------------------------------------------------------
+# whole-array window profile against the per-window reference
+
+
+def reference_window_cuts(chain, k, off):
+    """One tiling's cuts by the per-window loop: sparse submatrices per window."""
+    graph = chain.graph
+    n, d = graph.box.n, graph.box.d
+    axes = [range(-n + k + off[a], n - k + 1, 2 * k + 1) for a in range(d)]
+    cuts = []
+    for center in product(*axes):
+        mask = (np.abs(graph.coords - np.asarray(center)) <= k).all(axis=1)
+        cnt = int(mask.sum())
+        if cnt == 0 or cnt == chain.m:
+            continue
+        idx = np.nonzero(mask)[0]
+        sub = graph.adjacency[idx][:, idx]
+        ncomp, labels = csgraph.connected_components(sub, directed=False)
+        if ncomp > 1:
+            idx = idx[labels == int(np.argmax(np.bincount(labels)))]
+        if 2 * int(chain.degrees[idx].sum()) > chain.total_degree:
+            continue
+        cut = pm.set_conductance(chain, idx)
+        cuts.append(cut)
+        if not cut.ac_connected:
+            cuts.extend(reattach_complement(chain, cut))
+    return cuts
+
+
+def reference_profile_upper_box(chain, k_values=None):
+    """The per-window profile with its envelope over ``CutValue`` fractions."""
+    n, d = chain.graph.box.n, chain.graph.box.d
+    ks = list(k_values) if k_values is not None else list(range(1, n))
+    cuts = [cut for k in ks for off in _window_offsets(d, k)
+            for cut in reference_window_cuts(chain, k, off)]
+    total = chain.total_degree
+    by_mass = {}
+    for cut in cuts:
+        if cut.deg_a not in by_mass or cut.phi_fraction < by_mass[cut.deg_a].phi_fraction:
+            by_mass[cut.deg_a] = cut
+    points = []
+    running = running_cut = None
+    for key in sorted(by_mass):
+        cut = by_mass[key]
+        if running is None or cut.phi_fraction < running:
+            running, running_cut = cut.phi_fraction, cut
+        points.append(ProfilePoint(key / total, float(running), "upper-bound",
+                                   len(running_cut.members)))
+    return ConductanceProfile(points)
+
+
+def csv_bytes(profile, path):
+    profile.to_csv(path)
+    return path.read_bytes()
+
+
+def assert_matches_reference(chain, tmp_path, k_values=None):
+    fast = pm.profile_upper_box(chain, k_values=k_values)
+    slow = reference_profile_upper_box(chain, k_values=k_values)
+    assert csv_bytes(fast, tmp_path / "fast.csv") == csv_bytes(slow, tmp_path / "slow.csv")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(d=st.sampled_from([2, 3]), data=st.data(),
+       p=st.floats(0.45, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_profile_upper_box_matches_per_window_reference(tmp_path, d, data, p, seed):
+    n = data.draw(st.integers(2, 9) if d == 2 else st.integers(2, 4), label="n")
+    k_values = data.draw(st.one_of(
+        st.none(), st.lists(st.integers(1, n - 1), min_size=1, max_size=n - 1, unique=True),
+    ), label="k_values")
+    config = pm.sample_bond_config(pm.BoxSpec(d, n), p, seed)
+    assume(config.open_count > 0)
+    cluster = pm.largest_cluster(config)
+    assume(cluster.num_vertices >= 2)
+    assert_matches_reference(pm.build_chain(cluster), tmp_path, k_values)
+
+
+@pytest.mark.parametrize("n,seed", [(12, 0), (16, 1)])
+def test_profile_upper_box_matches_reference_at_preset_sizes(tmp_path, n, seed):
+    assert_matches_reference(cluster_chain(n, seed=seed), tmp_path)
+
+
+def test_profile_upper_box_batches_in_chunks(tmp_path, monkeypatch):
+    ch = cluster_chain(9, seed=3)
+    whole = csv_bytes(pm.profile_upper_box(ch), tmp_path / "whole.csv")
+    monkeypatch.setattr(conductance_module, "_BATCH_ENTRIES", 1)
+    assert csv_bytes(pm.profile_upper_box(ch), tmp_path / "chunked.csv") == whole
+
+
+def polyline_chain(n, polylines, mirror=False):
+    """Chain of the cluster whose open edges are the given coordinate paths."""
+    box = pm.BoxSpec(2, n)
+    graph = pm.build_box(box)
+    mask = np.zeros(box.edge_count, dtype=bool)
+    sign = -1 if mirror else 1
+    for line in polylines:
+        ids = graph.coord_to_vertex([(sign * x, y) for x, y in line])
+        for u, v in zip(ids[:-1], ids[1:]):
+            mask[graph.edge_id(int(u), int(v))] = True
+    return pm.build_chain(pm.largest_cluster(pm.BondConfig(box, 0.5, 0, mask)))
+
+
+def center_window(chain):
+    """Cluster indices inside the k=1 window around the origin."""
+    return np.nonzero((np.abs(chain.graph.coords) <= 1).all(axis=1))[0]
+
+
+def assert_tilings_match_reference(chain):
+    n = chain.graph.box.n
+    for k in range(1, n):
+        for off in _window_offsets(2, k):
+            wid = conductance_module._window_ids(chain.graph.coords, n, k, off)
+            fast = conductance_module._tiling_cuts(chain, wid).tolist()
+            slow = [[c.crossing, c.deg_a, len(c.members)]
+                    for c in reference_window_cuts(chain, k, off)]
+            assert fast == slow, (k, off)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_window_with_two_equal_largest_pieces(mirror):
+    # two 2-vertex pieces in the central window, joined above it; the
+    # right-hand one carries an extra loop, so the choice changes the cut
+    ch = polyline_chain(4, [
+        [(-1, 0), (-1, 1), (-1, 2), (0, 2), (1, 2), (1, 1), (1, 0), (2, 0), (2, 1),
+         (2, 2), (1, 2)],
+    ], mirror)
+    idx = center_window(ch)
+    sub = ch.graph.adjacency[idx][:, idx]
+    _, labels = csgraph.connected_components(sub, directed=False)
+    sizes = np.bincount(labels)
+    assert sorted(sizes)[-2:] == [2, 2]
+    assert len({int(ch.degrees[idx[labels == j]].sum()) for j in range(2)}) == 2
+    assert_tilings_match_reference(ch)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_complement_with_two_equal_heaviest_components(mirror):
+    # the central segment splits the cluster into a 4-vertex square and a
+    # 5-vertex path, both of degree sum 9: the tie decides the witness size
+    ch = polyline_chain(4, [
+        [(-1, 0), (0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (4, 1), (4, 2)],
+        [(-1, 0), (-2, 0), (-3, 0), (-3, 1), (-2, 1), (-2, 0)],
+    ], mirror)
+    piece = center_window(ch)
+    rest = np.setdiff1d(np.arange(ch.m), piece)
+    sub = ch.graph.adjacency[rest][:, rest]
+    ncomp, labels = csgraph.connected_components(sub, directed=False)
+    assert ncomp == 2
+    assert [int(ch.degrees[rest[labels == j]].sum()) for j in range(2)] == [9, 9]
+    assert sorted(np.bincount(labels).tolist()) == [4, 5]
+    assert_tilings_match_reference(ch)

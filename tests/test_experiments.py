@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -198,6 +199,17 @@ def test_summary_contains_every_quantity(tmp_path):
     assert "inequalities.violations=0" in summary
 
 
+def test_summary_records_blas_threads(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    report = run_scaling(small_config(tmp_path, n_list=(2,), quantities=("census",)))
+    summary = emit_report(report, tmp_path / "out")["summary"].read_text()
+    assert "env.OMP_NUM_THREADS=3\n" in summary
+    assert "env.OPENBLAS_NUM_THREADS=unset\n" in summary
+    for var in experiments.THREAD_ENV_VARS:
+        assert f"env.{var}=" in summary
+
+
 def test_plot_data_files(tmp_path):
     cfg = small_config(tmp_path)
     report = run_scaling(cfg)
@@ -227,6 +239,35 @@ def test_workers_pool_matches_serial(tmp_path):
     cfg_serial = small_config(tmp_path, out=str(tmp_path / "s"))
     cfg_pool = small_config(tmp_path, out=str(tmp_path / "p"), workers=2)
     assert run_scaling(cfg_serial).rows == run_scaling(cfg_pool).rows
+
+
+_RUN_INSTANCE = experiments.run_instance
+
+
+def _exit_on_n3_seed1(cfg, n, seed):
+    if (n, seed) == (3, 1):
+        os._exit(1)
+    return _RUN_INSTANCE(cfg, n, seed)
+
+
+def test_dead_worker_gives_error_rows_and_resume_reruns(tmp_path, monkeypatch):
+    small = dict(n_list=(2, 3, 4), quantities=("census",), workers=2)
+    cfg = small_config(tmp_path, out=str(tmp_path / "out"), **small)
+    clean = run_scaling(small_config(tmp_path, out=str(tmp_path / "clean"), **small))
+    monkeypatch.setattr(experiments, "run_instance", _exit_on_n3_seed1)
+    report = run_scaling(cfg)
+    lost = {(r.n, r.seed) for r in report.rows if r.certification == "error"}
+    assert (3, 1) in lost
+    for r in report.rows:
+        if (r.n, r.seed) in lost:
+            assert r.quantity == "census" and "BrokenProcessPool" in r.detail
+        else:
+            assert r in clean.rows
+    assert {(r.n, r.seed) for r in report.rows} == {(r.n, r.seed) for r in clean.rows}
+    monkeypatch.undo()
+    assert run_scaling(cfg, resume=True).rows == clean.rows
+    assert (tmp_path / "out" / "rows.csv").read_bytes() == \
+        (tmp_path / "clean" / "rows.csv").read_bytes()
 
 
 def test_resume_survives_torn_partial_file(tmp_path):
