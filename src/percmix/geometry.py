@@ -10,11 +10,16 @@ Three instruments, all pure functions of a bond configuration:
   an open cluster touching all faces that absorbs every component of
   non-trivial diameter;
 * window-occupancy coarse-graining of vertex sets onto the block lattice.
+
+The first two run as whole-graph ``scipy.sparse.csgraph`` calls: dual
+distances are unweighted BFS on the quotient graph left after contracting the
+weight-0 dual edges, batched over sources; good-site windows are labelled as
+one block-diagonal graph per batch, with per-piece data from scatter
+reductions. Batches stay within ``_BATCH_ENTRIES`` entries.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
@@ -24,12 +29,19 @@ from .errors import DomainError, UnsupportedDimensionError
 from .lattice import BoxSpec, build_box, dual_lattice
 from .percolation import BondConfig, bernoulli_site_field, sample_bond_config
 
+# Entries one batched call may allocate: dual distance rows (sources x
+# quotient classes) or block-diagonal window graphs (windows x window size).
+_BATCH_ENTRIES = 2**16
+
 
 class DualFppField:
     """0/1 edge weights on the interior dual lattice of a d=2 configuration.
 
-    Weight(dual edge) = 1 iff the crossed primal edge is open. Distances are
-    0-1 shortest paths over interior faces (deque BFS).
+    Weight(dual edge) = 1 iff the crossed primal edge is open. Faces joined by
+    weight-0 edges are contracted into classes (one ``connected_components``
+    call); the 0-1 shortest-path distance between two interior faces is then
+    the unweighted BFS distance between their classes in the quotient graph
+    of the weight-1 edges.
     """
 
     def __init__(self, config: BondConfig):
@@ -40,67 +52,58 @@ class DualFppField:
         self.dual = dual_lattice(box)
         u, v = self.dual.dual_u, self.dual.dual_v
         interior = (u != self.dual.outer_face) & (v != self.dual.outer_face)
-        uu, vv = u[interior], v[interior]
-        ww = config.open_mask[interior].astype(np.int64)
+        free = interior & ~config.open_mask
         size = self.dual.num_inner_faces
-        g = sparse.coo_matrix((np.arange(uu.size) + 1, (uu, vv)), shape=(size, size))
-        g = (g + g.T).tocsr()
-        self._indptr = g.indptr
-        self._indices = g.indices
-        self._weights = ww[(g.data - 1)]
         self.num_faces = size
+        num_classes, self._face_class = csgraph.connected_components(
+            sparse.coo_matrix((np.ones(int(free.sum()), dtype=np.int8), (u[free], v[free])),
+                              shape=(size, size)),
+            directed=False,
+        )
+        paid = interior & config.open_mask
+        cu, cv = self._face_class[u[paid]], self._face_class[v[paid]]
+        cross = cu != cv
+        cu, cv = cu[cross], cv[cross]
+        # symmetric, so BFS runs directed without a transpose; tocsr merges
+        # repeated edges, and only the pattern matters to an unweighted search
+        self._quotient = sparse.coo_matrix(
+            (np.ones(2 * cu.size), (np.concatenate([cu, cv]), np.concatenate([cv, cu]))),
+            shape=(num_classes, num_classes),
+        ).tocsr()
 
     def weight(self, dual_edge_id: int) -> int:
         """Weight of the dual edge paired with primal EdgeId ``dual_edge_id``."""
-        return int(self.config.open_mask[dual_edge_id])
+        return int(self.config.open_mask[self.dual.primal_edge_of_dual(dual_edge_id)])
 
     def distance(self, x_face, y_face) -> int:
         """0-1 weighted distance between two dual vertices (face coordinates)."""
-        src = int(self.dual.coord_to_face(np.asarray(x_face)))
-        dst = int(self.dual.coord_to_face(np.asarray(y_face)))
-        if src == dst:
-            return 0
-        dist = np.full(self.num_faces, -1, dtype=np.int64)
-        dist[src] = 0
-        dq = deque([src])
-        indptr, indices, weights = self._indptr, self._indices, self._weights
-        while dq:
-            node = dq.popleft()
-            base = dist[node]
-            if node == dst:
-                return int(base)
-            for k in range(indptr[node], indptr[node + 1]):
-                nb = indices[k]
-                w = weights[k]
-                nd = base + w
-                if dist[nb] == -1 or nd < dist[nb]:
-                    dist[nb] = nd
-                    if w == 0:
-                        dq.appendleft(nb)
-                    else:
-                        dq.append(nb)
-        raise DomainError("dual vertices are not connected")  # unreachable on a box
+        return int(self.distances([x_face], [y_face])[0])
 
-    def distances_from(self, x_face) -> np.ndarray:
-        """0-1 distances from one dual vertex to every interior face."""
-        src = int(self.dual.coord_to_face(np.asarray(x_face)))
-        dist = np.full(self.num_faces, np.iinfo(np.int64).max, dtype=np.int64)
-        dist[src] = 0
-        dq = deque([src])
-        indptr, indices, weights = self._indptr, self._indices, self._weights
-        while dq:
-            node = dq.popleft()
-            base = dist[node]
-            for k in range(indptr[node], indptr[node + 1]):
-                nb = indices[k]
-                nd = base + weights[k]
-                if nd < dist[nb]:
-                    dist[nb] = nd
-                    if weights[k] == 0:
-                        dq.appendleft(nb)
-                    else:
-                        dq.append(nb)
-        return dist
+    def distances(self, x_faces, y_faces) -> np.ndarray:
+        """0-1 distances between paired faces, given as (P, 2) face coordinates.
+
+        Sources are solved together, at most ``_BATCH_ENTRIES`` distance
+        entries at a time. The search stops at the largest L1 separation in
+        the batch: the staircase path between two interior faces stays on
+        interior faces and costs at most their L1 distance.
+        """
+        x = np.asarray(x_faces, dtype=np.int64).reshape(-1, 2)
+        y = np.asarray(y_faces, dtype=np.int64).reshape(-1, 2)
+        src = self._face_class[self.dual.coord_to_face(x)]
+        dst = self._face_class[self.dual.coord_to_face(y)]
+        bound = np.abs(x - y).sum(axis=1)
+        order = np.argsort(bound, kind="stable")
+        per_batch = max(1, _BATCH_ENTRIES // max(1, self._quotient.shape[0]))
+        out = np.empty(bound.size, dtype=np.int64)
+        for start in range(0, order.size, per_batch):
+            chunk = order[start:start + per_batch]
+            sources, row = np.unique(src[chunk], return_inverse=True)
+            dist = csgraph.dijkstra(self._quotient, indices=sources, unweighted=True,
+                                    limit=float(bound[chunk].max()))[row, dst[chunk]]
+            if not np.isfinite(dist).all():
+                raise DomainError("dual vertices are not connected")  # unreachable on a box
+            out[chunk] = dist.astype(np.int64)
+        return out
 
 
 def dual_fpp_distance(config: BondConfig, x_face, y_face) -> int:
@@ -142,12 +145,11 @@ def fpp_regression(config: BondConfig, n_pairs: int = 300,
     targets = np.unique(np.linspace(l1_range[0], l1_range[1], n_targets).round()
                         .astype(np.int64))
     per = max(1, n_pairs // len(targets))
-    pairs = []
-    means = []
+    faces = []  # (a, b) for every admissible pair, stratum by stratum
     for t in targets:
-        acc = []
+        drawn = 0
         attempts = 0
-        while len(acc) < per:
+        while drawn < per:
             attempts += 1
             if attempts > 10_000 * per:
                 raise DomainError("could not sample enough admissible face pairs")
@@ -159,14 +161,15 @@ def fpp_regression(config: BondConfig, n_pairs: int = 300,
             b = a + np.array([dx, dy])
             if not (lo <= b[0] <= hi and lo <= b[1] <= hi):
                 continue
-            d = field.distance(a, b)
-            acc.append(d)
-            pairs.append((int(t), int(d)))
-        means.append(float(np.mean(acc)))
-    fit = fit_linear(targets.astype(float), np.asarray(means))
+            faces.append((a, b))
+            drawn += 1
+    a_faces, b_faces = np.array(faces).transpose(1, 0, 2)
+    dist = field.distances(a_faces, b_faces).reshape(len(targets), per)
+    means = dist.mean(axis=1)
+    pairs = tuple((int(t), int(d)) for t, d in zip(np.repeat(targets, per), dist.ravel()))
+    fit = fit_linear(targets.astype(float), means)
     return FppRegression(slope=fit.slope, intercept=fit.intercept,
-                         r_squared=fit.r_squared, n_pairs=len(pairs),
-                         pairs=tuple(pairs))
+                         r_squared=fit.r_squared, n_pairs=len(pairs), pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +229,68 @@ class GoodSiteField:
                          f"{int(self.good[i])},{int(self.witness[i])}\n")
 
 
+def _classify_windows(box, open_mask, bases, radius: int, block: int):
+    """Condition 1, goodness and witness for the full windows at ``bases``.
+
+    A window is given by the VertexId of its lowest corner (its base); its
+    vertices are base + offsets in row-major window order, so local order is
+    VertexId order. The windows form one block-diagonal graph (window j owns
+    nodes j*size .. (j+1)*size - 1) labelled by one ``connected_components``
+    call; every per-piece quantity is a scatter reduction over the labels.
+    """
+    d, n = box.spec.d, box.spec.n
+    side = 2 * radius + 1
+    size = side**d
+    offsets = box.window_vertex_ids([-n] * d, [-n + side - 1] * d).ravel()
+    coords = np.indices((side,) * d).reshape(d, -1)  # local coordinates, (d, size)
+    b = bases.size
+    total = b * size
+    shift = (np.arange(b, dtype=np.int64) * size)[:, None]
+    rows, cols = [], []
+    for a in range(d):
+        tails = np.nonzero(coords[a] < side - 1)[0]
+        keep = open_mask[box.edge_lookup[bases[:, None] + offsets[tails], a]]
+        rows.append((shift + tails)[keep])
+        cols.append((shift + tails + side ** (d - 1 - a))[keep])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    ncomp, labels = csgraph.connected_components(
+        sparse.coo_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)),
+                          shape=(total, total)),
+        directed=False,
+    )
+    owner = np.empty(ncomp, dtype=np.int64)  # window of each piece
+    owner[labels] = np.repeat(np.arange(b), size)
+
+    by_window = labels.reshape(b, size)
+    spanning = np.ones(ncomp, dtype=bool)
+    diam = np.zeros(ncomp, dtype=np.int64)
+    for a in range(d):
+        for end in (0, side - 1):
+            hit = np.zeros(ncomp, dtype=bool)
+            hit[by_window[:, coords[a] == end]] = True
+            spanning &= hit
+        coord = np.tile(coords[a], b)
+        cmax = np.full(ncomp, -1, dtype=np.int64)
+        cmin = np.full(ncomp, side, dtype=np.int64)
+        np.maximum.at(cmax, labels, coord)
+        np.minimum.at(cmin, labels, coord)
+        diam = np.maximum(diam, cmax - cmin)
+    stray = (10 * diam > block) & ~spanning  # big pieces besides a spanning one
+
+    n_spanning = np.bincount(owner[spanning], minlength=b)
+    crossing = n_spanning >= 1
+    good = (n_spanning == 1) & (np.bincount(owner[stray], minlength=b) == 0)
+    # witness: smallest VertexId of the spanning piece = its first node
+    first = np.full(ncomp, total, dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(total, dtype=np.int64))
+    stars = np.nonzero(spanning)[0]
+    witness = np.full(b, -1, dtype=np.int64)
+    witness[owner[stars]] = bases[owner[stars]] + offsets[first[stars] % size]
+    witness[~good] = -1
+    return crossing, good, witness
+
+
 def classify_good_vertices(config: BondConfig, block: int) -> GoodSiteField:
     """Classify block sites by the crossing-cluster / absorbed-components rule.
 
@@ -247,65 +312,13 @@ def classify_good_vertices(config: BondConfig, block: int) -> GoodSiteField:
     good = np.zeros(num_sites, dtype=bool)
     witness = np.full(num_sites, -1, dtype=np.int64)
 
-    open_mask = config.open_mask
-    side = 2 * radius + 1
-    for si in np.nonzero(classified)[0]:
-        v = sites[si]
-        grid = box.window_vertex_ids(v - radius, v + radius)
-        flat = grid.ravel()
-        local = np.arange(flat.size, dtype=np.int64).reshape(grid.shape)
-        # open edges with both endpoints in the window, per axis
-        rows, cols = [], []
-        for a in range(d):
-            sl_tail = [slice(None)] * d
-            sl_tail[a] = slice(0, side - 1)
-            sl_head = [slice(None)] * d
-            sl_head[a] = slice(1, side)
-            tails = grid[tuple(sl_tail)].ravel()
-            eids = box.edge_lookup[tails, a]
-            keep = open_mask[eids]
-            rows.append(local[tuple(sl_tail)].ravel()[keep])
-            cols.append(local[tuple(sl_head)].ravel()[keep])
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        adj = sparse.coo_matrix(
-            (np.ones(rows.size, dtype=np.int8), (rows, cols)),
-            shape=(flat.size, flat.size),
-        )
-        ncomp, labels = csgraph.connected_components(
-            (adj + adj.T).tocsr(), directed=False
-        )
-        shaped = labels.reshape(grid.shape)
-
-        touches = np.zeros((ncomp, 2 * d), dtype=bool)
-        for a in range(d):
-            sl0 = [slice(None)] * d
-            sl0[a] = 0
-            sl1 = [slice(None)] * d
-            sl1[a] = side - 1
-            touches[np.unique(shaped[tuple(sl0)]), 2 * a] = True
-            touches[np.unique(shaped[tuple(sl1)]), 2 * a + 1] = True
-        crossing_labels = np.nonzero(touches.all(axis=1))[0]
-
-        coords_local = np.stack(
-            np.meshgrid(*([np.arange(side)] * d), indexing="ij"), axis=-1
-        ).reshape(-1, d)
-        diam = np.zeros(ncomp, dtype=np.int64)
-        for a in range(d):
-            cmax = np.full(ncomp, -1, dtype=np.int64)
-            cmin = np.full(ncomp, side, dtype=np.int64)
-            np.maximum.at(cmax, labels, coords_local[:, a])
-            np.minimum.at(cmin, labels, coords_local[:, a])
-            diam = np.maximum(diam, cmax - cmin)
-        big = np.nonzero(10 * diam > block)[0]
-
-        if crossing_labels.size >= 1:
-            crossing[si] = True
-            if crossing_labels.size == 1:
-                star = crossing_labels[0]
-                if np.all(np.isin(big, [star])):
-                    good[si] = True
-                    witness[si] = int(flat[labels == star].min())
+    todo = np.nonzero(classified)[0]
+    bases = box.coord_to_vertex(sites[todo] - radius)
+    per_batch = max(1, _BATCH_ENTRIES // (2 * radius + 1) ** d)
+    for start in range(0, todo.size, per_batch):
+        idx = todo[start:start + per_batch]
+        crossing[idx], good[idx], witness[idx] = _classify_windows(
+            box, config.open_mask, bases[start:start + per_batch], radius, block)
     return GoodSiteField(
         block=block, box=config.box, p=config.p, seed=config.seed,
         sites=sites, classified=classified, crossing_cluster=crossing,
@@ -380,11 +393,12 @@ def good_density_curve(d: int, n: int, p: float, blocks, seeds) -> list:
     dominating site-percolation picture.
     """
     box = BoxSpec(d, n)
+    configs = [(seed, sample_bond_config(box, p, seed)) for seed in seeds]
     out = []
     for block in blocks:
         per_seed = []
-        for seed in seeds:
-            field = classify_good_vertices(sample_bond_config(box, p, seed), block)
+        for seed, config in configs:
+            field = classify_good_vertices(config, block)
             k = field.num_classified
             g = int(field.good[field.classified].sum())
             per_seed.append((seed, k, g))

@@ -1,10 +1,20 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse import csgraph
 
 import percmix as pm
+import percmix.geometry as geometry_module
 from percmix.errors import DomainError, UnsupportedDimensionError
+from percmix.fitting import fit_linear
 from percmix.geometry import (
     DualFppField,
+    FppRegression,
+    GoodSiteField,
     block_sites,
     classify_good_vertices,
     coarse_grain,
@@ -12,7 +22,153 @@ from percmix.geometry import (
     good_density_curve,
     sites_connected,
 )
-from percmix.lattice import BoxSpec, build_box
+from percmix.lattice import BoxSpec, build_box, dual_lattice
+
+
+# ---------------------------------------------------------------------------
+# oracles: the pure-Python routes the whole-graph code replaced
+
+class ReferenceDualFpp:
+    """0-1 shortest paths over interior faces by deque BFS."""
+
+    def __init__(self, config):
+        dual = dual_lattice(build_box(config.box))
+        self.dual = dual
+        u, v = dual.dual_u, dual.dual_v
+        interior = (u != dual.outer_face) & (v != dual.outer_face)
+        uu, vv = u[interior], v[interior]
+        ww = config.open_mask[interior].astype(np.int64)
+        size = dual.num_inner_faces
+        g = sparse.coo_matrix((np.arange(uu.size) + 1, (uu, vv)), shape=(size, size))
+        g = (g + g.T).tocsr()
+        self.indptr, self.indices = g.indptr, g.indices
+        self.weights = ww[(g.data - 1)]
+        self.num_faces = size
+
+    def distance(self, x_face, y_face):
+        src = int(self.dual.coord_to_face(np.asarray(x_face)))
+        dst = int(self.dual.coord_to_face(np.asarray(y_face)))
+        dist = np.full(self.num_faces, -1, dtype=np.int64)
+        dist[src] = 0
+        dq = deque([src])
+        while dq:
+            node = dq.popleft()
+            if node == dst:
+                return int(dist[node])
+            for k in range(self.indptr[node], self.indptr[node + 1]):
+                nb, w = self.indices[k], self.weights[k]
+                nd = dist[node] + w
+                if dist[nb] == -1 or nd < dist[nb]:
+                    dist[nb] = nd
+                    if w == 0:
+                        dq.appendleft(nb)
+                    else:
+                        dq.append(nb)
+        raise AssertionError("interior faces are connected")
+
+
+def reference_fpp_regression(config, n_pairs=300, l1_range=(10, 60), margin=5,
+                             rng_seed=0, n_targets=11):
+    """The per-pair sampling-and-solving loop, one BFS per drawn pair."""
+    field = ReferenceDualFpp(config)
+    n = config.box.n
+    lo, hi = -n + margin, n - 1 - margin
+    rng = np.random.default_rng(rng_seed)
+    targets = np.unique(np.linspace(l1_range[0], l1_range[1], n_targets).round()
+                        .astype(np.int64))
+    per = max(1, n_pairs // len(targets))
+    pairs, means = [], []
+    for t in targets:
+        acc = []
+        while len(acc) < per:
+            a = rng.integers(lo, hi + 1, size=2)
+            dx = int(rng.integers(-t, t + 1))
+            dy = t - abs(dx)
+            if rng.integers(2):
+                dy = -dy
+            b = a + np.array([dx, dy])
+            if not (lo <= b[0] <= hi and lo <= b[1] <= hi):
+                continue
+            d = field.distance(a, b)
+            acc.append(d)
+            pairs.append((int(t), int(d)))
+        means.append(float(np.mean(acc)))
+    fit = fit_linear(targets.astype(float), np.asarray(means))
+    return FppRegression(slope=fit.slope, intercept=fit.intercept,
+                         r_squared=fit.r_squared, n_pairs=len(pairs),
+                         pairs=tuple(pairs))
+
+
+def reference_classify_good_vertices(config, block):
+    """The per-site loop: one sparse window graph and label pass per site."""
+    box = build_box(config.box)
+    n, d = config.box.n, config.box.d
+    radius = (5 * block) // 4
+    sites = block_sites(config.box, block)
+    classified = (np.abs(sites) + radius <= n).all(axis=1)
+    crossing = np.zeros(sites.shape[0], dtype=bool)
+    good = np.zeros(sites.shape[0], dtype=bool)
+    witness = np.full(sites.shape[0], -1, dtype=np.int64)
+    side = 2 * radius + 1
+    for si in np.nonzero(classified)[0]:
+        grid = box.window_vertex_ids(sites[si] - radius, sites[si] + radius)
+        flat = grid.ravel()
+        local = np.arange(flat.size, dtype=np.int64).reshape(grid.shape)
+        rows, cols = [], []
+        for a in range(d):
+            tail = [slice(None)] * d
+            tail[a] = slice(0, side - 1)
+            head = [slice(None)] * d
+            head[a] = slice(1, side)
+            keep = config.open_mask[box.edge_lookup[grid[tuple(tail)].ravel(), a]]
+            rows.append(local[tuple(tail)].ravel()[keep])
+            cols.append(local[tuple(head)].ravel()[keep])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        adj = sparse.coo_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)),
+                                shape=(flat.size, flat.size))
+        ncomp, labels = csgraph.connected_components((adj + adj.T).tocsr(), directed=False)
+        shaped = labels.reshape(grid.shape)
+        touches = np.zeros((ncomp, 2 * d), dtype=bool)
+        for a in range(d):
+            lo_face = [slice(None)] * d
+            lo_face[a] = 0
+            hi_face = [slice(None)] * d
+            hi_face[a] = side - 1
+            touches[np.unique(shaped[tuple(lo_face)]), 2 * a] = True
+            touches[np.unique(shaped[tuple(hi_face)]), 2 * a + 1] = True
+        crossing_labels = np.nonzero(touches.all(axis=1))[0]
+        coords_local = np.stack(
+            np.meshgrid(*([np.arange(side)] * d), indexing="ij"), axis=-1
+        ).reshape(-1, d)
+        diam = np.zeros(ncomp, dtype=np.int64)
+        for a in range(d):
+            cmax = np.full(ncomp, -1, dtype=np.int64)
+            cmin = np.full(ncomp, side, dtype=np.int64)
+            np.maximum.at(cmax, labels, coords_local[:, a])
+            np.minimum.at(cmin, labels, coords_local[:, a])
+            diam = np.maximum(diam, cmax - cmin)
+        big = np.nonzero(10 * diam > block)[0]
+        if crossing_labels.size >= 1:
+            crossing[si] = True
+            if crossing_labels.size == 1:
+                star = crossing_labels[0]
+                if np.all(np.isin(big, [star])):
+                    good[si] = True
+                    witness[si] = int(flat[labels == star].min())
+    return GoodSiteField(
+        block=block, box=config.box, p=config.p, seed=config.seed, sites=sites,
+        classified=classified, crossing_cluster=crossing, good=good, witness=witness,
+    )
+
+
+def assert_fields_equal(fast, slow):
+    np.testing.assert_array_equal(fast.sites, slow.sites)
+    for name in ("classified", "crossing_cluster", "good", "witness"):
+        np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name), err_msg=name)
+
+
+# p = 0 (every face free) and p = 1 (distance = L1) always come up
+probabilities = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 
 
 def test_fpp_all_closed_is_free():
@@ -71,6 +227,59 @@ def test_fpp_regression_p_one_control():
     assert reg.r_squared == pytest.approx(1.0)
 
 
+def test_fpp_weight_rejects_out_of_range_ids():
+    config = pm.sample_bond_config(BoxSpec(2, 4), 0.5, 9)
+    field = DualFppField(config)
+    for eid in (-1, config.box.edge_count):
+        with pytest.raises(DomainError):
+            field.weight(eid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), p=probabilities, seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_fpp_distance_matches_zero_one_bfs(n, p, seed, data):
+    config = pm.sample_bond_config(BoxSpec(2, n), p, seed)
+    face = st.tuples(st.integers(-n, n - 1), st.integers(-n, n - 1))
+    pairs = data.draw(st.lists(st.tuples(face, face), min_size=1, max_size=12),
+                      label="pairs")
+    field = DualFppField(config)
+    oracle = ReferenceDualFpp(config)
+    expected = [oracle.distance(x, y) for x, y in pairs]
+    assert [field.distance(x, y) for x, y in pairs] == expected
+    xs, ys = zip(*pairs)
+    assert field.distances(xs, ys).tolist() == expected
+    l1 = [abs(x[0] - y[0]) + abs(x[1] - y[1]) for x, y in pairs]
+    if p == 0.0:
+        assert expected == [0] * len(pairs)
+    if p == 1.0:
+        assert expected == l1
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 10), p=probabilities, seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_fpp_regression_matches_zero_one_bfs(n, p, seed, data):
+    span = 2 * n - 3  # interior face span at margin 1
+    l1_lo = data.draw(st.integers(1, span - 1), label="l1_lo")
+    l1_hi = data.draw(st.integers(l1_lo + 1, span), label="l1_hi")
+    n_pairs = data.draw(st.integers(1, 40), label="n_pairs")
+    config = pm.sample_bond_config(BoxSpec(2, n), p, seed)
+    kwargs = dict(n_pairs=n_pairs, l1_range=(l1_lo, l1_hi), margin=1, rng_seed=seed % 1000)
+    fast = pm.fpp_regression(config, **kwargs)
+    assert fast == reference_fpp_regression(config, **kwargs)
+    if p == 1.0:
+        assert all(d == t for t, d in fast.pairs)
+
+
+def test_fpp_one_source_per_batch(monkeypatch):
+    config = pm.sample_bond_config(BoxSpec(2, 16), 0.7, 3)
+    kwargs = dict(n_pairs=60, l1_range=(4, 16), rng_seed=2)
+    whole = pm.fpp_regression(config, **kwargs)
+    monkeypatch.setattr(geometry_module, "_BATCH_ENTRIES", 1)
+    assert pm.fpp_regression(config, **kwargs) == whole
+
+
 def test_good_sites_full_lattice():
     field = pm.classify_good_vertices(pm.sample_bond_config(BoxSpec(2, 24), 1.0, 0), 8)
     assert field.num_classified > 0
@@ -118,6 +327,55 @@ def test_good_density_grows_with_block_scale():
         d16 = classify_good_vertices(config, 16).density()
         wins += d16 > d8
     assert wins >= 5
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([2, 3]), p=probabilities, seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_good_sites_match_per_site_loop(d, p, seed, data):
+    if d == 2:
+        block = data.draw(st.integers(8, 16), label="block")
+        n = data.draw(st.integers((5 * block) // 4, 40), label="n")
+    else:
+        block = data.draw(st.integers(8, 9), label="block")
+        n = data.draw(st.integers((5 * block) // 4, 18), label="n")
+    config = pm.sample_bond_config(BoxSpec(d, n), p, seed)
+    fast = classify_good_vertices(config, block)
+    assert fast.num_classified > 0
+    assert_fields_equal(fast, reference_classify_good_vertices(config, block))
+
+
+@pytest.mark.parametrize("d,n,block", [(2, 40, 8), (3, 18, 8)])
+def test_good_sites_one_window_per_batch(monkeypatch, d, n, block):
+    config = pm.sample_bond_config(BoxSpec(d, n), 0.7, 5)
+    whole = classify_good_vertices(config, block)
+    monkeypatch.setattr(geometry_module, "_BATCH_ENTRIES", 1)
+    assert_fields_equal(classify_good_vertices(config, block), whole)
+
+
+def test_good_sites_match_per_site_loop_at_criterion_size():
+    config = pm.sample_bond_config(BoxSpec(2, 80), 0.7, 0)
+    for block in (8, 16, 24):
+        assert_fields_equal(classify_good_vertices(config, block),
+                            reference_classify_good_vertices(config, block))
+
+
+def test_good_density_curve_samples_each_seed_once(monkeypatch):
+    calls = []
+
+    def counting_sample(box, p, seed):
+        calls.append(seed)
+        return pm.sample_bond_config(box, p, seed)
+
+    monkeypatch.setattr(geometry_module, "sample_bond_config", counting_sample)
+    rows = good_density_curve(2, 24, 0.7, [8, 16], seeds=[0, 1, 2])
+    assert calls == [0, 1, 2]
+    expected = [classify_good_vertices(pm.sample_bond_config(BoxSpec(2, 24), 0.7, s), b)
+                for b in (8, 16) for s in (0, 1, 2)]
+    assert [(r.block, r.seed, r.n_classified, r.n_good) for r in rows] == [
+        (f.block, f.seed, f.num_classified, int(f.good[f.classified].sum()))
+        for f in expected
+    ]
 
 
 def test_coarse_grain_empty():
