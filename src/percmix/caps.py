@@ -4,5 +4,8 @@
 PAIRWISE_CAP = 5000
 # No dense m x m kernel matrix is built above this many vertices.
 MATRIX_HARD_CAP = 12000
-# Eigensolver switch: dense eigendecomposition up to here, Lanczos above.
+# Spectral gap: certified (or dense) up to here, uncertified Lanczos above.
 DENSE_CAP = 5000
+# At or below this many vertices the dense eigendecomposition of S costs less
+# than a sparse eigensolve; above it the sparse solve answers, dense falls back.
+SPARSE_EIGEN_MIN = 256

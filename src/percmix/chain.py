@@ -5,8 +5,10 @@ the diagonal. It is similar to the symmetric matrix S = D^{1/2} Q D^{-1/2}
 (D the diagonal of the stationary law), so with S = V diag(lambda) V^T the
 transient kernel is e^{tQ} = D^{-1/2} V e^{t lambda} V^T D^{1/2}
 (Levin-Peres-Wilmer, Markov Chains and Mixing Times, Lemma 12.2). Every
-mixing probe builds its kernel from that one dense eigendecomposition,
-keeping only the modes with e^{t lambda} > tol/m.
+mixing probe builds its kernel from the modes with e^{t lambda} > tol/m only,
+and those are all the eigenpairs it computes: above 256 vertices one sparse
+shift-invert Lanczos solve, certified complete by Sylvester's law of inertia
+(`Chain.eigenpairs_above`), with the dense eigendecomposition as fallback.
 
 The uniformized jump kernel is exactly the discrete simple random walk
 kernel P, so e^{tQ} is also the Poisson(t) mixture of powers of P. That
@@ -23,15 +25,55 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 from scipy.special import gammaln
 
-from .caps import MATRIX_HARD_CAP, PAIRWISE_CAP
+from .caps import MATRIX_HARD_CAP, PAIRWISE_CAP, SPARSE_EIGEN_MIN
 from .errors import CapacityError, DomainError, NonConvergenceError, PercmixError
 from .percolation import ClusterGraph
 
 TV_THRESHOLD = math.exp(-1.0)
 
 DEFAULT_POISSON_TOL = 1e-10
+
+_MAX_MODE_FRACTION = 0.25  # asking for more of the spectrum goes dense
+_SHIFT = 1e-6  # shift-invert pole just above the top eigenvalue 0 of S
+
+
+def _symmetric_lu(s: sparse.spmatrix, shift: float):
+    """Sparse LU of S - shift I with a symmetric ordering and diagonal pivots."""
+    a = (s - shift * sparse.identity(s.shape[0], format="csr")).tocsc()
+    return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True))
+
+
+def count_above(s: sparse.spmatrix, theta: float) -> int | None:
+    """Number of eigenvalues of the symmetric S above theta, or None.
+
+    When SuperLU keeps every pivot on the diagonal (equal row and column
+    permutations), P (S - theta I) P^T = L U with U = diag(U) L^T, so by
+    Sylvester's law of inertia the positive entries of diag(U) count the
+    eigenvalues above theta exactly. None means it pivoted off the diagonal.
+    """
+    lu = _symmetric_lu(s, theta)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() > 0))
+
+
+def top_eigenpairs(s: sparse.spmatrix, k: int, tol: float = 0.0) -> tuple:
+    """The k largest eigenpairs of the symmetric S (spectrum <= 0), ascending.
+
+    Shift-invert Lanczos about a pole just above 0, from a fixed start
+    vector, so the result is deterministic. Raises ArpackNoConvergence.
+    """
+    m = s.shape[0]
+    lu = _symmetric_lu(s, _SHIFT)
+    op = LinearOperator((m, m), matvec=lu.solve, dtype=float)
+    v0 = 1.0 + (np.arange(m) * 0.6180339887498949) % 1.0
+    w, v = eigsh(s, k=k, sigma=_SHIFT, which="LM", v0=v0, OPinv=op, tol=tol)
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
 
 
 class Chain:
@@ -55,6 +97,7 @@ class Chain:
         # P[x, y] = 1/deg(x) for x ~ y; zero diagonal.
         self.kernel = sparse.csr_matrix(graph.adjacency.multiply(inv_deg[:, None]))
         self.kernel_t = sparse.csr_matrix(self.kernel.T)
+        self._above = None  # (theta, w, v) of the widest eigenpairs_above solve
 
     @property
     def pi_min(self) -> float:
@@ -87,13 +130,45 @@ class Chain:
     def eigensystem(self) -> tuple:
         """Dense eigendecomposition (ascending eigenvalues, eigenvector columns) of S.
 
-        Computed once per chain and shared by the spectral gap and the
-        mixing kernels; both arrays are read-only.
+        The route for small chains and the fallback of the sparse solves,
+        computed at most once per chain; both arrays are read-only.
         """
         w, v = np.linalg.eigh(self.symmetrized.toarray())
         w.setflags(write=False)
         v.setflags(write=False)
         return w, v
+
+    def eigenpairs_above(self, theta: float) -> tuple:
+        """Every eigenpair of S with eigenvalue above theta, ascending, read-only.
+
+        Above SPARSE_EIGEN_MIN vertices, the inertia of S - theta I gives the
+        exact count K of eigenvalues above theta (`count_above`); shift-invert
+        Lanczos then computes the top K + 1 pairs, which are accepted only if
+        theta separates the K-th from the (K + 1)-th. Any other outcome, a
+        small chain, or K beyond a quarter of m reads the dense eigensystem.
+        The widest solve is kept, and a later theta at or above it is a slice.
+        """
+        if self._above is None or theta < self._above[0]:
+            self._above = self._solve_above(theta)
+        _, w, v = self._above
+        cut = w.size - int(np.count_nonzero(w > theta))
+        return w[cut:], v[:, cut:]
+
+    def _solve_above(self, theta: float) -> tuple:
+        s = self.symmetrized
+        if self.m > SPARSE_EIGEN_MIN:
+            k = count_above(s, theta)
+            if k and k < _MAX_MODE_FRACTION * self.m:
+                try:
+                    w, v = top_eigenpairs(s, k + 1)
+                except ArpackNoConvergence:
+                    w = None
+                if w is not None and w[0] <= theta < w[1]:
+                    w, v = w[1:], v[:, 1:]
+                    w.setflags(write=False)
+                    v.setflags(write=False)
+                    return theta, w, v
+        return -math.inf, *self.eigensystem
 
 
 def build_chain(graph: ClusterGraph) -> Chain:
@@ -175,31 +250,40 @@ def _kernel_matrix(chain: Chain, t: float, tol: float) -> np.ndarray:
     return mat
 
 
-def _spectral_kernel(chain: Chain, t: float, tol: float) -> np.ndarray:
-    """Row-stochastic e^{tQ} from the chain's eigensystem, low modes dropped.
+def _mode_floor(m: int, t: float, tol: float) -> float:
+    """An eigenvalue floor below every mode with e^{t lambda} > tol/m.
 
-    The kernel is D^{-1/2} A A^T D^{1/2} with A = V e^{t lambda / 2} over the
-    modes with e^{t lambda} > tol/m; the row normalisation absorbs D^{-1/2}.
-    By Cauchy-Schwarz with weights pi, the dropped modes move row x by at most
+    Non-increasing as t decreases, so the floor of the smallest probe time
+    covers every later probe.
+    """
+    return (math.log(tol / m) - 1e-9) / t
+
+
+def _spectral_kernel(chain: Chain, t: float, tol: float) -> np.ndarray:
+    """Row-stochastic e^{tQ} from the modes with e^{t lambda} > tol/m.
+
+    The kernel is D^{-1/2} A A^T D^{1/2} with A = V e^{t lambda / 2} over
+    those modes; the row normalisation absorbs D^{-1/2}. Every mode below
+    the floor is certified absent by `Chain.eigenpairs_above`. By
+    Cauchy-Schwarz with weights pi, the dropped modes move row x by at most
     pi(x)^{-1/2} tol/m in L1, which is below tol * sqrt(deg_max / deg_min).
     """
-    w, v = chain.eigensystem
+    w, v = chain.eigenpairs_above(_mode_floor(chain.m, t, tol))
     decay = np.exp(t * w)
     # eigenvalues ascend, so the kept modes are a suffix; the stationary one is last
     k = max(1, int(np.count_nonzero(decay > tol / chain.m)))
-    a = v[:, chain.m - k:] * np.sqrt(decay[chain.m - k:])
+    a = v[:, w.size - k:] * np.sqrt(decay[w.size - k:])
     mat = a @ a.T
     mat *= np.sqrt(chain.pi)
     mat /= mat.sum(axis=1, keepdims=True)
     return mat
 
 
-def _eigen_residual(chain: Chain, block: int = 512) -> float:
-    """max_k ||S v_k - lambda_k v_k||_2 over the chain's eigensystem."""
-    w, v = chain.eigensystem
-    s = chain.symmetrized
+def _eigen_residual(s: sparse.spmatrix, w: np.ndarray, v: np.ndarray,
+                    block: int = 512) -> float:
+    """max_k ||S v_k - lambda_k v_k||_2 over the given eigenpairs."""
     worst = 0.0
-    for lo in range(0, chain.m, block):
+    for lo in range(0, w.size, block):
         cols = v[:, lo:lo + block]
         res = s @ cols - cols * w[lo:lo + block]
         worst = max(worst, float(np.linalg.norm(res, axis=0).max()))
@@ -310,16 +394,17 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     the stationary law, which brackets the pairwise profile within a factor
     of two. ``auto`` selects pairwise up to its memory cap.
 
-    Each probe kernel is built directly at its time from the chain's one
-    eigendecomposition, keeping only the modes with e^{t lambda} > tol/m, so
-    ``tol`` bounds the truncation as the Poisson tolerance does. The probe
-    times are doubling, then bisection by exact dyadic halving. Since the
-    mixing time is never below the relaxation time, the search starts its
-    bracket at the relaxation time (supplied as ``tau2_hint`` or read from
-    the eigensystem above 256 vertices) and only verifies that endpoint if
-    bisection ever pins the crossing against it. Pairwise results carry the
-    kernel error bound that decides ``certified``; stationarity results,
-    which are never tagged exact, leave it at NaN.
+    Each probe kernel is built directly at its time from the modes with
+    e^{t lambda} > tol/m, so ``tol`` bounds the truncation as the Poisson
+    tolerance does. The probe times are doubling, then bisection by exact
+    dyadic halving. Since the mixing time is never below the relaxation
+    time, the search starts its bracket at the relaxation time (supplied as
+    ``tau2_hint`` or, above 256 vertices, taken from `spectral_gap`) and only
+    verifies that endpoint if bisection ever pins the crossing against it;
+    one certified eigenpair solve at that time then serves every probe.
+    Pairwise results carry the kernel error bound that decides
+    ``certified``; stationarity results, which are never tagged exact, leave
+    it at NaN.
     """
     if mode == "auto":
         mode = "pairwise" if chain.m <= PAIRWISE_CAP else "stationarity"
@@ -338,7 +423,9 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         raise DomainError("tolerance must be positive")
     # tau2_hint: None = compute one when worthwhile; <= 0 = forced doubling search
     if tau2_hint is None and chain.m > 256:
-        tau2_hint = -1.0 / float(chain.eigensystem[0][-2])
+        from .spectral import spectral_gap  # spectral builds on this module
+
+        tau2_hint = spectral_gap(chain).tau2
     if tau2_hint is not None and tau2_hint <= 0.0:
         tau2_hint = None
     if resolution is None:
@@ -352,11 +439,13 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     if mode == "pairwise":
         dist_of = lambda mat: _pairwise_sup_distance(mat, pi)
         ratio = float(chain.degrees.max()) / float(chain.degrees.min())
-        residual = _eigen_residual(chain)
 
         def error_bound(t):
-            # truncation, plus roughly m eps rounding and t times the eigen-residual,
-            # each moved to a row's L1 by pi(x)^{-1/2}; renormalisation doubles it
+            # truncation, plus roughly m eps rounding and t times the eigen-residual
+            # of the computed modes, each moved to a row's L1 by pi(x)^{-1/2};
+            # renormalisation doubles it
+            residual = _eigen_residual(
+                chain.symmetrized, *chain.eigenpairs_above(_mode_floor(chain.m, t, tol)))
             eps = np.finfo(float).eps
             rounding = math.sqrt(chain.m * ratio) * (chain.m * eps + t * residual)
             return 2.0 * (math.sqrt(ratio) * tol + rounding)
@@ -375,6 +464,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     if tau2_hint is not None:
         # crossing is at or above the relaxation time; verify lazily
         t_lo, d_lo = float(tau2_hint), None
+        chain.eigenpairs_above(_mode_floor(chain.m, t_lo, tol))  # no probe goes lower
         t_hi = d_hi = None
         t = 2.0 * t_lo
         while True:

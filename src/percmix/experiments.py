@@ -64,7 +64,7 @@ class ExperimentConfig:
     fpp_l1_lo: int = 10
     fpp_l1_hi: int = 60
     renorm_blocks: tuple = (8, 16)
-    dense_cap: int = DENSE_CAP  # eigensolver switch: dense up to it, Lanczos above
+    dense_cap: int = DENSE_CAP  # gap certified up to it, plain Lanczos above
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -234,6 +235,26 @@ def test_spectral_kernel_matches_uniformized(seed, n, p, t):
     assume(cluster.num_vertices >= 2)
     ch = pm.build_chain(cluster)
     fast = _spectral_kernel(ch, t, 1e-12)
+    oracle = _kernel_matrix(ch, t, 1e-12)
+    assert np.abs(fast - oracle).max() < 1e-9
+
+
+@given(st.sampled_from([(2, 7), (2, 8), (3, 3)]), st.floats(0.45, 1.0),
+       st.integers(0, 10_000), st.floats(1.0, 4.0))
+@settings(max_examples=25, deadline=None)
+def test_partial_mode_kernel_matches_uniformized(box, p, seed, f):
+    d, n = box
+    try:
+        cluster = pm.largest_cluster(pm.sample_bond_config(pm.BoxSpec(d, n), p, seed))
+    except EmptyClusterError:
+        assume(False)
+    assume(cluster.num_vertices >= 100)
+    t = f / -float(pm.build_chain(cluster).eigensystem[0][-2])  # f relaxation times
+    with mock.patch.object(chain_module, "SPARSE_EIGEN_MIN", 8):
+        ch = pm.build_chain(cluster)
+        fast = _spectral_kernel(ch, t, 1e-12)
+    # built from certified partial modes unless more than a quarter of them are wanted
+    assume(ch._above[0] > -math.inf)
     oracle = _kernel_matrix(ch, t, 1e-12)
     assert np.abs(fast - oracle).max() < 1e-9
 

@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
@@ -20,7 +21,9 @@ from percmix.conductance import (
     profile_unrestricted,
     reattach_complement,
 )
+from percmix.caps import DENSE_CAP
 from percmix.errors import CapacityError, DomainError
+from percmix.experiments import ExperimentConfig, _Instance
 from percmix.fixtures import (
     complete_graph,
     cycle_graph,
@@ -28,6 +31,7 @@ from percmix.fixtures import (
     path_graph,
     single_edge,
 )
+from percmix.spectral import SpectralResult
 
 
 def cluster_chain(n, p=0.7, seed=0):
@@ -222,6 +226,34 @@ def test_gap_below_every_cut():
         prof = pm.profile_upper_box(ch)
         for point in prof.points:
             assert spec.gap <= point.phi * (1 + 1e-9)
+
+
+def dense_vector_spectral(chain):
+    """The second eigenpair from a dense LAPACK solve, signed as `spectral_gap` signs it."""
+    m = chain.m
+    w, v = scipy.linalg.eigh(chain.symmetrized.toarray(), subset_by_index=[m - 2, m - 2])
+    vec = v[:, 0]
+    if vec[np.nonzero(vec)[0][0]] < 0:
+        vec = -vec
+    return SpectralResult(gap=-float(w[0]), method="dense", residual=0.0, vector=vec)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n_list, dense_cap", [((6, 9, 12, 16, 21), DENSE_CAP),
+                                               ((8, 12, 16, 24, 32), 2500)])
+def test_sweep_cut_matches_dense_vector_route(n_list, dense_cap):
+    # the preset and the criterion-3 instances: a Fiedler vector from the sparse
+    # solve may order tied vertices differently, but must cut the same
+    cfg = ExperimentConfig(n_list=n_list, seed_list=tuple(range(5)),
+                           quantities=("phi_upper",), dense_cap=dense_cap)
+    for n in n_list:
+        for seed in range(5):
+            inst = _Instance(cfg, n, seed)
+            phi_upper, _ = inst.phi_upper_value()
+            oracle = pm.sweep_cut(inst.chain, dense_vector_spectral(inst.chain))
+            assert inst.sweep.phi == oracle.phi, (n, seed)
+            windows = min(point.phi for point in inst.box_profile.points)
+            assert phi_upper == min(oracle.phi, windows), (n, seed)
 
 
 def test_reattach_complement_improves_path_cut():

@@ -1,16 +1,61 @@
+import contextlib
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import percmix as pm
-from percmix.errors import DomainError, InequalityViolationError
+from percmix import chain as chain_module
+from percmix import spectral as spectral_module
+from percmix.chain import count_above, top_eigenpairs
+from percmix.errors import DomainError, EmptyClusterError, InequalityViolationError
 from percmix.fixtures import complete_graph, cycle_graph, full_box_cluster, single_edge
 from percmix.spectral import distance_variance_lower_bound, spectral_gap, sweep_ordering
 
 
-def cluster_chain(n, p=0.7, seed=0):
+def cluster_chain(n, p=0.7, seed=0, d=2):
     return pm.build_chain(pm.largest_cluster(
-        pm.sample_bond_config(pm.BoxSpec(2, n), p, seed)
+        pm.sample_bond_config(pm.BoxSpec(d, n), p, seed)
     ))
+
+
+def patched(name, value):
+    """Patch a name that both chain and spectral use."""
+    stack = contextlib.ExitStack()
+    for module in (chain_module, spectral_module):
+        stack.enter_context(mock.patch.object(module, name, value))
+    return stack
+
+
+def sparse_route():
+    """Send every chain with more than 8 vertices down the sparse eigensolve."""
+    return patched("SPARSE_EIGEN_MIN", 8)
+
+
+def drawn_chain(box, p, seed, min_vertices=30):
+    """Chain on the largest cluster of a drawn (d, n) box, or skip the example."""
+    d, n = box
+    try:
+        chain = cluster_chain(n, p=p, seed=seed, d=d)
+    except (EmptyClusterError, DomainError):
+        assume(False)
+    assume(chain.m >= min_vertices)
+    return chain
+
+
+BOXES = st.sampled_from([(2, 4), (2, 6), (2, 8), (2, 9), (3, 2), (3, 3)])
+SEEDS = st.integers(0, 10_000)
+PS = st.floats(0.45, 1.0)
+
+
+def in_eigenspace(vector, w, v, lam, tol=1e-8):
+    """Whether the unit vector lies in the eigenspace of eigenvalue lam."""
+    basis = v[:, np.abs(w - lam) < 1e-9]
+    rest = vector - basis @ (basis.T @ vector)
+    return np.linalg.norm(rest) < tol
 
 
 def test_gap_two_state():
@@ -42,10 +87,100 @@ def test_dense_and_iterative_agree():
     for n, seed in ((5, 0), (8, 1), (10, 2)):
         ch = cluster_chain(n, p=1.0 if n == 5 else 0.7, seed=seed)
         assert ch.m >= 100
+        w, v = ch.eigensystem
         dense = spectral_gap(ch)
         iterative = spectral_gap(ch, rtol=1e-12, dense_cap=10)
+        with sparse_route():
+            certified = spectral_gap(cluster_chain(n, p=1.0 if n == 5 else 0.7, seed=seed))
+        assert dense.method == certified.method == "dense"
         assert iterative.method == "iterative"
-        assert abs(dense.gap - iterative.gap) / dense.gap < 1e-8
+        for res in (dense, iterative, certified):
+            assert abs(res.gap + w[-2]) < 1e-12
+            assert in_eigenspace(res.vector, w, v, w[-2])
+            assert res.residual < 1e-12
+
+
+@given(BOXES, PS, SEEDS, st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_inertia_count_matches_dense_spectrum(box, p, seed, u):
+    ch = drawn_chain(box, p, seed)
+    w = ch.eigensystem[0]
+    theta = -2.05 + 2.1 * u
+    assume(np.abs(w - theta).min() > 1e-6)
+    assert count_above(ch.symmetrized, theta) == int(np.count_nonzero(w > theta))
+
+
+@given(BOXES, PS, SEEDS, st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_certified_pairs_match_dense_suffix(box, p, seed, u):
+    ch = drawn_chain(box, p, seed)
+    w, v = ch.eigensystem
+    k = 1 + int(u * (ch.m // 4 - 2))  # modes above theta, within the sparse route's range
+    assume(w[-k] - w[-k - 1] > 1e-6)
+    theta = 0.5 * (w[-k] + w[-k - 1])
+    with sparse_route():
+        fresh = cluster_chain(box[1], p=p, seed=seed, d=box[0])
+        got_w, got_v = fresh.eigenpairs_above(theta)
+    assert got_w.size == k
+    assert np.abs(got_w - w[-k:]).max() < 1e-12
+    projector = got_v @ got_v.T
+    assert np.abs(projector - v[:, -k:] @ v[:, -k:].T).max() < 1e-9
+    assert not got_w.flags.writeable and not got_v.flags.writeable
+
+
+def test_sparse_route_runs_on_clusters():
+    ch = cluster_chain(10)
+    assert ch.m > chain_module.SPARSE_EIGEN_MIN
+    gap = spectral_gap(ch).gap
+    theta = gap * math.log(1e-10 / ch.m)  # the mixing search's floor at tau2
+    w, _ = ch.eigenpairs_above(theta)
+    assert ch._above[0] == theta  # certified, not the dense fallback
+    assert "eigensystem" not in ch.__dict__  # no dense solve happened
+    assert 2 < w.size < ch.m // 4
+    # a higher floor is a slice of the held solve
+    w2, _ = ch.eigenpairs_above(theta / 2)
+    assert ch._above[0] == theta and np.array_equal(w2, w[w > theta / 2])
+
+
+@pytest.mark.parametrize("tamper", ["count", "pairs"])
+def test_certificate_mismatch_falls_back_to_dense(tamper):
+    ch = cluster_chain(10, seed=3)
+    w, v = ch.eigensystem
+    reference = spectral_gap(cluster_chain(10, seed=3))
+    theta = 0.5 * (w[-6] + w[-7])
+    fresh = cluster_chain(10, seed=3)
+    if tamper == "count":
+        # one more eigenvalue above theta than the solve finds
+        def wrong_count(s, x):
+            return count_above(s, x) + 1
+
+        tampered = patched("count_above", wrong_count)
+    else:
+        # a solve that misses the top pair
+        def wrong_pairs(s, k, tol=0.0):
+            got_w, got_v = top_eigenpairs(s, k + 1, tol)
+            return got_w[:-1], got_v[:, :-1]
+
+        tampered = patched("top_eigenpairs", wrong_pairs)
+    with tampered:
+        got_w, got_v = fresh.eigenpairs_above(theta)
+        spec = spectral_gap(fresh)
+    assert fresh._above[0] == -math.inf  # the dense fallback
+    assert np.array_equal(got_w, w[-6:]) and np.array_equal(got_v, v[:, -6:])
+    assert spec.gap == -w[-2] and spec.method == "dense"
+    assert abs(spec.gap - reference.gap) < 1e-12
+    assert np.abs(spec.vector - reference.vector).max() < 1e-9
+
+
+@given(BOXES, PS, SEEDS)
+@settings(max_examples=20, deadline=None)
+def test_spectral_vector_is_deterministic(box, p, seed):
+    drawn_chain(box, p, seed)
+    with sparse_route():
+        first = spectral_gap(cluster_chain(box[1], p=p, seed=seed, d=box[0]))
+        second = spectral_gap(cluster_chain(box[1], p=p, seed=seed, d=box[0]))
+    assert first.vector.tobytes() == second.vector.tobytes()
+    assert first.gap == second.gap
 
 
 def test_variance_bound_two_state():
