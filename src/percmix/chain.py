@@ -12,8 +12,8 @@ shift-invert Lanczos solve, certified complete by Sylvester's law of inertia
 
 The uniformized jump kernel is exactly the discrete simple random walk
 kernel P, so e^{tQ} is also the Poisson(t) mixture of powers of P. That
-route serves single transient distributions and the test oracle for the
-spectral kernels.
+route serves single transient distributions, and its Poisson weights build
+the uniformized kernel that tests compare the spectral kernels against.
 """
 
 from __future__ import annotations
@@ -111,11 +111,6 @@ class Chain:
     @property
     def box(self):
         return self.graph.box
-
-    def generator_dense(self) -> np.ndarray:
-        q = self.kernel.toarray()
-        np.fill_diagonal(q, -1.0)
-        return q
 
     @cached_property
     def symmetrized(self) -> sparse.csr_matrix:
@@ -229,25 +224,6 @@ def transient_distribution(chain: Chain, start: np.ndarray, t: float,
         vec = pt @ vec
         out += wk * vec
     return out / out.sum()
-
-
-def _kernel_matrix(chain: Chain, t: float, tol: float) -> np.ndarray:
-    """Dense matrix whose row x is the time-t distribution started at x."""
-    if chain.m > MATRIX_HARD_CAP:
-        raise CapacityError(
-            f"kernel matrix for {chain.m} vertices exceeds the memory cap"
-        )
-    w = _poisson_weights(t, tol)
-    # Work with the transpose so every step is a fast csr @ dense product.
-    acc = np.eye(chain.m) * w[0]
-    cur = np.eye(chain.m)
-    pt = chain.kernel_t
-    for wk in w[1:]:
-        cur = pt @ cur
-        acc += wk * cur
-    mat = np.ascontiguousarray(acc.T)
-    mat /= mat.sum(axis=1, keepdims=True)
-    return mat
 
 
 def _mode_floor(m: int, t: float, tol: float) -> float:
@@ -538,16 +514,3 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     result.check_monotone()
     return result
 
-
-def distance_profile(chain: Chain, times, mode: str = "pairwise",
-                     tol: float = DEFAULT_POISSON_TOL) -> list:
-    """d(t) on an explicit time grid from uniformized kernels (diagnostic and test oracle)."""
-    pi = chain.pi
-    out = []
-    for t in times:
-        mat = _kernel_matrix(chain, float(t), tol)
-        if mode == "pairwise":
-            out.append((float(t), _pairwise_sup_distance(mat, pi)))
-        else:
-            out.append((float(t), _stationarity_distance(mat, pi)))
-    return out

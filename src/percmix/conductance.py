@@ -59,10 +59,6 @@ class CutValue:
     ac_connected: bool
 
     @property
-    def pi_a(self) -> float:
-        return self.deg_a / self.deg_total
-
-    @property
     def q_cross(self) -> float:
         return self.crossing / self.deg_total
 
@@ -361,32 +357,14 @@ def profile_exact(chain: Chain, cap: int = EXHAUSTIVE_CAP) -> ConductanceProfile
         )
     total = chain.total_degree
     full = (1 << chain.m) - 1
-    best_by_mass = {}  # degsum -> (crossing, deg_a, deg_ac, mask)
+    best = {}  # degsum -> (crossing, degsum, size) of the first least crossing
     for mask, degsum, inner in connected_subsets(chain):
         if mask == full or 2 * degsum > total:
             continue
         crossing = degsum - 2 * inner
-        cur = best_by_mass.get(degsum)
-        if cur is None or crossing * cur[1] * cur[2] < cur[0] * degsum * (total - degsum):
-            best_by_mass[degsum] = (crossing, degsum, total - degsum, mask)
-    points = []
-    running = None
-    running_size = 0
-    for degsum in sorted(best_by_mass):
-        crossing, deg_a, deg_ac, mask = best_by_mass[degsum]
-        val = Fraction(crossing * total, deg_a * deg_ac)
-        if running is None or val < running:
-            running = val
-            running_size = mask.bit_count()
-        points.append(ProfilePoint(
-            x=degsum / total,
-            phi=float(running),
-            certification="exact",
-            witness_size=running_size,
-            x_fraction=Fraction(degsum, total),
-            phi_fraction=running,
-        ))
-    return ConductanceProfile(points)
+        if degsum not in best or crossing < best[degsum][0]:
+            best[degsum] = (crossing, degsum, mask.bit_count())
+    return ConductanceProfile.lower_envelope(list(best.values()), total, "exact")
 
 
 def profile_unrestricted(chain: Chain, cap: int = 16) -> dict:

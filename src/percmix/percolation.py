@@ -149,9 +149,6 @@ class SiteConfig:
     def open_count(self) -> int:
         return int(self.open_mask.sum())
 
-    def open_sites(self) -> np.ndarray:
-        return np.nonzero(self.open_mask)[0]
-
 
 def sample_bond_config(box: BoxSpec, p: float, seed: int) -> BondConfig:
     mask = _threshold_mask(seed, box.edge_count, p, _BOND_SALT)
@@ -239,10 +236,6 @@ class ClusterGraph:
         if i >= self.num_vertices or self.vertex_ids[i] != vertex_id:
             raise MembershipError(f"vertex {vertex_id} is not in the cluster")
         return i
-
-    def __contains__(self, vertex_id: int) -> bool:
-        i = np.searchsorted(self.vertex_ids, vertex_id)
-        return i < self.num_vertices and self.vertex_ids[i] == vertex_id
 
 
 def largest_cluster(config: BondConfig) -> ClusterGraph:

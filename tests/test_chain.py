@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 import percmix as pm
 from percmix import chain as chain_module
 from percmix.chain import (
+    DEFAULT_POISSON_TOL,
     MixingResult,
-    _kernel_matrix,
     _pairwise_sup_distance,
+    _poisson_weights,
     _spectral_kernel,
     _stationarity_distance,
-    distance_profile,
 )
 from percmix.errors import CapacityError, DomainError, EmptyClusterError, NonConvergenceError
 from percmix.fixtures import (
@@ -29,6 +29,41 @@ from percmix.percolation import ClusterGraph
 
 def small_cluster(n=6, p=0.7, seed=0):
     return pm.largest_cluster(pm.sample_bond_config(pm.BoxSpec(2, n), p, seed))
+
+
+def generator_dense(chain):
+    """Dense generator Q: off-diagonal rates 1/deg(x), diagonal -1."""
+    q = chain.kernel.toarray()
+    np.fill_diagonal(q, -1.0)
+    return q
+
+
+def _kernel_matrix(chain, t, tol):
+    """Dense matrix whose row x is the uniformized time-t distribution started at x."""
+    w = _poisson_weights(t, tol)
+    # Work with the transpose so every step is a fast csr @ dense product.
+    acc = np.eye(chain.m) * w[0]
+    cur = np.eye(chain.m)
+    pt = chain.kernel_t
+    for wk in w[1:]:
+        cur = pt @ cur
+        acc += wk * cur
+    mat = np.ascontiguousarray(acc.T)
+    mat /= mat.sum(axis=1, keepdims=True)
+    return mat
+
+
+def distance_profile(chain, times, mode="pairwise", tol=DEFAULT_POISSON_TOL):
+    """d(t) on an explicit time grid from uniformized kernels: the mixing oracle."""
+    pi = chain.pi
+    out = []
+    for t in times:
+        mat = _kernel_matrix(chain, float(t), tol)
+        if mode == "pairwise":
+            out.append((float(t), _pairwise_sup_distance(mat, pi)))
+        else:
+            out.append((float(t), _stationarity_distance(mat, pi)))
+    return out
 
 
 def test_two_state_chain_measures():
@@ -61,7 +96,7 @@ def test_grid_chain_measures():
 
 def test_generator_rows_sum_to_zero():
     ch = pm.build_chain(small_cluster())
-    q = ch.generator_dense()
+    q = generator_dense(ch)
     assert np.abs(q.sum(axis=1)).max() < 1e-14
 
 

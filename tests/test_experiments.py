@@ -312,8 +312,10 @@ def test_tau1_exact_needs_margin_above_kernel_error(monkeypatch, margin, cert):
     thr = math.exp(-1.0)
 
     def near_threshold(chain, resolution, mode, tol, tau2_hint):
+        # like mixing_time, report the mode that "auto" resolves to at this size
+        assert mode == "auto"
         return MixingResult(tau1=10.5, t_lo=10.0, t_hi=11.0, d_lo=thr + margin,
-                            d_hi=thr - 1e-3, mode=mode, resolution=resolution,
+                            d_hi=thr - 1e-3, mode="pairwise", resolution=resolution,
                             poisson_tol=tol, error_bound=1e-10)
 
     monkeypatch.setattr(experiments, "mixing_time", near_threshold)

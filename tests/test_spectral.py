@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -183,10 +184,45 @@ def test_spectral_vector_is_deterministic(box, p, seed):
     assert first.gap == second.gap
 
 
+def source_variances(chain, sources):
+    """Var_pi of the graph distance from each source, one row-wise reduction per row."""
+    dist = csgraph.dijkstra(chain.graph.adjacency, indices=sources,
+                            unweighted=True, directed=False)
+    mean = (dist * chain.pi).sum(axis=1)
+    return (dist * dist * chain.pi).sum(axis=1) - mean**2
+
+
+def exhaustive_variance_bound(chain, batch=512):
+    """Every source in index order; the first of equal maxima wins (the oracle)."""
+    best, best_src = -1.0, -1
+    for lo in range(0, chain.m, batch):
+        var = source_variances(chain, np.arange(lo, min(lo + batch, chain.m)))
+        j = int(np.argmax(var))
+        if var[j] > best:
+            best, best_src = float(var[j]), lo + j
+    return best, best_src
+
+
+def small_batches(size):
+    return mock.patch.object(spectral_module, "_SOURCE_BATCH", size)
+
+
 def test_variance_bound_two_state():
     res = distance_variance_lower_bound(pm.build_chain(single_edge()))
     assert res.value == pytest.approx(0.25)
-    assert res.exhaustive
+
+
+@pytest.mark.parametrize("batch", [1, 2, 32])
+@pytest.mark.parametrize("graph", [cycle_graph(4), cycle_graph(8), cycle_graph(16),
+                                   complete_graph(3), complete_graph(6)])
+def test_variance_bound_ties_go_to_source_zero(graph, batch):
+    ch = pm.build_chain(graph)
+    # every source's variance rounds to the same float on these graphs
+    assert np.unique(source_variances(ch, np.arange(ch.m))).size == 1
+    with small_batches(batch):
+        res = distance_variance_lower_bound(ch)
+    assert res.source == 0
+    assert (res.value, res.source) == exhaustive_variance_bound(ch)
 
 
 def test_variance_bound_four_cycle():
@@ -208,13 +244,25 @@ def test_variance_bound_below_relaxation_time():
         assert var <= tau2 * (1 + 1e-8)
 
 
-def test_variance_bound_sampled_sources():
-    ch = cluster_chain(8)
-    full = distance_variance_lower_bound(ch)
-    sampled = distance_variance_lower_bound(ch, exhaustive_cap=10)
-    assert not sampled.exhaustive
-    assert sampled.value <= full.value + 1e-12
-    assert sampled.value > 0
+@given(BOXES, PS, SEEDS, st.sampled_from([1, 3, 8]))
+@settings(max_examples=40, deadline=None)
+def test_variance_bound_pruned_equals_exhaustive(box, p, seed, batch):
+    ch = drawn_chain(box, p, seed, min_vertices=10)
+    with small_batches(batch):
+        res = distance_variance_lower_bound(ch)
+    assert (res.value, res.source) == exhaustive_variance_bound(ch)
+
+
+def test_variance_bound_value_independent_of_batch():
+    # a product with the stationary law would round this source's variance
+    # differently inside its 512-row block than alone
+    ch = cluster_chain(21, seed=3)
+    res = distance_variance_lower_bound(ch)
+    assert res.source == 1782
+    alone = source_variances(ch, [res.source])[0]
+    block = source_variances(ch, np.arange(1536, 1824))[res.source - 1536]
+    assert res.value == alone == block
+    assert (res.value, res.source) == exhaustive_variance_bound(ch)
 
 
 def test_sandwich_check_passes_fixtures():
