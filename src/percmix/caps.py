@@ -1,8 +1,11 @@
 """Vertex-count caps of the dense routes, defined once for every module."""
 
-# Pairwise mixing holds every start's transient distribution: an m x m kernel.
+# Pairwise mixing holds the kernel rows of the starts it keeps (keep x m,
+# about a third of the rows at the desk preset's probe times) and bounds
+# every pair among them: memory and time grow with m^2 and faster.
 PAIRWISE_CAP = 5000
-# No dense m x m kernel matrix is built above this many vertices.
+# Mixing refuses chains above this many vertices, since its eigenpair solve
+# can fall back to the dense m x m eigendecomposition of S.
 MATRIX_HARD_CAP = 12000
 # Spectral gap: certified (or dense) up to here, uncertified Lanczos above.
 DENSE_CAP = 5000

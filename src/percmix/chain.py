@@ -5,10 +5,13 @@ the diagonal. It is similar to the symmetric matrix S = D^{1/2} Q D^{-1/2}
 (D the diagonal of the stationary law), so with S = V diag(lambda) V^T the
 transient kernel is e^{tQ} = D^{-1/2} V e^{t lambda} V^T D^{1/2}
 (Levin-Peres-Wilmer, Markov Chains and Mixing Times, Lemma 12.2). Every
-mixing probe builds its kernel from the modes with e^{t lambda} > tol/m only,
-and those are all the eigenpairs it computes: above 256 vertices one sparse
-shift-invert Lanczos solve, certified complete by Sylvester's law of inertia
-(`Chain.eigenpairs_above`), with the dense eigendecomposition as fallback.
+mixing probe reads the modes with e^{t lambda} > tol/m only, as the m x k
+matrix A = V e^{t lambda / 2}, and those are all the eigenpairs it computes:
+above 256 vertices one sparse shift-invert Lanczos solve, certified complete
+by Sylvester's law of inertia (`Chain.eigenpairs_above`), with the dense
+eigendecomposition as fallback. The kernel is the rank-k product
+D^{-1/2} A A^T D^{1/2}; a probe makes its rows in blocks and never holds it
+whole.
 
 The uniformized jump kernel is exactly the discrete simple random walk
 kernel P, so e^{tQ} is also the Poisson(t) mixture of powers of P. That
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -235,24 +238,203 @@ def _mode_floor(m: int, t: float, tol: float) -> float:
     return (math.log(tol / m) - 1e-9) / t
 
 
-def _spectral_kernel(chain: Chain, t: float, tol: float) -> np.ndarray:
-    """Row-stochastic e^{tQ} from the modes with e^{t lambda} > tol/m.
+# Kernel rows are made, and start pairs evaluated, in batches of about this
+# many entries, so no probe holds an m x m array.
+_BLOCK_ENTRIES = 1 << 17
+_GRAM_ROWS = 256  # rows of the keep x keep Gram product made at a time
 
-    The kernel is D^{-1/2} A A^T D^{1/2} with A = V e^{t lambda / 2} over
-    those modes; the row normalisation absorbs D^{-1/2}. Every mode below
-    the floor is certified absent by `Chain.eigenpairs_above`. By
-    Cauchy-Schwarz with weights pi, the dropped modes move row x by at most
-    pi(x)^{-1/2} tol/m in L1, which is below tol * sqrt(deg_max / deg_min).
+
+def _probe_modes(chain: Chain, t: float, tol: float) -> tuple:
+    """A = V e^{t lambda / 2} and e^{t lambda} over the modes with e^{t lambda} > tol/m.
+
+    Every mode below the floor is certified absent by `Chain.eigenpairs_above`.
+    Eigenvalues ascend, so the kept modes are a suffix and the stationary one
+    is the last column.
     """
     w, v = chain.eigenpairs_above(_mode_floor(chain.m, t, tol))
     decay = np.exp(t * w)
-    # eigenvalues ascend, so the kept modes are a suffix; the stationary one is last
     k = max(1, int(np.count_nonzero(decay > tol / chain.m)))
-    a = v[:, w.size - k:] * np.sqrt(decay[w.size - k:])
-    mat = a @ a.T
-    mat *= np.sqrt(chain.pi)
-    mat /= mat.sum(axis=1, keepdims=True)
-    return mat
+    return v[:, w.size - k:] * np.sqrt(decay[w.size - k:]), decay[w.size - k:]
+
+
+def _row_blocks(m: int, rows: int):
+    """(lo, hi) bounds of row blocks of about _BLOCK_ENTRIES entries, rows of length m."""
+    step = max(1, _BLOCK_ENTRIES // m)
+    return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
+def _kernel_rows(a: np.ndarray, sqrt_pi: np.ndarray, rows) -> tuple:
+    """Rows of the row-stochastic e^{tQ} = D^{-1/2} A A^T D^{1/2}, and their sums.
+
+    The row normalisation absorbs D^{-1/2}. By Cauchy-Schwarz with weights pi,
+    the modes left out of A move row x by at most pi(x)^{-1/2} tol/m in L1,
+    which is below tol * sqrt(deg_max / deg_min).
+    """
+    block = a[rows] @ a.T
+    block *= sqrt_pi
+    sums = block.sum(axis=1)
+    block /= sums[:, None]
+    return block, sums
+
+
+def _kernel_pass(a: np.ndarray, pi: np.ndarray, pivot: int | None = None) -> tuple:
+    """One pass over the kernel rows in blocks.
+
+    Returns each row's TV distance to stationarity r, each row's sum before
+    normalisation and, given a pivot start, the TV distance from the pivot's
+    row to every row (else None).
+    """
+    m = a.shape[0]
+    sqrt_pi = np.sqrt(pi)
+    r, sums = np.empty(m), np.empty(m)
+    tv_pivot = None
+    if pivot is not None:
+        pivot_dev = _kernel_rows(a, sqrt_pi, [pivot])[0][0] - pi
+        tv_pivot = np.empty(m)
+    for lo, hi in _row_blocks(m, m):
+        dev, sums_block = _kernel_rows(a, sqrt_pi, slice(lo, hi))
+        sums[lo:hi] = sums_block
+        dev -= pi
+        if tv_pivot is not None:
+            tv_pivot[lo:hi] = 0.5 * np.abs(dev - pivot_dev).sum(axis=1)
+        np.abs(dev, out=dev)
+        r[lo:hi] = 0.5 * dev.sum(axis=1)
+    return r, sums, tv_pivot
+
+
+def _distance_to_stationarity(chain: Chain, t: float, tol: float) -> float:
+    """Worst TV distance of a start's time-t law from pi: one pass over the rows."""
+    r = _kernel_pass(_probe_modes(chain, t, tol)[0], chain.pi)[0]
+    return min(1.0, float(r.max()))
+
+
+def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarray,
+                 chunk: int = 1024, prior=None) -> tuple:
+    """Exact sup over start pairs of the TV distance between kernel rows.
+
+    The incumbent is the farthest row from the pivot row (``tv_pivot``), and
+    rigorous bounds close in on the maximizing pair:
+    - TV_ij <= r_i + r_j, with r the distances to stationarity, drops every
+      row too close to stationarity to beat the incumbent;
+    - TV_ij <= TV_ip + TV_pj through the pivot row p;
+    - TV_ij <= chi_ij / 2 for the kept rows (Cauchy-Schwarz with weights pi),
+      where chi_ij = ||coords_i - coords_j|| comes from a Gram product: the
+      rows of ``coords`` must be isometric to the weighted deviations
+      (K(x, .) - pi) / sqrt(pi);
+    - ``prior(i, j)``, upper bounds known from elsewhere (inf where none).
+
+    The remaining pairs are evaluated exactly, from the kept rows minus pi
+    (``dev_rows(keep)``), in batches of ``chunk`` in decreasing order of
+    bound, until no bound beats the best exact value. Every discard is
+    certified by a bound, so the result is the exact maximum. Returns it with
+    the evaluated pairs (i, j, TV_ij), i < j.
+    """
+    best = float(tv_pivot.max())
+    keep = np.nonzero(r > best - float(r.max()) - 1e-12)[0]
+    if keep.size < 2:
+        none = np.empty(0, dtype=np.intp)
+        return min(1.0, best), (none, none, np.empty(0))
+    c = coords[keep]
+    sq = (c * c).sum(axis=1)
+    rk = r[keep]
+    tk = tv_pivot[keep]
+    found = []
+    for lo in range(0, keep.size - 1, _GRAM_ROWS):
+        hi = min(lo + _GRAM_ROWS, keep.size)
+        gram = c[lo:hi] @ c[lo:].T
+        chi = np.sqrt(np.maximum(sq[lo:hi, None] + sq[lo:] - 2.0 * gram, 0.0))
+        bound = 0.5 * chi * (1.0 + 1e-9) + 1e-12
+        # the triangle bounds carry the same slack: r and tv_pivot come from
+        # the pass, the exact values from rows made again
+        np.minimum(bound, rk[lo:hi, None] + rk[lo:] + 1e-12, out=bound)
+        np.minimum(bound, tk[lo:hi, None] + tk[lo:] + 1e-12, out=bound)
+        i, j = np.nonzero(np.triu(bound > best, k=1))
+        found.append((i + lo, j + lo, bound[i, j]))
+    i, j, bound = (np.concatenate(parts) for parts in zip(*found))
+    if prior is not None and i.size:
+        np.minimum(bound, prior(keep[i], keep[j]), out=bound)
+        alive = bound > best
+        i, j, bound = i[alive], j[alive], bound[alive]
+    order = np.argsort(-bound, kind="stable")
+    i, j, neg_bound = i[order], j[order], -bound[order]
+
+    rows = dev_rows(keep)
+    done = 0
+    tv = np.empty(i.size)
+    while True:
+        # pairs sit in decreasing order of bound: stop at the first that cannot win
+        stop = min(done + chunk, int(np.searchsorted(neg_bound, -best)))
+        if stop <= done:
+            break
+        diff = rows[i[done:stop]]
+        diff -= rows[j[done:stop]]
+        np.abs(diff, out=diff)
+        tv[done:stop] = 0.5 * diff.sum(axis=1)
+        best = max(best, float(tv[done:stop].max()))
+        done = stop
+    return min(1.0, best), (keep[i[:done]], keep[j[:done]], tv[:done])
+
+
+def _pairwise_distance(chain: Chain, t: float, tol: float, prior=None) -> tuple:
+    """Worst TV distance between two starts at time t, and the pairs evaluated.
+
+    One pass makes the kernel rows in blocks, with their distances to pi and
+    to a pivot: the start with the largest chi-square distance to pi as the
+    modes give it. The weighted deviation (K(x, .) - pi) / sqrt(pi) of a row
+    is sum_j coords[x, j] v_j over the k orthonormal modes v_j, so k-vectors
+    give the chi-square pair bounds; the stationary mode's coordinate is
+    shifted by its sign, which leaves every difference unchanged. Only the
+    rows kept by `_pair_search` are made again, and held (keep x m).
+    """
+    a, decay = _probe_modes(chain, t, tol)
+    pi = chain.pi
+    sqrt_pi = np.sqrt(pi)
+    pivot = int(np.argmax((a[:, :-1] ** 2 * decay[:-1]).sum(axis=1) / pi))
+    r, sums, tv_pivot = _kernel_pass(a, pi, pivot)
+    coords = a * np.sqrt(decay) / sums[:, None]
+    coords[:, -1] -= math.copysign(1.0, coords[0, -1])
+
+    def dev_rows(idx):
+        out = np.empty((idx.size, chain.m))
+        for lo, hi in _row_blocks(chain.m, idx.size):
+            out[lo:hi] = _kernel_rows(a, sqrt_pi, idx[lo:hi])[0]
+        out -= pi
+        return out
+
+    chunk = max(1, _BLOCK_ENTRIES // chain.m)
+    return _pair_search(dev_rows, coords, r, tv_pivot, chunk, prior)
+
+
+class _PairCache:
+    """The pair distances evaluated exactly by earlier probes of one search.
+
+    TV between the laws of two starts is non-increasing in time (LPW, Ch. 4).
+    A value TV(s) computed with error at most E(s) therefore bounds the
+    computed TV(t) at every later time t by TV(s) + E(s) + E(t).
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self.entries = []  # (s, sorted pair keys, TV(s) + E(s))
+        self.evaluated = 0
+
+    def add(self, s: float, err: float, i: np.ndarray, j: np.ndarray,
+            tv: np.ndarray) -> None:
+        keys = i * self.m + j
+        order = np.argsort(keys, kind="stable")
+        self.entries.append((s, keys[order], tv[order] + err))
+        self.evaluated += tv.size
+
+    def bound(self, t: float, err: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Upper bounds on the pairs' computed TV at t (inf where none is known)."""
+        keys = i * self.m + j
+        out = np.full(keys.size, math.inf)
+        for s, known, value in self.entries:
+            if s < t and known.size:
+                pos = np.minimum(np.searchsorted(known, keys), known.size - 1)
+                hit = known[pos] == keys
+                out[hit] = np.minimum(out[hit], value[pos[hit]])
+        return out + err
 
 
 def _eigen_residual(s: sparse.spmatrix, w: np.ndarray, v: np.ndarray,
@@ -266,65 +448,6 @@ def _eigen_residual(s: sparse.spmatrix, w: np.ndarray, v: np.ndarray,
     return worst
 
 
-def _stationarity_distance(mat: np.ndarray, pi: np.ndarray) -> float:
-    return min(1.0, 0.5 * float(np.abs(mat - pi).sum(axis=1).max()))
-
-
-def _pairwise_sup_distance(mat: np.ndarray, pi: np.ndarray,
-                           chunk: int = 1024) -> float:
-    """Exact sup over start pairs of the TV distance between rows.
-
-    Small matrices get a direct scan. Otherwise the incumbent is the farthest
-    row from the row farthest from stationarity (one vectorised scan), and
-    two rigorous prunings close in on the maximizing pair: rows whose
-    distance to stationarity r_i is too small to beat the incumbent (via
-    TV_ij <= r_i + r_j) are dropped, and the survivors' pairwise
-    chi-square-type distances (one Gram product of the 1/sqrt(pi)-weighted
-    deviations; TV_ij <= chi_ij / 2 by Cauchy-Schwarz with weights pi) bound
-    the remaining pairs. Those are evaluated exactly in chunks of the largest
-    bounds (top-k by ``argpartition``) until no bound beats the best exact
-    value. Every discard is certified by a bound, so the result is the exact
-    maximum.
-    """
-    m = mat.shape[0]
-    dev = mat - pi
-    if m <= 256:
-        best = 0.0
-        for i in range(m - 1):
-            diff = 0.5 * np.abs(dev[i + 1:] - dev[i]).sum(axis=1).max()
-            best = max(best, float(diff))
-        return min(1.0, best)
-
-    r = 0.5 * np.abs(dev).sum(axis=1)
-    far = int(np.argmax(r))
-    best = 0.5 * float(np.abs(dev - dev[far]).sum(axis=1).max())
-    rmax = float(r[far])
-
-    keep = np.nonzero(r > best - rmax - 1e-12)[0]
-    if keep.size < 2:
-        return min(1.0, best)
-    w = dev[keep] / np.sqrt(pi)
-    sq = (w * w).sum(axis=1)
-    gram = w @ w.T
-    iu, ju = np.triu_indices(keep.size, k=1)
-    chi = np.sqrt(np.maximum(sq[iu] + sq[ju] - 2.0 * gram[iu, ju], 0.0))
-    bound = 0.5 * chi * (1.0 + 1e-9) + 1e-12
-    np.minimum(bound, r[keep][iu] + r[keep][ju], out=bound)
-
-    alive = np.nonzero(bound > best)[0]
-    kept_dev = dev[keep]
-    while alive.size:
-        if alive.size > chunk:
-            part = np.argpartition(-bound[alive], chunk - 1)
-            idx, alive = alive[part[:chunk]], alive[part[chunk:]]
-        else:
-            idx, alive = alive, alive[:0]
-        tv = 0.5 * np.abs(kept_dev[iu[idx]] - kept_dev[ju[idx]]).sum(axis=1)
-        best = max(best, float(tv.max()))
-        alive = alive[bound[alive] > best]
-    return min(1.0, best)
-
-
 @dataclass
 class MixingResult:
     """Bracketed total-variation mixing time.
@@ -333,6 +456,8 @@ class MixingResult:
     d(t_lo) above and d(t_hi) at or below it; ``tau1`` is the bracket midpoint.
     ``error_bound`` bounds the numerical error of d(t_lo) and d(t_hi); it is
     NaN where it was not computed, which leaves the result uncertified.
+    ``pairs_evaluated`` counts the start pairs whose distance the pairwise
+    probes evaluated exactly after pruning, summed over the probes.
     """
 
     tau1: float
@@ -345,6 +470,7 @@ class MixingResult:
     poisson_tol: float
     trace: list = field(default_factory=list)  # (t, d) pairs in time order
     error_bound: float = math.nan
+    pairs_evaluated: int = 0
 
     @property
     def certified(self) -> bool:
@@ -370,9 +496,15 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     the stationary law, which brackets the pairwise profile within a factor
     of two. ``auto`` selects pairwise up to its memory cap.
 
-    Each probe kernel is built directly at its time from the modes with
+    Each probe kernel is made directly at its time from the modes with
     e^{t lambda} > tol/m, so ``tol`` bounds the truncation as the Poisson
-    tolerance does. The probe times are doubling, then bisection by exact
+    tolerance does. A probe makes the kernel rows in blocks: stationarity
+    mode is that one pass, and pairwise mode then searches the start pairs
+    (`_pair_search`), holding only the rows it keeps. Within one call, each
+    pair distance evaluated at a time s bounds that pair at every later
+    probe time t by TV(s) + E(s) + E(t) (`_PairCache`), E being the error
+    bound below. Each probe still finds the exact sup, and the trace holds
+    those exact values. The probe times are doubling, then bisection by exact
     dyadic halving. Since the mixing time is never below the relaxation
     time, the search starts its bracket at the relaxation time (supplied as
     ``tau2_hint`` or, above 256 vertices, taken from `spectral_gap`) and only
@@ -386,14 +518,15 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         mode = "pairwise" if chain.m <= PAIRWISE_CAP else "stationarity"
     if mode == "pairwise" and chain.m > PAIRWISE_CAP:
         raise CapacityError(
-            f"pairwise mode holds all {chain.m} transient vectors; cap is "
+            f"pairwise mode searches all pairs of {chain.m} starts; cap is "
             f"{PAIRWISE_CAP} - use stationarity mode above it"
         )
     if mode not in ("pairwise", "stationarity"):
         raise DomainError(f"unknown mixing mode {mode!r}")
     if chain.m > MATRIX_HARD_CAP:
         raise CapacityError(
-            f"kernel matrix for {chain.m} vertices exceeds the memory cap"
+            f"the dense eigensystem fallback for {chain.m} vertices exceeds "
+            f"the memory cap"
         )
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -411,11 +544,11 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     if t_max is None:
         t_max = 100.0 * chain.m**2
 
-    pi = chain.pi
+    cache = _PairCache(chain.m)
     if mode == "pairwise":
-        dist_of = lambda mat: _pairwise_sup_distance(mat, pi)
         ratio = float(chain.degrees.max()) / float(chain.degrees.min())
 
+        @lru_cache(maxsize=None)
         def error_bound(t):
             # truncation, plus roughly m eps rounding and t times the eigen-residual
             # of the computed modes, each moved to a row's L1 by pi(x)^{-1/2};
@@ -425,15 +558,22 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
             eps = np.finfo(float).eps
             rounding = math.sqrt(chain.m * ratio) * (chain.m * eps + t * residual)
             return 2.0 * (math.sqrt(ratio) * tol + rounding)
+
+        def distance(t):
+            err = error_bound(t)
+            d, pairs = _pairwise_distance(
+                chain, t, tol, prior=lambda i, j: cache.bound(t, err, i, j))
+            cache.add(t, err, *pairs)
+            return d
     else:
-        dist_of = lambda mat: _stationarity_distance(mat, pi)
+        distance = lambda t: _distance_to_stationarity(chain, t, tol)
         error_bound = lambda t: math.nan
 
     thr = TV_THRESHOLD
     trace = {}
 
     def evaluate(t):
-        d = dist_of(_spectral_kernel(chain, t, tol))
+        d = distance(t)
         trace[t] = d
         return d
 
@@ -466,6 +606,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
                     tau1=t0 / 2, t_lo=0.0, t_hi=t0, d_lo=d_zero, d_hi=d0, mode=mode,
                     resolution=resolution, poisson_tol=tol,
                     trace=sorted(trace.items()), error_bound=error_bound(t0),
+                    pairs_evaluated=cache.evaluated,
                 )
                 result.check_monotone()
                 return result
@@ -510,6 +651,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         tau1=(t_lo + t_hi) / 2.0, t_lo=t_lo, t_hi=t_hi, d_lo=d_lo, d_hi=d_hi,
         mode=mode, resolution=resolution, poisson_tol=tol,
         trace=sorted(trace.items()), error_bound=error_bound(t_hi),
+        pairs_evaluated=cache.evaluated,
     )
     result.check_monotone()
     return result

@@ -32,7 +32,10 @@ from .percolation import largest_cluster, sample_bond_config
 
 
 def _int_list(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise DomainError(f"expected a comma list of integers, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -190,7 +193,10 @@ def _cmd_renorm(args) -> int:
 
 def _cmd_fpp(args) -> int:
     n = _single_n(args)
-    lo, hi = _int_list(args.l1)
+    l1 = _int_list(args.l1)
+    if len(l1) != 2:
+        raise DomainError(f"--l1 needs two values lo,hi, got {args.l1!r}")
+    lo, hi = l1
     out = Path(args.out) if args.out else Path(f"fpp_d{args.d}_n{n}.csv")
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("p,n,seed,pairs,slope,intercept,r_squared\n")

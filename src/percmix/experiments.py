@@ -86,6 +86,11 @@ class ExperimentConfig:
             raise DomainError(f"unknown mixing mode {self.mode!r}")
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
+        if not self.poisson_tol > 0.0:
+            raise DomainError(f"poisson_tol must be positive, got {self.poisson_tol}")
+        if not self.resolution_factor > 0.0:
+            raise DomainError(
+                f"resolution_factor must be positive, got {self.resolution_factor}")
 
     def to_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -115,19 +120,22 @@ class ExperimentConfig:
             if f.name not in raw:
                 continue
             val = raw.pop(f.name)
-            if f.name in ("n_list", "seed_list", "renorm_blocks"):
-                kwargs[f.name] = tuple(int(x) for x in val.split(",") if x)
-            elif f.name == "quantities":
-                kwargs[f.name] = tuple(
-                    q.strip().replace("-", "_") for q in val.split(",") if q.strip()
-                )
-            elif f.name in ("d", "workers", "fpp_pairs", "fpp_l1_lo", "fpp_l1_hi",
-                            "dense_cap"):
-                kwargs[f.name] = int(val)
-            elif f.name in ("p", "poisson_tol", "resolution_factor", "rtol"):
-                kwargs[f.name] = float(val)
-            else:
-                kwargs[f.name] = val
+            try:
+                if f.name in ("n_list", "seed_list", "renorm_blocks"):
+                    kwargs[f.name] = tuple(int(x) for x in val.split(",") if x)
+                elif f.name == "quantities":
+                    kwargs[f.name] = tuple(
+                        q.strip().replace("-", "_") for q in val.split(",") if q.strip()
+                    )
+                elif f.name in ("d", "workers", "fpp_pairs", "fpp_l1_lo", "fpp_l1_hi",
+                                "dense_cap"):
+                    kwargs[f.name] = int(val)
+                elif f.name in ("p", "poisson_tol", "resolution_factor", "rtol"):
+                    kwargs[f.name] = float(val)
+                else:
+                    kwargs[f.name] = val
+            except ValueError:
+                raise DomainError(f"bad value for config key {f.name}: {val!r}") from None
         if raw:
             raise DomainError(f"unknown config keys: {sorted(raw)}")
         return cls(**kwargs)
@@ -258,7 +266,8 @@ def _quantity_rows(inst: _Instance) -> list:
             elif quantity == "tau1":
                 mix = inst.mixing
                 detail = (f"t_lo={mix.t_lo!r} t_hi={mix.t_hi!r} mode={mix.mode} "
-                          f"resolution={mix.resolution!r}")
+                          f"resolution={mix.resolution!r} probes={len(mix.trace)} "
+                          f"pairs_evaluated={mix.pairs_evaluated}")
                 cert = "heuristic"
                 if mix.mode == "pairwise" and mix.certified:
                     cert = "exact"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,10 +12,12 @@ from percmix import chain as chain_module
 from percmix.chain import (
     DEFAULT_POISSON_TOL,
     MixingResult,
-    _pairwise_sup_distance,
+    _distance_to_stationarity,
+    _mode_floor,
+    _pair_search,
+    _PairCache,
+    _pairwise_distance,
     _poisson_weights,
-    _spectral_kernel,
-    _stationarity_distance,
 )
 from percmix.errors import CapacityError, DomainError, EmptyClusterError, NonConvergenceError
 from percmix.fixtures import (
@@ -51,6 +54,89 @@ def _kernel_matrix(chain, t, tol):
     mat = np.ascontiguousarray(acc.T)
     mat /= mat.sum(axis=1, keepdims=True)
     return mat
+
+
+def _spectral_kernel(chain, t, tol):
+    """Row-stochastic e^{tQ} as one m x m matrix from the modes with e^{t lambda} > tol/m."""
+    w, v = chain.eigenpairs_above(_mode_floor(chain.m, t, tol))
+    decay = np.exp(t * w)
+    k = max(1, int(np.count_nonzero(decay > tol / chain.m)))
+    a = v[:, w.size - k:] * np.sqrt(decay[w.size - k:])
+    mat = a @ a.T
+    mat *= np.sqrt(chain.pi)
+    mat /= mat.sum(axis=1, keepdims=True)
+    return mat
+
+
+def _stationarity_distance(mat, pi):
+    return min(1.0, 0.5 * float(np.abs(mat - pi).sum(axis=1).max()))
+
+
+def _pairwise_sup_distance(mat, pi, chunk=1024):
+    """Exact sup over start pairs of the TV distance between rows of a kernel matrix.
+
+    A direct scan up to 256 rows. Above, the incumbent is the farthest row
+    from the row farthest from stationarity; rows with r_i + r_j too small,
+    then pairs whose chi-square bound (one Gram product of the
+    1/sqrt(pi)-weighted deviations) cannot beat the incumbent, are dropped,
+    and the rest are evaluated in chunks of the largest bounds.
+    """
+    m = mat.shape[0]
+    dev = mat - pi
+    if m <= 256:
+        best = 0.0
+        for i in range(m - 1):
+            diff = 0.5 * np.abs(dev[i + 1:] - dev[i]).sum(axis=1).max()
+            best = max(best, float(diff))
+        return min(1.0, best)
+
+    r = 0.5 * np.abs(dev).sum(axis=1)
+    far = int(np.argmax(r))
+    best = 0.5 * float(np.abs(dev - dev[far]).sum(axis=1).max())
+    rmax = float(r[far])
+
+    keep = np.nonzero(r > best - rmax - 1e-12)[0]
+    if keep.size < 2:
+        return min(1.0, best)
+    w = dev[keep] / np.sqrt(pi)
+    sq = (w * w).sum(axis=1)
+    gram = w @ w.T
+    iu, ju = np.triu_indices(keep.size, k=1)
+    chi = np.sqrt(np.maximum(sq[iu] + sq[ju] - 2.0 * gram[iu, ju], 0.0))
+    bound = 0.5 * chi * (1.0 + 1e-9) + 1e-12
+    np.minimum(bound, r[keep][iu] + r[keep][ju], out=bound)
+
+    alive = np.nonzero(bound > best)[0]
+    kept_dev = dev[keep]
+    while alive.size:
+        if alive.size > chunk:
+            part = np.argpartition(-bound[alive], chunk - 1)
+            idx, alive = alive[part[:chunk]], alive[part[chunk:]]
+        else:
+            idx, alive = alive, alive[:0]
+        tv = 0.5 * np.abs(kept_dev[iu[idx]] - kept_dev[ju[idx]]).sum(axis=1)
+        best = max(best, float(tv.max()))
+        alive = alive[bound[alive] > best]
+    return min(1.0, best)
+
+
+def pair_search_on_matrix(mat, pi, chunk=1024, prior=None, pivot=None):
+    """`_pair_search` over an explicit kernel matrix, with coordinates dev / sqrt(pi)."""
+    dev = mat - pi
+    r = 0.5 * np.abs(dev).sum(axis=1)
+    if pivot is None:
+        pivot = int(np.argmax(r))
+    tv_pivot = 0.5 * np.abs(dev - dev[pivot]).sum(axis=1)
+    return _pair_search(lambda idx: dev[idx], dev / np.sqrt(pi), r, tv_pivot,
+                        chunk=chunk, prior=prior)
+
+
+def brute_pairwise(mat, pi):
+    dev = mat - pi
+    return max(
+        0.5 * float(np.abs(dev[i + 1:] - dev[i]).sum(axis=1).max())
+        for i in range(mat.shape[0] - 1)
+    )
 
 
 def distance_profile(chain, times, mode="pairwise", tol=DEFAULT_POISSON_TOL):
@@ -257,6 +343,7 @@ def test_stationarity_distance_definition():
     mat = _kernel_matrix(ch, 2.0, 1e-10)
     expect = max(pm.tv_distance(mat[i], ch.pi) for i in range(ch.m))
     assert _stationarity_distance(mat, ch.pi) == pytest.approx(expect)
+    assert _distance_to_stationarity(ch, 2.0, 1e-10) == pytest.approx(expect)
 
 
 @given(st.integers(0, 10_000), st.integers(2, 5), st.floats(0.5, 1.0),
@@ -320,13 +407,10 @@ def test_pairwise_sup_exact_on_random_kernels(m):
         far = rng.choice(m, size=3, replace=False)
         mat[far] *= np.exp(spread * np.linspace(-2.0, 2.0, m))
         mat /= mat.sum(axis=1, keepdims=True)
-        dev = mat - pi
-        brute = max(
-            0.5 * float(np.abs(dev[i + 1:] - dev[i]).sum(axis=1).max())
-            for i in range(m - 1)
-        )
+        brute = brute_pairwise(mat, pi)
         for chunk in (64, 1024):
             assert abs(_pairwise_sup_distance(mat, pi, chunk=chunk) - brute) < 1e-12
+            assert abs(pair_search_on_matrix(mat, pi, chunk=chunk)[0] - brute) < 1e-12
 
 
 def test_certified_needs_margins_above_error_bound():
@@ -352,3 +436,87 @@ def test_auto_mode_above_pairwise_cap_and_hard_cap(monkeypatch):
     monkeypatch.setattr(chain_module, "MATRIX_HARD_CAP", 10)
     with pytest.raises(CapacityError):
         pm.mixing_time(ch, resolution=0.5, mode="stationarity")
+
+
+@given(st.sampled_from([(2, 6), (2, 9), (2, 12), (3, 3), (3, 4)]), st.floats(0.5, 1.0),
+       st.integers(0, 10_000), st.floats(0.3, 4.0))
+@settings(max_examples=30, deadline=None)
+def test_probe_distances_match_dense_kernel_oracle(box, p, seed, f):
+    d, n = box
+    try:
+        cluster = pm.largest_cluster(pm.sample_bond_config(pm.BoxSpec(d, n), p, seed))
+    except EmptyClusterError:
+        assume(False)
+    assume(cluster.num_vertices >= 2)
+    ch = pm.build_chain(cluster)
+    t = f * pm.spectral_gap(ch).tau2
+    mat = _spectral_kernel(ch, t, DEFAULT_POISSON_TOL)
+    pairwise, (i, j, tv) = _pairwise_distance(ch, t, DEFAULT_POISSON_TOL)
+    assert abs(pairwise - _pairwise_sup_distance(mat, ch.pi)) < 1e-12
+    stationarity = _distance_to_stationarity(ch, t, DEFAULT_POISSON_TOL)
+    assert abs(stationarity - _stationarity_distance(mat, ch.pi)) < 1e-12
+    # the evaluated pairs carry their exact distances
+    assert np.all(i < j)
+    dev = mat - ch.pi
+    assert np.abs(tv - 0.5 * np.abs(dev[i] - dev[j]).sum(axis=1)).max(initial=0.0) < 1e-12
+
+
+def test_contraction_cache_keeps_the_sup_on_a_chain():
+    ch = pm.build_chain(small_cluster(n=16))
+    tau2 = pm.spectral_gap(ch).tau2
+    # a bisection probe just above an evaluated one
+    s, t, tol, err = 1.2 * tau2, 1.21 * tau2, DEFAULT_POISSON_TOL, 1e-9
+    cache = _PairCache(ch.m)
+    cache.add(s, err, *_pairwise_distance(ch, s, tol)[1])
+    plain, fresh = _pairwise_distance(ch, t, tol)
+    cached, pruned = _pairwise_distance(ch, t, tol,
+                                        prior=lambda i, j: cache.bound(t, err, i, j))
+    assert cached == plain
+    assert 0 < pruned[2].size < fresh[2].size
+
+
+@pytest.mark.parametrize("m", [40, 300])
+def test_contraction_cache_bounds_only_later_times_with_slack(m):
+    rng = np.random.default_rng(m)
+    pi = rng.random(m) + 0.5
+    pi /= pi.sum()
+    mat = pi * np.exp(0.3 * rng.standard_normal((m, m)))
+    mat /= mat.sum(axis=1, keepdims=True)
+    dev = mat - pi
+    # a pivot near stationarity leaves an incumbent below the sup
+    pivot = int(np.argmin(np.abs(dev).sum(axis=1)))
+    incumbent = 0.5 * float(np.abs(dev - dev[pivot]).sum(axis=1).max())
+    sup = brute_pairwise(mat, pi)
+    assert incumbent < sup - 1e-6
+    assert abs(pair_search_on_matrix(mat, pi, pivot=pivot)[0] - sup) < 1e-12
+
+    i, j = np.triu_indices(m, k=1)
+    tv = 0.5 * np.abs(dev[i] - dev[j]).sum(axis=1)
+    # errors so large that losing either E(s) or E(t) would drop the best pair
+    t, err = 10.0, 2.0 * (sup - incumbent)
+    # an earlier probe whose computed values sit 95% of the E(s) + E(t) slack low
+    earlier = _PairCache(m)
+    earlier.add(9.0, err, i, j, tv - 1.9 * err)
+    found = pair_search_on_matrix(mat, pi, pivot=pivot,
+                                  prior=lambda a, b: earlier.bound(t, err, a, b))
+    assert abs(found[0] - sup) < 1e-12
+    # a later probe bounds nothing at t
+    later = _PairCache(m)
+    later.add(11.0, 0.0, i, j, np.zeros(tv.size))
+    found = pair_search_on_matrix(mat, pi, pivot=pivot,
+                                  prior=lambda a, b: later.bound(t, 0.0, a, b))
+    assert abs(found[0] - sup) < 1e-12
+
+
+def test_mixing_allocates_less_than_one_dense_kernel():
+    ch = pm.build_chain(small_cluster(n=16))
+    assert ch.m > 1000
+    tau2 = pm.spectral_gap(ch).tau2
+    tracemalloc.start()
+    try:
+        result = pm.mixing_time(ch, resolution=1e-3 * tau2, tau2_hint=tau2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.mode == "pairwise" and result.pairs_evaluated > 0
+    assert peak < ch.m ** 2 * 8

@@ -1,6 +1,7 @@
 import os
 
 import numpy as np
+import pytest
 
 import percmix as pm
 from percmix import experiments
@@ -128,3 +129,27 @@ def test_validation_exit_codes(tmp_path):
     assert main(["analyze", "--n", "4,6"]) == 1  # needs a single n
     assert main(["frobnicate"]) == 1  # unknown subcommand
     assert main([]) == 1
+
+
+def test_malformed_numbers_exit_1(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    cases = [
+        ["analyze", "--n", "x"],
+        ["scaling", "--n", "4", "--seeds", "a", "--quantities", "census", "--out", out],
+        ["renorm", "--n", "24", "--N", "8,x", "--out", str(tmp_path / "r.csv")],
+        ["fpp", "--n", "16", "--l1", "10", "--out", str(tmp_path / "f.csv")],
+        ["fpp", "--n", "16", "--l1", "4,8,16", "--out", str(tmp_path / "f.csv")],
+    ]
+    for args in cases:
+        assert main(args) == 1, args
+        assert capsys.readouterr().err.startswith("error: "), args
+
+
+@pytest.mark.parametrize("line", ["n_list = 4,six", "d = 2.5", "poisson_tol = 0",
+                                  "resolution_factor = -1"])
+def test_bad_config_file_exits_1(tmp_path, capsys, line):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"n_list = 4\nseed_list = 0\nquantities = census\n{line}\n")
+    assert main(["scaling", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()

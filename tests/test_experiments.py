@@ -77,6 +77,11 @@ def test_config_validation():
         ExperimentConfig(quantities=("tau1", "census", "tau1"))
     with pytest.raises(DomainError):
         ExperimentConfig(mode="warp")
+    for bad in (0.0, -1e-10, float("nan")):
+        with pytest.raises(DomainError):
+            ExperimentConfig(poisson_tol=bad)
+        with pytest.raises(DomainError):
+            ExperimentConfig(resolution_factor=bad)
 
 
 def test_default_preset_is_desk_scale():
@@ -100,6 +105,15 @@ def test_config_file_roundtrip(tmp_path):
 def test_config_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("d = 2\nwarp = 9\n")
+    with pytest.raises(DomainError):
+        ExperimentConfig.from_file(path)
+
+
+@pytest.mark.parametrize("line", ["d = two", "n_list = 6,x", "workers = 1.5",
+                                  "poisson_tol = tiny"])
+def test_config_file_rejects_malformed_values(tmp_path, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"p = 0.7\n{line}\n")
     with pytest.raises(DomainError):
         ExperimentConfig.from_file(path)
 
@@ -323,3 +337,27 @@ def test_tau1_exact_needs_margin_above_kernel_error(monkeypatch, margin, cert):
     tau1 = next(r for r in rows if r.quantity == "tau1")
     assert tau1.certification == cert
     assert ("uncertified" in tau1.detail) == (cert == "heuristic")
+
+
+def test_tau1_detail_counts_probes_and_pairs(tmp_path):
+    small = dict(n_list=(9, 12), quantities=("tau1",))
+    serial = run_scaling(small_config(tmp_path, out=str(tmp_path / "s"), **small))
+    pool = run_scaling(small_config(tmp_path, out=str(tmp_path / "p"), workers=2, **small))
+    cfg = small_config(tmp_path, out=str(tmp_path / "r"), **small)
+    with pytest.raises(SweepInterrupted):
+        run_scaling(cfg, stop_after=2)
+    resumed = run_scaling(cfg, resume=True)
+    expected = (tmp_path / "s" / "rows.csv").read_bytes()
+    assert (tmp_path / "p" / "rows.csv").read_bytes() == expected
+    assert (tmp_path / "r" / "rows.csv").read_bytes() == expected
+    assert serial.rows == pool.rows == resumed.rows
+    tau1 = [r for r in serial.rows if r.quantity == "tau1"]
+    assert len(tau1) == 4
+    evaluated = []
+    for row in tau1:
+        mix = experiments._Instance(cfg, row.n, row.seed).mixing
+        tokens = row.detail.split()
+        assert f"probes={len(mix.trace)}" in tokens
+        assert f"pairs_evaluated={mix.pairs_evaluated}" in tokens
+        evaluated.append(mix.pairs_evaluated)
+    assert max(evaluated) > 0
