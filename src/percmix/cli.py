@@ -26,7 +26,8 @@ from .experiments import (
     run_instance,
     run_scaling,
 )
-from .geometry import density_rows_to_csv, fpp_regression, good_density_curve
+from .geometry import (check_fpp_request, density_rows_to_csv, fpp_regression,
+                       good_density_curve)
 from .lattice import BoxSpec
 from .percolation import largest_cluster, sample_bond_config
 
@@ -197,16 +198,17 @@ def _cmd_fpp(args) -> int:
     if len(l1) != 2:
         raise DomainError(f"--l1 needs two values lo,hi, got {args.l1!r}")
     lo, hi = l1
+    check_fpp_request(args.pairs, (lo, hi))
     out = Path(args.out) if args.out else Path(f"fpp_d{args.d}_n{n}.csv")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("p,n,seed,pairs,slope,intercept,r_squared\n")
-        for seed in _seed_list(args):
-            config = sample_bond_config(BoxSpec(args.d, n), args.p, seed)
-            reg = fpp_regression(config, n_pairs=args.pairs, l1_range=(lo, hi),
-                                 rng_seed=seed)
-            fh.write(f"{args.p!r},{n},{seed},{reg.n_pairs},{reg.slope!r},"
+    lines = ["p,n,seed,pairs,slope,intercept,r_squared\n"]
+    for seed in _seed_list(args):  # every fit first: a failure writes no file
+        config = sample_bond_config(BoxSpec(args.d, n), args.p, seed)
+        reg = fpp_regression(config, n_pairs=args.pairs, l1_range=(lo, hi),
+                             rng_seed=seed)
+        lines.append(f"{args.p!r},{n},{seed},{reg.n_pairs},{reg.slope!r},"
                      f"{reg.intercept!r},{reg.r_squared!r}\n")
-            print(f"seed={seed}: slope={reg.slope:.4f} r2={reg.r_squared:.4f}")
+        print(f"seed={seed}: slope={reg.slope:.4f} r2={reg.r_squared:.4f}")
+    out.write_text("".join(lines), encoding="utf-8")
     print(f"wrote {out}")
     return EXIT_OK
 

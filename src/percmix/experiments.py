@@ -26,7 +26,7 @@ from .caps import DENSE_CAP
 from .chain import Chain, build_chain, mixing_time
 from .errors import DomainError, InequalityViolationError, PercmixError
 from .fitting import fit_loglog
-from .geometry import classify_good_vertices, fpp_regression
+from .geometry import check_fpp_request, classify_good_vertices, fpp_regression
 from .lattice import BoxSpec
 from .percolation import cluster_census, largest_cluster, sample_bond_config
 
@@ -91,6 +91,7 @@ class ExperimentConfig:
         if not self.resolution_factor > 0.0:
             raise DomainError(
                 f"resolution_factor must be positive, got {self.resolution_factor}")
+        check_fpp_request(self.fpp_pairs, (self.fpp_l1_lo, self.fpp_l1_hi))
 
     def to_file(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -296,7 +297,7 @@ def _quantity_rows(inst: _Instance) -> list:
                         f"points={len(profile.points)} profile=upper-bound")
             elif quantity == "var_lower":
                 vb = inst.var_bound
-                add("var_lower", vb.value, "exact", f"source={vb.source}")
+                add("var_lower", vb.value, "exact", f"source={vb.source} sources={vb.sources}")
             elif quantity == "census":
                 c = inst.census
                 add("census_vertex_fraction", c.largest_vertex_fraction, "exact",

@@ -102,6 +102,7 @@ class DistanceVarianceBound:
 
     value: float
     source: int  # local index of the maximizing source vertex
+    sources: int  # BFS sources evaluated before the bounds pruned the rest
 
 
 _SOURCE_BATCH = 32  # BFS sources per batch; the bounds tighten between batches
@@ -129,9 +130,11 @@ def distance_variance_lower_bound(chain: Chain) -> DistanceVarianceBound:
     bound = np.full(m, np.inf)  # upper bound on sigma_v from the rows so far
     alive = np.arange(m)  # sources not yet evaluated
     best, best_src, slack = -1.0, -1, 0.0
+    evaluated = 0
     while alive.size:
         order = np.argsort(-bound[alive], kind="stable")
         idx, alive = alive[order[:_SOURCE_BATCH]], alive[order[_SOURCE_BATCH:]]
+        evaluated += idx.size
         dist = csgraph.dijkstra(adj, indices=idx, unweighted=True, directed=False)
         mean = (dist * pi).sum(axis=1)
         var = (dist * dist * pi).sum(axis=1) - mean**2
@@ -146,7 +149,7 @@ def distance_variance_lower_bound(chain: Chain) -> DistanceVarianceBound:
         sigma = np.sqrt(var)
         np.minimum(bound, (sigma[:, None] + dist).min(axis=0), out=bound)
         alive = alive[bound[alive] >= math.sqrt(best) - slack]
-    return DistanceVarianceBound(value=best, source=best_src)
+    return DistanceVarianceBound(value=best, source=best_src, sources=evaluated)
 
 
 @dataclass(frozen=True)

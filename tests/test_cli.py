@@ -145,6 +145,15 @@ def test_malformed_numbers_exit_1(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), args
 
 
+@pytest.mark.parametrize("args", [["--l1=-3,10"], ["--l1", "20,10"], ["--pairs", "0"],
+                                  ["--pairs", "-4"], ["--n", "8"]])
+def test_bad_fpp_request_exits_1_before_writing(tmp_path, capsys, args):
+    out = tmp_path / "f.csv"
+    assert main(["fpp", "--n", "16", "--out", str(out), *args]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["n_list = 4,six", "d = 2.5", "poisson_tol = 0",
                                   "resolution_factor = -1"])
 def test_bad_config_file_exits_1(tmp_path, capsys, line):

@@ -77,6 +77,10 @@ def test_config_validation():
         ExperimentConfig(quantities=("tau1", "census", "tau1"))
     with pytest.raises(DomainError):
         ExperimentConfig(mode="warp")
+    for bad in (dict(fpp_l1_lo=-1), dict(fpp_l1_lo=20, fpp_l1_hi=10),
+                dict(fpp_pairs=0), dict(fpp_pairs=-3)):
+        with pytest.raises(DomainError):
+            ExperimentConfig(**bad)
     for bad in (0.0, -1e-10, float("nan")):
         with pytest.raises(DomainError):
             ExperimentConfig(poisson_tol=bad)
@@ -361,3 +365,24 @@ def test_tau1_detail_counts_probes_and_pairs(tmp_path):
         assert f"pairs_evaluated={mix.pairs_evaluated}" in tokens
         evaluated.append(mix.pairs_evaluated)
     assert max(evaluated) > 0
+
+
+def test_var_lower_detail_counts_sources(tmp_path):
+    small = dict(n_list=(9, 12), quantities=("var_lower",))
+    serial = run_scaling(small_config(tmp_path, out=str(tmp_path / "s"), **small))
+    pool = run_scaling(small_config(tmp_path, out=str(tmp_path / "p"), workers=2, **small))
+    cfg = small_config(tmp_path, out=str(tmp_path / "r"), **small)
+    with pytest.raises(SweepInterrupted):
+        run_scaling(cfg, stop_after=2)
+    resumed = run_scaling(cfg, resume=True)
+    expected = (tmp_path / "s" / "rows.csv").read_bytes()
+    assert (tmp_path / "p" / "rows.csv").read_bytes() == expected
+    assert (tmp_path / "r" / "rows.csv").read_bytes() == expected
+    assert serial.rows == pool.rows == resumed.rows
+    rows = [r for r in serial.rows if r.quantity == "var_lower"]
+    assert len(rows) == 4
+    for row in rows:
+        inst = experiments._Instance(cfg, row.n, row.seed)
+        vb = inst.var_bound
+        assert f"sources={vb.sources}" in row.detail.split()
+        assert 1 <= vb.sources <= inst.chain.m

@@ -67,6 +67,27 @@ class ReferenceDualFpp:
         raise AssertionError("interior faces are connected")
 
 
+def batched_dijkstra_distances(field, x_faces, y_faces):
+    """The batched, L1-limited csgraph route the bidirectional search replaced."""
+    x = np.asarray(x_faces, dtype=np.int64).reshape(-1, 2)
+    y = np.asarray(y_faces, dtype=np.int64).reshape(-1, 2)
+    src = field._face_class[field.dual.coord_to_face(x)]
+    dst = field._face_class[field.dual.coord_to_face(y)]
+    bound = np.abs(x - y).sum(axis=1)
+    order = np.argsort(bound, kind="stable")
+    per_batch = max(1, geometry_module._BATCH_ENTRIES // max(1, field._quotient.shape[0]))
+    out = np.empty(bound.size, dtype=np.int64)
+    for start in range(0, order.size, per_batch):
+        chunk = order[start:start + per_batch]
+        sources, row = np.unique(src[chunk], return_inverse=True)
+        dist = csgraph.dijkstra(field._quotient, indices=sources, unweighted=True,
+                                limit=float(bound[chunk].max()))[row, dst[chunk]]
+        if not np.isfinite(dist).all():
+            raise DomainError("dual vertices are not connected")  # unreachable on a box
+        out[chunk] = dist.astype(np.int64)
+    return out
+
+
 def reference_fpp_regression(config, n_pairs=300, l1_range=(10, 60), margin=5,
                              rng_seed=0, n_targets=11):
     """The per-pair sampling-and-solving loop, one BFS per drawn pair."""
@@ -276,8 +297,77 @@ def test_fpp_one_source_per_batch(monkeypatch):
     config = pm.sample_bond_config(BoxSpec(2, 16), 0.7, 3)
     kwargs = dict(n_pairs=60, l1_range=(4, 16), rng_seed=2)
     whole = pm.fpp_regression(config, **kwargs)
+    chunks = []
+    meet = DualFppField._meet
+
+    def counting_meet(self, src, dst, bound):
+        chunks.append(src.size)
+        return meet(self, src, dst, bound)
+
+    monkeypatch.setattr(DualFppField, "_meet", counting_meet)
     monkeypatch.setattr(geometry_module, "_BATCH_ENTRIES", 1)
     assert pm.fpp_regression(config, **kwargs) == whole
+    assert len(chunks) > 1 and set(chunks) == {1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10), p=probabilities, seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_fpp_meeting_search_matches_both_oracles(n, p, seed, data):
+    config = pm.sample_bond_config(BoxSpec(2, n), p, seed)
+    field = DualFppField(config)
+    faces = [(a, b) for a in range(-n, n) for b in range(-n, n)]
+    face = st.sampled_from(faces)
+    pairs = data.draw(st.lists(st.tuples(face, face), min_size=1, max_size=16),
+                      label="pairs")
+    # the same face twice, two faces of one class, and each pair again swapped
+    x0 = data.draw(face, label="x0")
+    cls = field._face_class[field.dual.coord_to_face(np.array(faces))]
+    mates = [f for f, c in zip(faces, cls) if c == cls[faces.index(x0)]]
+    pairs += [(x0, x0), (x0, data.draw(st.sampled_from(mates), label="mate"))]
+    pairs += [(y, x) for x, y in pairs]
+    xs, ys = zip(*pairs)
+    got = field.distances(xs, ys)
+    assert got.tolist() == batched_dijkstra_distances(field, xs, ys).tolist()
+    oracle = ReferenceDualFpp(config)
+    assert got.tolist() == [oracle.distance(x, y) for x, y in pairs]
+    half = len(pairs) // 2
+    assert got[:half].tolist() == got[half:].tolist()
+    assert got[half - 2] == 0 and got[half - 1] == 0
+
+
+def test_fpp_search_holds_only_layers(monkeypatch):
+    # revisits never change a distance, only the work: each side must hold
+    # its BFS layers alone, and on the full lattice (one face per class) the
+    # layer at L1 radius r has at most 4r faces
+    field = DualFppField(pm.sample_bond_config(BoxSpec(2, 16), 1.0, 0))
+    sizes = []
+    member = geometry_module._member
+
+    def spy(sorted_keys, keys):
+        sizes.append(sorted_keys.size)
+        return member(sorted_keys, keys)
+
+    monkeypatch.setattr(geometry_module, "_member", spy)
+    assert field.distance((-10, -10), (9, 9)) == 38
+    assert 0 < max(sizes) <= 4 * 19
+
+
+def test_fpp_regression_matches_dijkstra_at_benchmark_scale(monkeypatch):
+    configs = [pm.sample_bond_config(BoxSpec(2, n), 0.7, seed)
+               for n in (80, 160) for seed in (0, 1)]
+    fast = [pm.fpp_regression(c, rng_seed=c.seed) for c in configs]
+    monkeypatch.setattr(DualFppField, "distances", batched_dijkstra_distances)
+    assert fast == [pm.fpp_regression(c, rng_seed=c.seed) for c in configs]
+    assert sum(reg.n_pairs for reg in fast) == 1188
+
+
+@pytest.mark.parametrize("kwargs", [dict(l1_range=(-3, 10)), dict(l1_range=(20, 10)),
+                                    dict(n_pairs=0), dict(n_pairs=-5)])
+def test_fpp_regression_rejects_bad_requests(kwargs):
+    config = pm.sample_bond_config(BoxSpec(2, 16), 0.7, 0)
+    with pytest.raises(DomainError):
+        pm.fpp_regression(config, **{"l1_range": (4, 16), **kwargs})
 
 
 def test_good_sites_full_lattice():
