@@ -4,8 +4,8 @@
 # about a third of the rows at the desk preset's probe times) and bounds
 # every pair among them: memory and time grow with m^2 and faster.
 PAIRWISE_CAP = 5000
-# Mixing refuses chains above this many vertices, since its eigenpair solve
-# can fall back to the dense m x m eigendecomposition of S.
+# `Chain.eigensystem`, the dense m x m eigendecomposition of S, is refused
+# above this many vertices; a chain whose sparse solves certify runs at any size.
 MATRIX_HARD_CAP = 12000
 # Spectral gap: certified (or dense) up to here, uncertified Lanczos above.
 DENSE_CAP = 5000

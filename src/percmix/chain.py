@@ -7,11 +7,13 @@ transient kernel is e^{tQ} = D^{-1/2} V e^{t lambda} V^T D^{1/2}
 (Levin-Peres-Wilmer, Markov Chains and Mixing Times, Lemma 12.2). Every
 mixing probe reads the modes with e^{t lambda} > tol/m only, as the m x k
 matrix A = V e^{t lambda / 2}, and those are all the eigenpairs it computes:
-above 256 vertices one sparse shift-invert Lanczos solve, certified complete
-by Sylvester's law of inertia (`Chain.eigenpairs_above`), with the dense
-eigendecomposition as fallback. The kernel is the rank-k product
-D^{-1/2} A A^T D^{1/2}; a probe makes its rows in blocks and never holds it
-whole.
+above SPARSE_EIGEN_MIN vertices one sparse shift-invert Lanczos solve,
+certified complete by Sylvester's law of inertia (`Chain.eigenpairs_above`),
+with the dense eigendecomposition as fallback up to MATRIX_HARD_CAP. The
+kernel is the rank-k product D^{-1/2} A A^T D^{1/2}; a probe makes its rows
+in blocks and never holds it whole. The mixing search needs no probe below a
+lower bound on the crossing of e^{-1}: the relaxation time tau2 for the
+pairwise profile, (1 - ln 2) tau2 for the distance to stationarity.
 
 The uniformized jump kernel is exactly the discrete simple random walk
 kernel P, so e^{tQ} is also the Poisson(t) mixture of powers of P. That
@@ -129,8 +131,14 @@ class Chain:
         """Dense eigendecomposition (ascending eigenvalues, eigenvector columns) of S.
 
         The route for small chains and the fallback of the sparse solves,
-        computed at most once per chain; both arrays are read-only.
+        computed at most once per chain; both arrays are read-only. Refused
+        above MATRIX_HARD_CAP vertices, the one m x m array of the chain.
         """
+        if self.m > MATRIX_HARD_CAP:
+            raise CapacityError(
+                f"the dense eigensystem of {self.m} vertices exceeds the memory "
+                f"cap of {MATRIX_HARD_CAP}"
+            )
         w, v = np.linalg.eigh(self.symmetrized.toarray())
         w.setflags(write=False)
         v.setflags(write=False)
@@ -504,15 +512,21 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     pair distance evaluated at a time s bounds that pair at every later
     probe time t by TV(s) + E(s) + E(t) (`_PairCache`), E being the error
     bound below. Each probe still finds the exact sup, and the trace holds
-    those exact values. The probe times are doubling, then bisection by exact
-    dyadic halving. Since the mixing time is never below the relaxation
-    time, the search starts its bracket at the relaxation time (supplied as
-    ``tau2_hint`` or, above 256 vertices, taken from `spectral_gap`) and only
-    verifies that endpoint if bisection ever pins the crossing against it;
-    one certified eigenpair solve at that time then serves every probe.
-    Pairwise results carry the kernel error bound that decides
-    ``certified``; stationarity results, which are never tagged exact, leave
-    it at NaN.
+    those exact values.
+
+    The bracket starts at a lower bound on the crossing from the relaxation
+    time tau2 (``tau2_hint``, else `spectral_gap`): the pairwise profile
+    satisfies d(t) >= e^{-t/tau2}, so the crossing is at or above tau2, and
+    the distance to stationarity satisfies d(t) >= e^{-t/tau2}/2
+    (Levin-Peres-Wilmer, Thm 12.5), so it is at or above (1 - ln 2) tau2.
+    The probe times double from there, then bisect by exact dyadic halving.
+    The lower end is verified only if bisection pins the crossing against
+    it; where the bound holds with equality up to rounding (the single edge,
+    the 4-cycle) the check can fail, and the lower end is halved and the
+    bracket bisected again. One certified eigenpair solve at the lower end
+    serves every probe above it. Pairwise results carry the kernel error
+    bound that decides ``certified``; stationarity results, which are never
+    tagged exact, leave it at NaN.
     """
     if mode == "auto":
         mode = "pairwise" if chain.m <= PAIRWISE_CAP else "stationarity"
@@ -523,22 +537,16 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         )
     if mode not in ("pairwise", "stationarity"):
         raise DomainError(f"unknown mixing mode {mode!r}")
-    if chain.m > MATRIX_HARD_CAP:
-        raise CapacityError(
-            f"the dense eigensystem fallback for {chain.m} vertices exceeds "
-            f"the memory cap"
-        )
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    # tau2_hint: None = compute one when worthwhile; <= 0 = forced doubling search
-    if tau2_hint is None and chain.m > 256:
+    if tau2_hint is None:
         from .spectral import spectral_gap  # spectral builds on this module
 
         tau2_hint = spectral_gap(chain).tau2
-    if tau2_hint is not None and tau2_hint <= 0.0:
-        tau2_hint = None
+    if not tau2_hint > 0.0:
+        raise DomainError(f"tau2_hint must be positive, got {tau2_hint}")
     if resolution is None:
-        resolution = max(1e-3, 1e-3 * tau2_hint) if tau2_hint else 1e-3
+        resolution = max(1e-3, 1e-3 * tau2_hint)
     if resolution <= 0:
         raise DomainError("resolution must be positive")
     if t_max is None:
@@ -565,9 +573,12 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
                 chain, t, tol, prior=lambda i, j: cache.bound(t, err, i, j))
             cache.add(t, err, *pairs)
             return d
+
+        t_lo = float(tau2_hint)
     else:
         distance = lambda t: _distance_to_stationarity(chain, t, tol)
         error_bound = lambda t: math.nan
+        t_lo = (1.0 - math.log(2.0)) * tau2_hint
 
     thr = TV_THRESHOLD
     trace = {}
@@ -577,75 +588,41 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         trace[t] = d
         return d
 
-    if tau2_hint is not None:
-        # crossing is at or above the relaxation time; verify lazily
-        t_lo, d_lo = float(tau2_hint), None
-        chain.eigenpairs_above(_mode_floor(chain.m, t_lo, tol))  # no probe goes lower
-        t_hi = d_hi = None
+    d_lo = None  # d(t_lo) is evaluated only when the bracket needs it
+    chain.eigenpairs_above(_mode_floor(chain.m, t_lo, tol))  # no probe goes lower
+    while True:
         t = 2.0 * t_lo
-        while True:
-            if t > t_max:
-                raise NonConvergenceError(
-                    f"distance still above e^-1 at t={t / 2:.3g} (cap {t_max:.3g})",
-                    best=t / 2, residual=trace.get(t / 2),
-                )
-            d = evaluate(t)
-            if d <= thr:
-                t_hi, d_hi = t, d
-                break
-            t_lo, d_lo = t, d
-            t *= 2.0
-    else:
-        t0 = max(resolution / 2.0, 0.5)
-        d0 = evaluate(t0)
-        while d0 <= thr:
-            if t0 <= resolution:
-                # already mixed within one resolution step of zero
-                d_zero = 1.0 if mode == "pairwise" else 1.0 - chain.pi_min
-                result = MixingResult(
-                    tau1=t0 / 2, t_lo=0.0, t_hi=t0, d_lo=d_zero, d_hi=d0, mode=mode,
-                    resolution=resolution, poisson_tol=tol,
-                    trace=sorted(trace.items()), error_bound=error_bound(t0),
-                    pairs_evaluated=cache.evaluated,
-                )
-                result.check_monotone()
-                return result
-            t0 /= 4.0
-            d0 = evaluate(t0)
-        t_lo, d_lo = t0, d0
-        while True:
-            t_next = 2.0 * t_lo
-            if t_next > t_max:
-                raise NonConvergenceError(
-                    f"distance still {d_lo:.4f} above e^-1 at t={t_lo:.3g} "
-                    f"(cap {t_max:.3g})",
-                    best=t_lo, residual=d_lo,
-                )
-            d_next = evaluate(t_next)
-            if d_next <= thr:
-                t_hi, d_hi = t_next, d_next
-                break
-            t_lo, d_lo = t_next, d_next
+        if t > t_max:
+            raise NonConvergenceError(
+                f"distance still above e^-1 at t={t_lo:.3g} (cap {t_max:.3g})",
+                best=t_lo, residual=d_lo,
+            )
+        d = evaluate(t)
+        if d <= thr:
+            t_hi, d_hi = t, d
+            break
+        t_lo, d_lo = t, d
 
-    # bisection by exact dyadic halving
-    width = t_hi - t_lo
-    while width > resolution:
-        delta = width / 2.0
-        t_mid = t_lo + delta
-        d_mid = evaluate(t_mid)
-        if d_mid > thr:
-            t_lo, d_lo = t_mid, d_mid
-        else:
-            t_hi, d_hi = t_mid, d_mid
-        width = delta
-
-    if d_lo is None:
-        # bisection never confirmed the lower endpoint: verify the hint
-        d_lo = evaluate(t_lo)
-        if d_lo <= thr:
-            # hint overshot the true crossing; redo with a plain doubling search
-            return mixing_time(chain, resolution=resolution, mode=mode, tol=tol,
-                               tau2_hint=0.0, t_max=t_max)
+    while True:
+        # bisection by exact dyadic halving
+        width = t_hi - t_lo
+        while width > resolution:
+            delta = width / 2.0
+            t_mid = t_lo + delta
+            d_mid = evaluate(t_mid)
+            if d_mid > thr:
+                t_lo, d_lo = t_mid, d_mid
+            else:
+                t_hi, d_hi = t_mid, d_mid
+            width = delta
+        if d_lo is None:
+            d_lo = evaluate(t_lo)
+        if d_lo > thr:
+            break
+        # d(t_lo) is mixed, so the bound held only with equality up to rounding
+        # (or the hint overshot tau2): the crossing lies below t_lo
+        t_hi, d_hi = t_lo, d_lo
+        t_lo, d_lo = t_lo / 2.0, None
 
     result = MixingResult(
         tau1=(t_lo + t_hi) / 2.0, t_lo=t_lo, t_hi=t_hi, d_lo=d_lo, d_hi=d_hi,
@@ -655,4 +632,3 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     )
     result.check_monotone()
     return result
-

@@ -26,7 +26,8 @@ from .caps import DENSE_CAP
 from .chain import Chain, build_chain, mixing_time
 from .errors import DomainError, InequalityViolationError, PercmixError
 from .fitting import fit_loglog
-from .geometry import check_fpp_request, classify_good_vertices, fpp_regression
+from .geometry import (MIN_BLOCK_SCALE, check_fpp_request, classify_good_vertices,
+                       fpp_regression)
 from .lattice import BoxSpec
 from .percolation import cluster_census, largest_cluster, sample_bond_config
 
@@ -91,6 +92,9 @@ class ExperimentConfig:
         if not self.resolution_factor > 0.0:
             raise DomainError(
                 f"resolution_factor must be positive, got {self.resolution_factor}")
+        if any(block < MIN_BLOCK_SCALE for block in self.renorm_blocks):
+            raise DomainError(f"renorm_blocks must be at least {MIN_BLOCK_SCALE}, "
+                              f"got {list(self.renorm_blocks)}")
         check_fpp_request(self.fpp_pairs, (self.fpp_l1_lo, self.fpp_l1_hi))
 
     def to_file(self, path) -> None:

@@ -262,6 +262,87 @@ def test_mixing_two_state():
 def test_mixing_four_cycle():
     result = pm.mixing_time(pm.build_chain(cycle_graph(4)), resolution=1e-4)
     assert abs(result.tau1 - 1.0) <= 1e-3
+    assert result.t_lo < result.tau1 <= result.t_hi
+    assert result.d_lo > math.exp(-1) >= result.d_hi
+
+
+@pytest.mark.parametrize("mode, floor, exact", [
+    ("pairwise", 1.0, 0.5),
+    ("stationarity", 1.0 - math.log(2.0), 0.5 * (1.0 - math.log(2.0))),
+])
+def test_single_edge_halves_the_lower_end(mode, floor, exact):
+    # d(t) = e^{-2t} between the starts and e^{-2t}/2 against pi: both lower
+    # bounds hold with equality, so rounding decides the side of e^{-1} the
+    # start floor lands on; a hint just above tau2 puts it on the mixed side
+    ch = pm.build_chain(single_edge())
+    tau2 = pm.spectral_gap(ch).tau2
+    for hint in (tau2, tau2 * (1.0 + 1e-6)):
+        result = pm.mixing_time(ch, resolution=1e-4, mode=mode, tau2_hint=hint)
+        assert result.t_lo < result.tau1 <= result.t_hi
+        assert result.d_lo > math.exp(-1) >= result.d_hi
+        assert abs(result.tau1 - exact) <= 1e-4
+        assert min(t for t, _ in result.trace) < floor * hint  # the halving branch ran
+
+
+def test_mixing_rejects_nonpositive_tau2_hint():
+    ch = pm.build_chain(cycle_graph(4))
+    for hint in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            pm.mixing_time(ch, tau2_hint=hint)
+
+
+def test_stationarity_search_starts_at_its_lower_bound():
+    ch = pm.build_chain(small_cluster(n=16, seed=1))
+    tau2 = pm.spectral_gap(ch).tau2
+    result = pm.mixing_time(ch, resolution=1e-3 * tau2, mode="stationarity",
+                            tau2_hint=tau2)
+    assert result.tau1 < tau2  # the crossing lies below the relaxation time
+    assert len(result.trace) <= 13
+    assert min(t for t, _ in result.trace) >= (1.0 - math.log(2.0)) * tau2
+
+
+def doubling_mixing_time(chain, resolution, mode, tol=DEFAULT_POISSON_TOL):
+    """tau1 by the search from t = 0.5 that needs no relaxation time: the oracle.
+
+    The first probe moves down by fours while already mixed and then doubles
+    up until the profile crosses e^{-1}; dyadic bisection then closes the
+    bracket to the resolution, whose midpoint is returned.
+    """
+    if mode == "pairwise":
+        distance = lambda t: _pairwise_distance(chain, t, tol)[0]
+    else:
+        distance = lambda t: _distance_to_stationarity(chain, t, tol)
+    thr = math.exp(-1.0)
+    t_lo = max(resolution / 2.0, 0.5)
+    while distance(t_lo) <= thr:
+        if t_lo <= resolution:
+            return t_lo / 2.0  # already mixed within one resolution step of zero
+        t_lo /= 4.0
+    t_hi = 2.0 * t_lo
+    while distance(t_hi) > thr:
+        t_lo, t_hi = t_hi, 2.0 * t_hi
+    width = t_hi - t_lo
+    while width > resolution:
+        width /= 2.0
+        if distance(t_lo + width) > thr:
+            t_lo += width
+        else:
+            t_hi = t_lo + width
+    return (t_lo + t_hi) / 2.0
+
+
+@pytest.mark.parametrize("mode", ["pairwise", "stationarity"])
+@pytest.mark.parametrize("graph", [
+    single_edge, lambda: cycle_graph(4), lambda: small_cluster(n=6),
+    lambda: small_cluster(n=9, seed=0), lambda: small_cluster(n=9, seed=1),
+    lambda: small_cluster(n=9, seed=2),
+], ids=["edge", "c4", "n6", "n9s0", "n9s1", "n9s2"])
+def test_mixing_matches_doubling_search_oracle(graph, mode):
+    ch = pm.build_chain(graph())
+    resolution = max(1e-3, 1e-3 * pm.spectral_gap(ch).tau2)
+    result = pm.mixing_time(ch, resolution=resolution, mode=mode)
+    oracle = doubling_mixing_time(ch, resolution, mode)
+    assert abs(result.tau1 - oracle) <= resolution
 
 
 def test_mixing_trace_monotone():
@@ -428,14 +509,31 @@ def test_certified_needs_margins_above_error_bound():
 
 
 def test_auto_mode_above_pairwise_cap_and_hard_cap(monkeypatch):
-    ch = pm.build_chain(small_cluster(n=6))
+    cluster = small_cluster(n=6)
+    ch = pm.build_chain(cluster)
     reference = pm.mixing_time(ch, resolution=0.5, mode="stationarity")
     monkeypatch.setattr(chain_module, "PAIRWISE_CAP", 10)
     auto = pm.mixing_time(ch, resolution=0.5, mode="auto")
     assert auto.mode == "stationarity" and auto.trace == reference.trace
     monkeypatch.setattr(chain_module, "MATRIX_HARD_CAP", 10)
+    # a fresh chain: the cap guards the dense eigensystem, which ``ch`` holds
     with pytest.raises(CapacityError):
-        pm.mixing_time(ch, resolution=0.5, mode="stationarity")
+        pm.mixing_time(pm.build_chain(cluster), resolution=0.5, mode="stationarity")
+
+
+def test_hard_cap_spares_chains_whose_sparse_solve_certifies(monkeypatch):
+    cluster = small_cluster(n=10)
+    reference = pm.mixing_time(pm.build_chain(cluster), resolution=0.5,
+                               mode="stationarity")
+    ch = pm.build_chain(cluster)
+    assert ch.m > 256
+    monkeypatch.setattr(chain_module, "MATRIX_HARD_CAP", 10)
+    result = pm.mixing_time(ch, resolution=0.5, mode="stationarity")
+    assert result.trace == reference.trace
+    # the solve at the start floor certified, and nothing read the dense route
+    floor = (1.0 - math.log(2.0)) * pm.spectral_gap(ch).tau2
+    assert ch._above[0] == _mode_floor(ch.m, floor, DEFAULT_POISSON_TOL)
+    assert "eigensystem" not in vars(ch)
 
 
 @given(st.sampled_from([(2, 6), (2, 9), (2, 12), (3, 3), (3, 4)]), st.floats(0.5, 1.0),
