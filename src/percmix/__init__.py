@@ -45,7 +45,6 @@ from .geometry import (
     GoodSiteField,
     classify_good_vertices,
     coarse_grain,
-    dual_fpp_distance,
     fpp_regression,
     good_density_curve,
 )

@@ -7,7 +7,8 @@ PAIRWISE_CAP = 5000
 # `Chain.eigensystem`, the dense m x m eigendecomposition of S, is refused
 # above this many vertices; a chain whose sparse solves certify runs at any size.
 MATRIX_HARD_CAP = 12000
-# Spectral gap: certified (or dense) up to here, uncertified Lanczos above.
+# Spectral gap: a size label only, method "dense" up to here and "iterative"
+# above; the gap is certified at every size.
 DENSE_CAP = 5000
 # At or below this many vertices the dense eigendecomposition of S costs less
 # than a sparse eigensolve; above it the sparse solve answers, dense falls back.

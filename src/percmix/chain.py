@@ -29,9 +29,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc
 
 from .caps import MATRIX_HARD_CAP, PAIRWISE_CAP, SPARSE_EIGEN_MIN
 from .errors import CapacityError, DomainError, NonConvergenceError, PercmixError
@@ -66,7 +65,7 @@ def count_above(s: sparse.spmatrix, theta: float) -> int | None:
     return int(np.count_nonzero(lu.U.diagonal() > 0))
 
 
-def top_eigenpairs(s: sparse.spmatrix, k: int, tol: float = 0.0) -> tuple:
+def top_eigenpairs(s: sparse.spmatrix, k: int) -> tuple:
     """The k largest eigenpairs of the symmetric S (spectrum <= 0), ascending.
 
     Shift-invert Lanczos about a pole just above 0, from a fixed start
@@ -76,7 +75,7 @@ def top_eigenpairs(s: sparse.spmatrix, k: int, tol: float = 0.0) -> tuple:
     lu = _symmetric_lu(s, _SHIFT)
     op = LinearOperator((m, m), matvec=lu.solve, dtype=float)
     v0 = 1.0 + (np.arange(m) * 0.6180339887498949) % 1.0
-    w, v = eigsh(s, k=k, sigma=_SHIFT, which="LM", v0=v0, OPinv=op, tol=tol)
+    w, v = eigsh(s, k=k, sigma=_SHIFT, which="LM", v0=v0, OPinv=op)
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
 
@@ -147,20 +146,26 @@ class Chain:
     def eigenpairs_above(self, theta: float) -> tuple:
         """Every eigenpair of S with eigenvalue above theta, ascending, read-only.
 
-        Above SPARSE_EIGEN_MIN vertices, the inertia of S - theta I gives the
-        exact count K of eigenvalues above theta (`count_above`); shift-invert
-        Lanczos then computes the top K + 1 pairs, which are accepted only if
-        theta separates the K-th from the (K + 1)-th. Any other outcome, a
-        small chain, or K beyond a quarter of m reads the dense eigensystem.
-        The widest solve is kept, and a later theta at or above it is a slice.
+        The widest `solve_above` is kept, and a later theta at or above it is
+        a slice of it.
         """
         if self._above is None or theta < self._above[0]:
-            self._above = self._solve_above(theta)
+            self._above = self.solve_above(theta)
         _, w, v = self._above
         cut = w.size - int(np.count_nonzero(w > theta))
         return w[cut:], v[:, cut:]
 
-    def _solve_above(self, theta: float) -> tuple:
+    def solve_above(self, theta: float) -> tuple:
+        """(floor, w, v): a certified solve for the eigenpairs of S above theta.
+
+        Above SPARSE_EIGEN_MIN vertices, the inertia of S - theta I gives the
+        exact count K of eigenvalues above theta (`count_above`); shift-invert
+        Lanczos then computes the top K + 1 pairs, which are accepted only if
+        theta separates the K-th from the (K + 1)-th, and the floor is theta.
+        Any other outcome, a small chain, or K beyond a quarter of m reads the
+        dense eigensystem, whose floor is -inf. Nothing is kept on the chain
+        but the dense eigensystem.
+        """
         s = self.symmetrized
         if self.m > SPARSE_EIGEN_MIN:
             k = count_above(s, theta)
@@ -178,10 +183,7 @@ class Chain:
 
 
 def build_chain(graph: ClusterGraph) -> Chain:
-    """Validate connectivity and wrap a graph as a walk chain."""
-    ncomp, _ = csgraph.connected_components(graph.adjacency, directed=False)
-    if ncomp != 1:
-        raise DomainError("graph is not connected")
+    """Wrap a graph as a walk chain; `ClusterGraph` is connected by construction."""
     return Chain(graph)
 
 
@@ -195,24 +197,30 @@ def tv_distance(mu: np.ndarray, nu: np.ndarray) -> float:
 
 
 def _poisson_weights(t: float, tol: float) -> np.ndarray:
-    """Poisson(t) pmf values w_0..w_K with tail mass below tol."""
+    """Poisson(t) pmf values w_0..w_K, K the first with tail mass P(N > K) below tol.
+
+    The tail comes from `pdtrc`, not from 1 - sum(w), whose rounding can stay
+    above tol at every K. Bernstein's inequality for the Poisson law,
+    P(N >= t + x) <= exp(-x^2 / (2 (t + x / 3))), proves that K is at most
+    t + x with x solving x^2 / (2 (t + x / 3)) = log(1 / tol).
+    """
     if t < 0:
         raise DomainError("time must be nonnegative")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     if t == 0.0:
         return np.ones(1)
-    k_hi = int(t + 12.0 * math.sqrt(t) + 40.0)
-    while True:
-        k = np.arange(k_hi + 1)
-        logw = k * math.log(t) - t - gammaln(k + 1)
-        w = np.exp(logw)
-        if 1.0 - w.sum() < tol:
-            break
-        k_hi = int(k_hi * 1.5) + 10
-    cum = np.cumsum(w)
-    cut = int(np.searchsorted(cum, 1.0 - tol)) + 1
-    return w[:cut]
+    log_inv = math.log(1.0 / min(tol, 1.0))
+    k_hi = math.ceil(t + log_inv / 3.0 + math.sqrt(log_inv**2 / 9.0 + 2.0 * t * log_inv))
+    k = np.arange(k_hi + 1)
+    small = pdtrc(k, t) < tol
+    if not small[-1]:
+        raise NonConvergenceError(
+            f"Poisson({t:.6g}) tail not below {tol:.3g} at its bound k={k_hi}",
+            best=k_hi, residual=float(pdtrc(k_hi, t)),
+        )
+    k = k[:int(np.argmax(small)) + 1]
+    return np.exp(k * math.log(t) - t - gammaln(k + 1))
 
 
 def transient_distribution(chain: Chain, start: np.ndarray, t: float,

@@ -165,11 +165,6 @@ def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return sorted_keys[pos] == keys
 
 
-def dual_fpp_distance(config: BondConfig, x_face, y_face) -> int:
-    """One-off dual first-passage distance; use DualFppField for batches."""
-    return DualFppField(config).distance(x_face, y_face)
-
-
 @dataclass(frozen=True)
 class FppRegression:
     slope: float

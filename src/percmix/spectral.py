@@ -3,14 +3,15 @@
 The generator Q is similar to the symmetric matrix S = D^{1/2} Q D^{-1/2}
 (D the diagonal of the stationary law), whose off-diagonal entries are
 1/sqrt(deg x * deg y) and diagonal is -1. The gap needs only the top of the
-spectrum of S: shift-invert Lanczos (Ericsson and Ruhe, Math. Comp. 1980)
-computes its three largest eigenpairs, and up to ``dense_cap`` vertices the
-inertia of S - theta I, with theta halfway between lambda_2 and lambda_3,
-must count exactly two eigenvalues above theta (Sylvester's law of inertia);
-otherwise the chain's dense eigendecomposition decides, as it does for small
-chains. ``method`` names the size class: ``dense`` is that certified route
-with its dense fallback, ``iterative`` the uncertified Lanczos answer above
-``dense_cap``.
+spectrum of S, and it is certified at every size by the chain's one
+eigensolve route (`Chain.solve_above`: an inertia count, shift-invert
+Lanczos, a separation check, the dense eigendecomposition as fallback), run
+at a floor proven to lie below lambda_2. The floor comes from the
+variational characterisation gap = min_f E(f, f) / Var_pi(f)
+(Levin-Peres-Wilmer, Markov Chains and Mixing Times, Ch. 13) at one test
+function f. The solve is not kept on the chain, so the gap is the same
+whatever the chain solved before. ``dense_cap`` only labels ``method`` by
+size: ``dense`` up to it, ``iterative`` above.
 
 The distance-variance lower bound is exact at every size: a source search
 pruned by |sigma_u - sigma_v| <= d(u, v), where sigma_v is the
@@ -25,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csgraph
-from scipy.sparse.linalg import ArpackNoConvergence
 
-from .caps import DENSE_CAP, SPARSE_EIGEN_MIN
-from .chain import Chain, count_above, top_eigenpairs
-from .errors import DomainError, InequalityViolationError, NonConvergenceError
+from .caps import DENSE_CAP
+from .chain import Chain
+from .errors import DomainError, InequalityViolationError
 
 
 @dataclass(frozen=True)
@@ -51,38 +51,40 @@ class SpectralResult:
         return 1.0 / self.gap
 
 
-def spectral_gap(chain: Chain, rtol: float = 1e-10,
-                 dense_cap: int = DENSE_CAP) -> SpectralResult:
-    """Spectral gap -lambda_2 of the generator, with the achieved residual.
+def _gap_floor(chain: Chain) -> float:
+    """A floor strictly below lambda_2 of S: -(1 + 1e-9) E(f, f) / Var_pi(f).
 
-    ``rtol`` is the Lanczos tolerance; the shift-invert solve usually
-    reaches machine precision well within it.
+    Every non-constant f bounds the gap by E(f, f) / Var_pi(f), so lambda_2 =
+    -gap lies at or above -E(f, f) / Var_pi(f) (Courant-Fischer). f is the
+    graph distance from vertex 0, which changes by at most one along an edge,
+    so E(f, f) is the number of edges it changes along over the total degree.
+    The relative margin covers rounding where f attains the minimum, as on
+    the single edge, the 4-cycle and complete graphs.
+    """
+    f = csgraph.dijkstra(chain.graph.adjacency, indices=0, unweighted=True, directed=False)
+    u, v = chain.graph.edges_local.T
+    dirichlet = np.count_nonzero(f[u] != f[v]) / chain.total_degree
+    dev = f - chain.pi @ f
+    return -(1.0 + 1e-9) * dirichlet / float(chain.pi @ (dev * dev))
+
+
+def spectral_gap(chain: Chain, dense_cap: int = DENSE_CAP) -> SpectralResult:
+    """Spectral gap -lambda_2 of the generator, certified, with the achieved residual.
+
+    A pure function of the chain: one `Chain.solve_above` at `_gap_floor`,
+    not kept, reads lambda_2 and its eigenvector, which must lie above the
+    floor. ``dense_cap`` sets only the ``method`` label.
     """
     s = chain.symmetrized
-    iterative = chain.m > dense_cap
-    w = None
-    if chain.m > 3 and (iterative or chain.m > SPARSE_EIGEN_MIN):
-        try:
-            w, v = top_eigenpairs(s, 3, tol=rtol)
-        except ArpackNoConvergence as exc:
-            if iterative:
-                raise NonConvergenceError(
-                    "Lanczos did not converge for the second eigenvalue",
-                    best=None, residual=rtol,
-                ) from exc
-        else:
-            theta = 0.5 * (w[0] + w[1])
-            if not iterative and not (w[0] < theta < w[1] and count_above(s, theta) == 2):
-                w = None
-    if w is None:
-        w, v = chain.eigensystem
+    floor = _gap_floor(chain)
+    _, w, v = chain.solve_above(floor)
     lam2 = w[-2]
     vec = v[:, -2].copy()
-    method = "iterative" if iterative else "dense"
+    method = "iterative" if chain.m > dense_cap else "dense"
 
     gap = -float(lam2)
-    if not 0.0 < gap <= 2.0 + 1e-9:
-        raise DomainError(f"spectral gap {gap} outside (0, 2]; chain invalid?")
+    if not 0.0 < gap < -floor:
+        raise DomainError(f"spectral gap {gap} outside (0, {-floor}), the floor's bound")
     residual = float(np.linalg.norm(s @ vec - lam2 * vec))
     if vec[np.nonzero(vec)[0][0]] < 0:
         vec = -vec

@@ -155,7 +155,8 @@ def test_bad_fpp_request_exits_1_before_writing(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("line", ["n_list = 4,six", "d = 2.5", "poisson_tol = 0",
-                                  "resolution_factor = -1", "renorm_blocks = 4"])
+                                  "resolution_factor = -1", "renorm_blocks = 4",
+                                  "rtol = 1e-10"])
 def test_bad_config_file_exits_1(tmp_path, capsys, line):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(f"n_list = 4\nseed_list = 0\nquantities = census\n{line}\n")

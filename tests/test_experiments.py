@@ -253,6 +253,17 @@ def test_inequality_suite_present_and_clean():
     assert ineq.get("ineq_gap_cuts") == 1.0
 
 
+def test_tau2_exact_above_dense_cap():
+    # dense_cap only labels the eigensolve by size; the gap is certified either way
+    cfg = ExperimentConfig(n_list=(10,), seed_list=(0,), dense_cap=10,
+                           quantities=("tau1", "tau2", "var_lower", "phi_upper"))
+    rows = {r.quantity: r for r in run_instance(cfg, 10, 0)}
+    assert rows["tau2"].certification == "exact"
+    assert "method=iterative" in rows["tau2"].detail
+    for name in ("ineq_sandwich", "ineq_var_lower", "ineq_gap_cuts"):
+        assert rows[name].value == 1.0
+
+
 def test_workers_pool_matches_serial(tmp_path):
     cfg_serial = small_config(tmp_path, out=str(tmp_path / "s"))
     cfg_pool = small_config(tmp_path, out=str(tmp_path / "p"), workers=2)

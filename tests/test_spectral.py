@@ -1,4 +1,3 @@
-import contextlib
 import math
 from unittest import mock
 
@@ -13,8 +12,19 @@ from percmix import chain as chain_module
 from percmix import spectral as spectral_module
 from percmix.chain import count_above, top_eigenpairs
 from percmix.errors import DomainError, EmptyClusterError, InequalityViolationError
-from percmix.fixtures import complete_graph, cycle_graph, full_box_cluster, single_edge
-from percmix.spectral import distance_variance_lower_bound, spectral_gap, sweep_ordering
+from percmix.fixtures import (
+    complete_graph,
+    cycle_graph,
+    full_box_cluster,
+    path_graph,
+    single_edge,
+)
+from percmix.spectral import (
+    _gap_floor,
+    distance_variance_lower_bound,
+    spectral_gap,
+    sweep_ordering,
+)
 
 
 def cluster_chain(n, p=0.7, seed=0, d=2):
@@ -24,11 +34,8 @@ def cluster_chain(n, p=0.7, seed=0, d=2):
 
 
 def patched(name, value):
-    """Patch a name that both chain and spectral use."""
-    stack = contextlib.ExitStack()
-    for module in (chain_module, spectral_module):
-        stack.enter_context(mock.patch.object(module, name, value))
-    return stack
+    """Patch a name of the chain module, whose solves the gap reads too."""
+    return mock.patch.object(chain_module, name, value)
 
 
 def sparse_route():
@@ -90,7 +97,7 @@ def test_dense_and_iterative_agree():
         assert ch.m >= 100
         w, v = ch.eigensystem
         dense = spectral_gap(ch)
-        iterative = spectral_gap(ch, rtol=1e-12, dense_cap=10)
+        iterative = spectral_gap(ch, dense_cap=10)
         with sparse_route():
             certified = spectral_gap(cluster_chain(n, p=1.0 if n == 5 else 0.7, seed=seed))
         assert dense.method == certified.method == "dense"
@@ -99,6 +106,46 @@ def test_dense_and_iterative_agree():
             assert abs(res.gap + w[-2]) < 1e-12
             assert in_eigenspace(res.vector, w, v, w[-2])
             assert res.residual < 1e-12
+
+
+FIXTURES = {
+    "edge": single_edge, "c4": lambda: cycle_graph(4), "c7": lambda: cycle_graph(7),
+    "k5": lambda: complete_graph(5), "path6": lambda: path_graph(6),
+    "box2x3": lambda: full_box_cluster(2, 3),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_gap_agrees_with_dense_spectrum_on_fixtures(name):
+    ch = pm.build_chain(FIXTURES[name]())
+    w, v = ch.eigensystem
+    res = spectral_gap(ch)
+    assert abs(res.gap + w[-2]) < 1e-12
+    assert in_eigenspace(res.vector, w, v, w[-2])
+    assert res.residual < 1e-12
+    assert _gap_floor(ch) < w[-2]
+
+
+@pytest.mark.parametrize("name", ["edge", "c4", "k5"])
+def test_gap_floor_met_with_equality(name):
+    # the distance from vertex 0 attains min E(f, f) / Var(f) on these graphs,
+    # so only the relative margin keeps the floor below lambda_2
+    ch = pm.build_chain(FIXTURES[name]())
+    gap = -ch.eigensystem[0][-2]
+    assert -_gap_floor(ch) == pytest.approx(gap * (1.0 + 1e-9), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_gap_is_the_same_before_and_after_mixing(n):
+    ch = cluster_chain(n)
+    before = spectral_gap(ch)
+    pm.mixing_time(ch, resolution=1.0, mode="stationarity")
+    assert ch._above is not None  # the mixing search kept a wider solve
+    after = spectral_gap(ch)
+    if ch.m > chain_module.SPARSE_EIGEN_MIN:
+        assert "eigensystem" not in vars(ch)  # both came from the certified sparse solve
+    assert after.gap == before.gap
+    assert after.vector.tobytes() == before.vector.tobytes()
 
 
 @given(BOXES, PS, SEEDS, st.floats(0.0, 1.0))
@@ -158,8 +205,8 @@ def test_certificate_mismatch_falls_back_to_dense(tamper):
         tampered = patched("count_above", wrong_count)
     else:
         # a solve that misses the top pair
-        def wrong_pairs(s, k, tol=0.0):
-            got_w, got_v = top_eigenpairs(s, k + 1, tol)
+        def wrong_pairs(s, k):
+            got_w, got_v = top_eigenpairs(s, k + 1)
             return got_w[:-1], got_v[:, :-1]
 
         tampered = patched("top_eigenpairs", wrong_pairs)
