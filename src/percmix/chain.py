@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
-from scipy.special import gammaln, pdtrc
+from scipy.special import pdtr, pdtrc
 
 from .caps import MATRIX_HARD_CAP, PAIRWISE_CAP, SPARSE_EIGEN_MIN
 from .errors import CapacityError, DomainError, NonConvergenceError, PercmixError
@@ -202,7 +202,10 @@ def _poisson_weights(t: float, tol: float) -> np.ndarray:
     The tail comes from `pdtrc`, not from 1 - sum(w), whose rounding can stay
     above tol at every K. Bernstein's inequality for the Poisson law,
     P(N >= t + x) <= exp(-x^2 / (2 (t + x / 3))), proves that K is at most
-    t + x with x solving x^2 / (2 (t + x / 3)) = log(1 / tol).
+    t + x with x solving x^2 / (2 (t + x / 3)) = log(1 / tol). Each weight is
+    a difference of the distribution function on its small side, `pdtr` up
+    to t and `pdtrc` above, so the weights sum to 1 - P(N > K) to rounding;
+    exp(k log t - t - log k!) would carry an error of about eps * t each.
     """
     if t < 0:
         raise DomainError("time must be nonnegative")
@@ -213,14 +216,17 @@ def _poisson_weights(t: float, tol: float) -> np.ndarray:
     log_inv = math.log(1.0 / min(tol, 1.0))
     k_hi = math.ceil(t + log_inv / 3.0 + math.sqrt(log_inv**2 / 9.0 + 2.0 * t * log_inv))
     k = np.arange(k_hi + 1)
-    small = pdtrc(k, t) < tol
+    tail = pdtrc(k, t)
+    small = tail < tol
     if not small[-1]:
         raise NonConvergenceError(
             f"Poisson({t:.6g}) tail not below {tol:.3g} at its bound k={k_hi}",
-            best=k_hi, residual=float(pdtrc(k_hi, t)),
+            best=k_hi, residual=float(tail[-1]),
         )
-    k = k[:int(np.argmax(small)) + 1]
-    return np.exp(k * math.log(t) - t - gammaln(k + 1))
+    K = int(np.argmax(small))
+    split = min(math.floor(t), K) + 1  # weights w_0..w_{split-1} have k <= t
+    return np.concatenate([np.diff(pdtr(k[:split], t), prepend=0.0),
+                           -np.diff(tail[split - 1:K + 1])])
 
 
 def transient_distribution(chain: Chain, start: np.ndarray, t: float,

@@ -10,17 +10,19 @@ windows and a spectral sweep cut, both optionally improved by reattaching all
 but the largest complement component when a witness has a disconnected
 complement (that surgery preserves the cut edge set while growing the mass).
 
-The window bound works one tiling (a window radius and an axis offset) at a
-time with whole-array calls. Every vertex gets a window index; one
-connected-components pass over the edges whose ends share a window labels
-all window pieces at once, and ``bincount`` gives their sizes, degree sums
-and inner edge counts. Contracting each piece to a node gives the quotient
-graph Q, multi-edges kept. Pieces are disjoint connected sets, so the
-cluster minus a piece is connected iff Q minus the piece's node is; one
-connected-components pass over a block-diagonal batch, copy j being Q without
-node j, answers that for every recorded piece, and the same batch yields the
-reattached cut: the complement component of largest degree sum, its size,
-and its crossing, the Q-edges between it and the piece.
+The window bound works on a chunk of consecutive tilings (a window radius
+and an axis offset each) at once. Each tiling gets its own copy of the
+cluster, every vertex its window index; one connected-components pass over
+the edges whose ends share a window labels all window pieces of the chunk,
+and ``bincount`` gives their sizes, degree sums and inner edge counts.
+Contracting each piece to a node gives the quotient graph Q, multi-edges
+summed. Pieces are disjoint connected sets, so the cluster minus a piece
+falls apart exactly as Q minus the piece's node does: one depth-first search
+of Q (Tarjan 1972) finds, for every recorded piece at once, the subtrees no
+edge leads out of above the piece, and with prefix sums over preorder their
+degree sums and sizes. The reattached cut is the complement component of
+largest degree sum, its size, and its crossing, the Q-edges between it and
+the piece.
 """
 
 from __future__ import annotations
@@ -230,32 +232,6 @@ def cheeger_exact(chain: Chain, cap: int = EXHAUSTIVE_CAP) -> CheegerResult:
     )
 
 
-def cheeger_unrestricted(chain: Chain, cap: int = 16) -> Fraction:
-    """Brute-force Cheeger constant over all subsets (independent oracle)."""
-    if chain.m > cap:
-        raise CapacityError(f"{chain.m} vertices exceed the brute-force cap {cap}")
-    adj = _adjacency_bitmasks(chain)
-    deg = chain.degrees.tolist()
-    total = chain.total_degree
-    best = None
-    for mask in range(1, (1 << chain.m) - 1):
-        degsum = 0
-        inner2 = 0
-        mm = mask
-        while mm:
-            bit = mm & -mm
-            mm ^= bit
-            v = bit.bit_length() - 1
-            degsum += deg[v]
-            inner2 += (adj[v] & mask).bit_count()
-        if 2 * degsum > total:
-            continue
-        val = Fraction((degsum - inner2) * total, degsum * (total - degsum))
-        if best is None or val < best:
-            best = val
-    return best
-
-
 # ---------------------------------------------------------------------------
 # profiles
 
@@ -367,37 +343,6 @@ def profile_exact(chain: Chain, cap: int = EXHAUSTIVE_CAP) -> ConductanceProfile
     return ConductanceProfile.lower_envelope(list(best.values()), total, "exact")
 
 
-def profile_unrestricted(chain: Chain, cap: int = 16) -> dict:
-    """Brute-force profile over all subsets: degsum -> min conductance."""
-    if chain.m > cap:
-        raise CapacityError(f"{chain.m} vertices exceed the brute-force cap {cap}")
-    adj = _adjacency_bitmasks(chain)
-    deg = chain.degrees.tolist()
-    total = chain.total_degree
-    best = {}
-    for mask in range(1, (1 << chain.m) - 1):
-        degsum = 0
-        inner2 = 0
-        mm = mask
-        while mm:
-            bit = mm & -mm
-            mm ^= bit
-            v = bit.bit_length() - 1
-            degsum += deg[v]
-            inner2 += (adj[v] & mask).bit_count()
-        if 2 * degsum > total:
-            continue
-        val = Fraction((degsum - inner2) * total, degsum * (total - degsum))
-        if degsum not in best or val < best[degsum]:
-            best[degsum] = val
-    out = {}
-    running = None
-    for degsum in sorted(best):
-        running = best[degsum] if running is None else min(running, best[degsum])
-        out[degsum] = running
-    return out
-
-
 # ---------------------------------------------------------------------------
 # certified upper bounds at scale
 
@@ -418,8 +363,7 @@ def reattach_complement(chain: Chain, cut: CutValue) -> list:
     ncomp, labels = csgraph.connected_components(sub, directed=False)
     if ncomp <= 1:
         return []
-    weights = np.zeros(ncomp, dtype=np.int64)
-    np.add.at(weights, labels, chain.degrees[comp_idx])
+    weights = np.bincount(labels, weights=chain.degrees[comp_idx], minlength=ncomp)
     heavy = int(np.argmax(weights))
     heavy_idx = comp_idx[labels == heavy]
     if 2 * int(chain.degrees[heavy_idx].sum()) <= chain.total_degree:
@@ -447,9 +391,10 @@ def _window_offsets(d: int, k: int) -> list:
     return seen
 
 
-# Bound on copies x (quotient nodes + quotient edges) per batched complement
-# test, so memory stays bounded however many windows a tiling has.
-_BATCH_ENTRIES = 1 << 21
+# Bound on entries (vertices + edges, summed over the tilings) per chunk of
+# tilings handled together, so memory stays bounded however many tilings an
+# instance has.
+_BATCH_ENTRIES = 1 << 17
 
 
 def _window_ids(coords: np.ndarray, n: int, k: int, off: tuple) -> np.ndarray:
@@ -483,86 +428,167 @@ def _first_per_group(group: np.ndarray, *keys) -> np.ndarray:
     return order[lead]
 
 
-def _tiling_cuts(chain: Chain, wid: np.ndarray) -> np.ndarray:
-    """(crossing, degree sum, size) rows of one tiling's cuts, in window order.
+def _range_min(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """min(values[s:e]) for each nonempty range [s, e).
 
-    Every window contributes its largest piece (ties to the piece holding
-    the lowest vertex) when its mass is at most 1/2, followed by that
-    piece's reattached cut when the piece's complement is disconnected.
+    A sparse table built one level at a time: level j holds the minima of
+    the runs of length 2^j, and a range of length L is covered by two runs
+    of level floor(log2 L).
     """
+    out = np.empty(starts.size, dtype=values.dtype)
+    level = np.frexp(ends - starts)[1] - 1
+    table = values
+    for j in range(int(level.max()) + 1 if starts.size else 0):
+        if j:
+            half = 1 << (j - 1)
+            table = np.minimum(table[:-half], table[half:])
+        at = np.nonzero(level == j)[0]
+        out[at] = np.minimum(table[starts[at]], table[ends[at] - (1 << j)])
+    return out
+
+
+def _check_depth_first(q, order, disc, end, child, child_par, first) -> None:
+    """Raise unless ``order`` and its tree are a depth-first search of ``q``.
+
+    The order must be a preorder of the tree (each first child follows its
+    parent, each later child the previous sibling's subtree), so [disc, end)
+    are the subtrees, and every edge must join an ancestor to a descendant:
+    each node's latest neighbour in preorder lies inside its subtree.
+    """
+    follows = np.empty(child.size, dtype=np.int64)
+    follows[1:] = end[child[:-1]]
+    follows[first] = disc[child_par[first]] + 1
+    if (order.size != q.shape[0] or (disc[child] != follows).any()
+            or (np.maximum.reduceat(disc[q.indices], q.indptr[:-1]) >= end).any()):
+        raise RuntimeError("the traversal is not a depth-first search of the quotient graph")
+
+
+def _tiling_cuts(chain: Chain, wid: np.ndarray) -> np.ndarray:
+    """(crossing, degree sum, size) rows of the tilings' cuts, in tiling and window order.
+
+    ``wid`` holds one row of window ids per tiling. Every window contributes
+    its largest piece (ties to the piece holding the lowest vertex) when its
+    mass is at most 1/2, followed by that piece's reattached cut when the
+    piece's complement is disconnected.
+    """
+    wid = np.atleast_2d(wid)
+    c = wid.shape[0]
     m, total = chain.m, chain.total_degree
     eu, ev = chain.graph.edges_local.T
-    intra = (wid[eu] == wid[ev]) & (wid[eu] >= 0)
-    pieces = sparse.coo_matrix(
-        (np.ones(int(intra.sum()), dtype=np.int8), (eu[intra], ev[intra])), shape=(m, m)
-    )
-    # csgraph numbers components in the order of their lowest vertex, so
-    # piece labels and batch components below follow vertex order
+    # copy j of the cluster, one per tiling, holds nodes j*m .. j*m + m - 1
+    base = np.arange(c, dtype=np.int64)[:, None] * m
+    gu, gv = base + eu, base + ev
+    intra = (wid[:, eu] == wid[:, ev]) & (wid[:, eu] >= 0)
+    pieces = sparse.coo_matrix((np.ones(int(intra.sum()), dtype=np.int8), (gu[intra], gv[intra])),
+                               shape=(c * m, c * m))
+    # csgraph numbers components in the order of their lowest node, so piece
+    # labels follow (copy, lowest vertex)
     K, labels = csgraph.connected_components(pieces.tocsr(), directed=False)
-    low = np.unique(labels, return_index=True)[1]  # lowest vertex of each piece
+    low = np.unique(labels, return_index=True)[1]  # lowest node of each piece
     size = np.bincount(labels, minlength=K)
-    degsum = np.bincount(labels, weights=chain.degrees, minlength=K).astype(np.int64)
-    crossing = degsum - 2 * np.bincount(labels[eu[intra]], minlength=K)
+    degsum = np.bincount(labels, weights=np.tile(chain.degrees, c), minlength=K).astype(np.int64)
+    crossing = degsum - 2 * np.bincount(labels[gu[intra]], minlength=K)
 
-    in_window = np.nonzero(wid[low] >= 0)[0]
+    window = wid.ravel()[low]
+    in_window = np.nonzero(window >= 0)[0]
     if in_window.size == 0:
         return np.zeros((0, 3), dtype=np.int64)
-    chosen = in_window[_first_per_group(wid[low[in_window]], -size[in_window],
-                                        low[in_window])]
+    group = (low // m) * (int(wid.max()) + 1) + window
+    chosen = in_window[_first_per_group(group[in_window], -size[in_window], low[in_window])]
     chosen = chosen[2 * degsum[chosen] <= total]
     J = chosen.size
     out = np.zeros((J, 2, 3), dtype=np.int64)
     out[:, 0] = np.stack([crossing[chosen], degsum[chosen], size[chosen]], axis=1)
-    has_reattached = np.zeros(J, dtype=bool)
 
-    # Quotient graph Q: one node per piece, one edge per cluster edge between
-    # pieces. Pieces are disjoint connected sets, so the cluster minus piece P
-    # is connected iff Q minus node(P) is; each batch copy j is Q minus node j.
-    lu, lv = labels[eu[~intra]], labels[ev[~intra]]
-    q = sparse.coo_matrix((np.ones(lu.size, dtype=np.int64), (lu, lv)), shape=(K, K))
-    q = (q + q.T).tocsr()
-    qa, qb = sparse.triu(q).nonzero()
-    per_copy = K + qa.size
-    chunk = max(1, _BATCH_ENTRIES // per_copy)
-    for lo in range(0, J, chunk):
-        sel = np.arange(lo, min(lo + chunk, J))
-        P = chosen[sel]
-        c = sel.size
-        keep = (qa[None, :] != P[:, None]) & (qb[None, :] != P[:, None])
-        jj, ee = np.nonzero(keep)
-        batch = sparse.coo_matrix(
-            (np.ones(jj.size, dtype=np.int8), (jj * K + qa[ee], jj * K + qb[ee])),
-            shape=(c * K, c * K),
-        )
-        nc, bl = csgraph.connected_components(batch.tocsr(), directed=False)
-        comp_first = np.unique(bl, return_index=True)[1]
-        comp_copy = comp_first // K
-        # each copy holds its removed node's singleton plus the complement's parts
-        split = np.bincount(comp_copy, minlength=c) > 2
-        if not split.any():
-            continue
-        node_q = np.tile(np.arange(K), c)
-        removed = bl[np.arange(c) * K + P]
-        comp_deg = np.bincount(bl, weights=degsum[node_q], minlength=nc).astype(np.int64)
-        comp_deg[removed] = -1
-        comp_size = np.bincount(bl, weights=size[node_q], minlength=nc).astype(np.int64)
-        starts = q.indptr[P]
-        lens = q.indptr[P + 1] - starts
-        pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        owner = np.repeat(np.arange(c), lens)
-        comp_cross = np.bincount(bl[owner * K + q.indices[pos]], weights=q.data[pos],
-                                 minlength=nc).astype(np.int64)
-        # heaviest complement component, ties to the one holding the lowest vertex
-        heavy = _first_per_group(comp_copy, -comp_deg, comp_first)
-        heavy = heavy[split]
-        rows = sel[split]
-        h_deg, h_size = comp_deg[heavy], comp_size[heavy]
-        small = 2 * h_deg <= total
-        out[rows, 1, 0] = comp_cross[heavy]
-        out[rows, 1, 1] = np.where(small, h_deg, total - h_deg)
-        out[rows, 1, 2] = np.where(small, h_size, m - h_size)
-        has_reattached[rows] = True
-    emitted = np.stack([np.ones(J, dtype=bool), has_reattached], axis=1)
+    # Quotient graph Q: one node per piece, each cluster edge between pieces
+    # an edge (multi-edges summed), plus a root node R joined to each copy's
+    # first piece. Pieces are disjoint connected sets, so the cluster minus
+    # piece P has the components of Q minus P within P's copy.
+    R = K
+    lu, lv = labels[gu[~intra]], labels[gv[~intra]]
+    first_piece = labels[base[:, 0]]
+    rr = np.full(c, R)
+    q = sparse.csr_matrix(
+        (np.ones(2 * (lu.size + c), dtype=np.int64),
+         (np.concatenate([lu, lv, first_piece, rr]), np.concatenate([lv, lu, rr, first_piece]))),
+        shape=(K + 1, K + 1),
+    )
+    order, pred = csgraph.depth_first_order(q, R, directed=True, return_predecessors=True)
+    disc = np.empty(K + 1, dtype=np.int64)
+    disc[order] = np.arange(order.size)
+    # children sorted by (parent, preorder); the last child of each parent
+    # starts its parent's last subtree
+    kids = order[1:]
+    by_parent = np.argsort(disc[pred[kids]], kind="stable")
+    child = kids[by_parent]
+    child_par = pred[child]
+    first = np.ones(child.size, dtype=bool)
+    first[1:] = child_par[1:] != child_par[:-1]
+    last = np.append(first[1:], True)
+    # subtree of v is [disc[v], end[v]) in preorder: jump to the last descendant
+    deepest = np.arange(K + 1)
+    deepest[child_par[last]] = child[last]
+    while True:
+        nxt = deepest[deepest]
+        if np.array_equal(nxt, deepest):
+            break
+        deepest = nxt
+    end = disc[deepest] + 1
+    _check_depth_first(q, order, disc, end, child, child_par, first)
+
+    # removing P leaves the subtree of each child c with low[c] >= disc[P]
+    # (no edge from it climbs above P), plus the rest of P's copy unless P is
+    # the copy's root; the tree edge to the parent counts in low[c] harmlessly
+    lowval = np.minimum(disc, np.minimum.reduceat(disc[q.indices], q.indptr[:-1]))
+    row = np.full(K + 1, -1)
+    row[chosen] = np.arange(J)
+    mine = row[child_par] >= 0
+    ck, cp = child[mine], child_par[mine]
+    sep = _range_min(lowval[order], disc[ck], end[ck]) >= disc[cp]
+    sc = ck[sep]
+    owner = row[cp[sep]]
+    cum_deg = np.concatenate([[0], np.cumsum(np.append(degsum, 0)[order])])
+    cum_size = np.concatenate([[0], np.cumsum(np.append(size, 0)[order])])
+    sep_deg = cum_deg[end[sc]] - cum_deg[disc[sc]]
+    sep_size = cum_size[end[sc]] - cum_size[disc[sc]]
+    has_rest = pred[chosen] != R
+    rest_deg = total - degsum[chosen] - np.bincount(owner, sep_deg, J).astype(np.int64)
+    rest_size = m - size[chosen] - np.bincount(owner, sep_size, J).astype(np.int64)
+    split = np.nonzero(np.bincount(owner, minlength=J) + has_rest >= 2)[0]
+    if split.size == 0:
+        return out[:, 0]
+
+    # component slots: j for the rest of piece j, J + i for separated child i
+    slot = np.full(K + 1, -1)
+    slot[sc] = J + np.arange(sc.size)
+    P = chosen[split]
+    starts = q.indptr[P]
+    lens = q.indptr[P + 1] - starts
+    pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    near, far, mult = np.repeat(P, lens), q.indices[pos], q.data[pos]
+    real = far != R
+    near, far, mult = near[real], far[real], mult[real]
+    comp = row[near]
+    below = (disc[far] > disc[near]) & (disc[far] < end[near])
+    key = disc[child_par] * (K + 1) + disc[child]
+    hit = child[np.searchsorted(key, disc[near[below]] * (K + 1) + disc[far[below]], "right") - 1]
+    comp[below] = np.where(slot[hit] >= 0, slot[hit], comp[below])
+    comp_cross = np.bincount(comp, weights=mult, minlength=J + sc.size).astype(np.int64)
+    comp_owner = np.concatenate([np.arange(J), owner])
+    comp_deg = np.concatenate([np.where(has_rest, rest_deg, -1), sep_deg])
+    comp_size = np.concatenate([rest_size, sep_size])
+    # the rest holds its copy's first piece, the lowest of all
+    comp_low = np.concatenate([np.full(J, -1), _range_min(order, disc[sc], end[sc])])
+    # heaviest complement component, ties to the one holding the lowest piece
+    heavy = _first_per_group(comp_owner, -comp_deg, comp_low)[split]
+    h_deg, h_size = comp_deg[heavy], comp_size[heavy]
+    small = 2 * h_deg <= total
+    out[split, 1, 0] = comp_cross[heavy]
+    out[split, 1, 1] = np.where(small, h_deg, total - h_deg)
+    out[split, 1, 2] = np.where(small, h_size, m - h_size)
+    emitted = np.zeros((J, 2), dtype=bool)
+    emitted[:, 0] = True
+    emitted[split, 1] = True
     return out[emitted]
 
 
@@ -570,18 +596,21 @@ def profile_upper_box(chain: Chain, config=None, k_values=None) -> ConductancePr
     """Upper-bound conductance profile from translated sub-box windows.
 
     For each window radius k < n the box is tiled by disjoint translates
-    (side 2k+1) at a few axis offsets. Each tiling costs a few whole-array
-    calls: every vertex gets its window index, one connected-components pass
-    over the edges inside windows labels every window piece, and ``bincount``
-    gives the pieces' sizes, degree sums and crossing counts. The largest
-    piece of each window is recorded. Contracting every piece to a node gives
-    the quotient graph Q; a piece's complement in the cluster is connected iff
-    Q without the piece's node is, which one connected-components pass over a
-    block-diagonal batch of such copies decides for all recorded pieces at
-    once. When it is not, the complement's heaviest component (or the set
-    around it) is recorded too, with crossing equal to the Q-edges between
-    it and the piece. Every recorded point dominates the true profile at its
-    mass.
+    (side 2k+1) at a few axis offsets. Tilings run in chunks of about
+    ``_BATCH_ENTRIES`` vertices and edges, each a few whole-array calls: every
+    vertex of every tiling's copy of the cluster gets its window index, one
+    connected-components pass over the edges inside windows labels every
+    window piece, and ``bincount`` gives the pieces' sizes, degree sums and
+    crossing counts. The largest piece of each window is recorded.
+    Contracting every piece to a node gives the quotient graph Q, plus a root
+    joined to each copy's first piece; one depth-first search of Q gives each
+    node's subtree as a preorder range and its low-link, the earliest node an
+    edge from the subtree reaches. Removing a piece P leaves the subtrees of
+    the children whose low-link does not climb above P, and the rest of P's
+    copy unless P is its root. When that is more than one component, the
+    heaviest (or the set around it) is recorded too, with crossing equal to
+    the Q-edges between it and P. Every recorded point dominates the true
+    profile at its mass.
     """
     graph = chain.graph
     if graph.box is None or graph.coords is None:
@@ -593,10 +622,12 @@ def profile_upper_box(chain: Chain, config=None, k_values=None) -> ConductancePr
     for k in ks:
         if not 1 <= k < n:
             raise DomainError(f"window radius {k} outside [1, n)")
+    tilings = [(k, off) for k in ks for off in _window_offsets(d, k)]
+    step = max(1, _BATCH_ENTRIES // (chain.m + graph.edges_local.shape[0]))
     cuts = [np.zeros((0, 3), dtype=np.int64)]
-    for k in ks:
-        for off in _window_offsets(d, k):
-            cuts.append(_tiling_cuts(chain, _window_ids(graph.coords, n, k, off)))
+    for lo in range(0, len(tilings), step):
+        wid = np.stack([_window_ids(graph.coords, n, k, off) for k, off in tilings[lo:lo + step]])
+        cuts.append(_tiling_cuts(chain, wid))
     return ConductanceProfile.lower_envelope(np.concatenate(cuts), chain.total_degree,
                                              "upper-bound")
 
@@ -616,9 +647,8 @@ def sweep_cut(chain: Chain, spectral: SpectralResult | None = None) -> CutValue:
     edges = chain.graph.edges_local
     r_lo = np.minimum(rank[edges[:, 0]], rank[edges[:, 1]])
     r_hi = np.maximum(rank[edges[:, 0]], rank[edges[:, 1]])
-    diff = np.zeros(chain.m + 1, dtype=np.int64)
-    np.add.at(diff, r_lo + 1, 1)
-    np.add.at(diff, r_hi + 1, -1)
+    diff = (np.bincount(r_lo + 1, minlength=chain.m + 1)
+            - np.bincount(r_hi + 1, minlength=chain.m + 1))
     crossing = np.cumsum(diff)[1:chain.m]  # prefix sizes 1..m-1
     degsum = np.cumsum(chain.degrees[order])[: chain.m - 1]
     total = chain.total_degree

@@ -22,12 +22,12 @@ import numpy as np
 import pytest
 
 import percmix as pm
-from percmix.conductance import cheeger_unrestricted
 from percmix.errors import EmptyClusterError
 from percmix.experiments import ExperimentConfig, default_preset, run_instance, run_scaling
 from percmix.fitting import fit_loglog, fit_loglog_geomean
 from percmix.fixtures import cycle_graph, single_edge
 from percmix.geometry import classify_good_vertices
+from test_conductance import cheeger_unrestricted
 
 E_INV = math.exp(-1.0)
 

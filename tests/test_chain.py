@@ -246,14 +246,24 @@ def test_transient_semigroup_property(t1, t2):
 
 # the times of the slow-chain examples of the partial-mode kernel test, and
 # the default tolerance at a long time
-@pytest.mark.parametrize("t, tol", [(5959.767380972155, 1e-12),
-                                    (1939.8138785023598, 1e-12), (3e5, 1e-10)])
+LONG_POISSON_TIMES = [(5959.767380972155, 1e-12), (1939.8138785023598, 1e-12), (3e5, 1e-10)]
+
+
+@pytest.mark.parametrize("t, tol", LONG_POISSON_TIMES)
 def test_poisson_weights_stop_at_the_first_small_tail(t, tol):
     # 1 - sum(w) rounds to above tol at every depth here; a search on it
     # grows its depth until memory runs out
     w = _poisson_weights(t, tol)
     assert pdtrc(w.size - 1, t) < tol <= pdtrc(w.size - 2, t)
     assert abs(w.sum() - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("t, tol", LONG_POISSON_TIMES)
+def test_poisson_weights_miss_exactly_their_tail(t, tol):
+    # weights from exp(k log t - t - log k!) are off by about eps * t each,
+    # which at t = 3e5 leaves 1 - sum(w) four times the true tail
+    w = _poisson_weights(t, tol)
+    assert abs(1.0 - w.sum() - pdtrc(w.size - 1, t)) <= tol / 10
 
 
 def test_poisson_weights_raise_past_their_proven_depth():

@@ -15,10 +15,9 @@ from percmix.conductance import (
     EXHAUSTIVE_CAP,
     ConductanceProfile,
     ProfilePoint,
+    _adjacency_bitmasks,
     _window_offsets,
-    cheeger_unrestricted,
     connected_subsets,
-    profile_unrestricted,
     reattach_complement,
 )
 from percmix.caps import DENSE_CAP
@@ -34,9 +33,9 @@ from percmix.fixtures import (
 from percmix.spectral import SpectralResult
 
 
-def cluster_chain(n, p=0.7, seed=0):
+def cluster_chain(n, p=0.7, seed=0, d=2):
     return pm.build_chain(pm.largest_cluster(
-        pm.sample_bond_config(pm.BoxSpec(2, n), p, seed)
+        pm.sample_bond_config(pm.BoxSpec(d, n), p, seed)
     ))
 
 
@@ -53,6 +52,42 @@ def tiny_random_chains(count, max_vertices=14, start_seed=0):
         if 2 <= cluster.num_vertices <= max_vertices:
             chains.append(pm.build_chain(cluster))
     return chains
+
+
+def profile_unrestricted(chain, cap=16):
+    """Brute-force profile over all subsets: degsum -> min conductance."""
+    if chain.m > cap:
+        raise CapacityError(f"{chain.m} vertices exceed the brute-force cap {cap}")
+    adj = _adjacency_bitmasks(chain)
+    deg = chain.degrees.tolist()
+    total = chain.total_degree
+    best = {}
+    for mask in range(1, (1 << chain.m) - 1):
+        degsum = 0
+        inner2 = 0
+        mm = mask
+        while mm:
+            bit = mm & -mm
+            mm ^= bit
+            v = bit.bit_length() - 1
+            degsum += deg[v]
+            inner2 += (adj[v] & mask).bit_count()
+        if 2 * degsum > total:
+            continue
+        val = Fraction((degsum - inner2) * total, degsum * (total - degsum))
+        if degsum not in best or val < best[degsum]:
+            best[degsum] = val
+    out = {}
+    running = None
+    for degsum in sorted(best):
+        running = best[degsum] if running is None else min(running, best[degsum])
+        out[degsum] = running
+    return out
+
+
+def cheeger_unrestricted(chain, cap=16):
+    """Brute-force Cheeger constant over all subsets (independent oracle)."""
+    return min(profile_unrestricted(chain, cap).values())
 
 
 def test_set_conductance_four_cycle():
@@ -400,9 +435,12 @@ def test_profile_upper_box_matches_per_window_reference(tmp_path, d, data, p, se
     assert_matches_reference(pm.build_chain(cluster), tmp_path, k_values)
 
 
-@pytest.mark.parametrize("n,seed", [(12, 0), (16, 1)])
-def test_profile_upper_box_matches_reference_at_preset_sizes(tmp_path, n, seed):
-    assert_matches_reference(cluster_chain(n, seed=seed), tmp_path)
+# d=3 at p=0.4 (p_c ~ 0.249) so that complements split; the property test
+# stops at n=4 there
+@pytest.mark.parametrize("n,seed,d,p", [(12, 0, 2, 0.7), (16, 1, 2, 0.7), (6, 0, 3, 0.4)],
+                         ids=["12-0", "16-1", "d3-6-0"])
+def test_profile_upper_box_matches_reference_at_preset_sizes(tmp_path, n, seed, d, p):
+    assert_matches_reference(cluster_chain(n, p, seed, d), tmp_path)
 
 
 def test_profile_upper_box_batches_in_chunks(tmp_path, monkeypatch):
@@ -410,6 +448,26 @@ def test_profile_upper_box_batches_in_chunks(tmp_path, monkeypatch):
     whole = csv_bytes(pm.profile_upper_box(ch), tmp_path / "whole.csv")
     monkeypatch.setattr(conductance_module, "_BATCH_ENTRIES", 1)
     assert csv_bytes(pm.profile_upper_box(ch), tmp_path / "chunked.csv") == whole
+
+
+def test_chunk_boundary_inside_one_radius(tmp_path, monkeypatch):
+    # two tilings per chunk, and k=1 has three offsets, so the second chunk
+    # holds the last tiling of k=1 and the first of k=2
+    ch = cluster_chain(9, seed=3)
+    whole = csv_bytes(pm.profile_upper_box(ch), tmp_path / "whole.csv")
+    assert len(_window_offsets(2, 1)) == 3
+    monkeypatch.setattr(conductance_module, "_BATCH_ENTRIES",
+                        2 * (ch.m + ch.graph.edges_local.shape[0]))
+    assert csv_bytes(pm.profile_upper_box(ch), tmp_path / "chunked.csv") == whole
+
+
+def test_traversal_that_is_not_depth_first_is_refused(monkeypatch):
+    # a breadth-first tree leaves edges between cousins on a full grid
+    ch = pm.build_chain(full_box_cluster(2, 3))
+    monkeypatch.setattr(conductance_module.csgraph, "depth_first_order",
+                        csgraph.breadth_first_order)
+    with pytest.raises(RuntimeError, match="not a depth-first search"):
+        pm.profile_upper_box(ch)
 
 
 def polyline_chain(n, polylines, mirror=False):
@@ -473,4 +531,51 @@ def test_complement_with_two_equal_heaviest_components(mirror):
     assert ncomp == 2
     assert [int(ch.degrees[rest[labels == j]].sum()) for j in range(2)] == [9, 9]
     assert sorted(np.bincount(labels).tolist()) == [4, 5]
+    assert_tilings_match_reference(ch)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_piece_joined_to_its_neighbour_by_two_edges(mirror):
+    # the central piece hangs off the piece to its right by two cluster
+    # edges, so that double edge is the tree edge in every depth-first
+    # search, and removing the central piece splits nothing
+    ch = polyline_chain(4, [
+        [(-1, 0), (0, 0), (1, 0), (1, 1), (2, 1), (2, 0), (1, 0)],
+        [(2, 0), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3), (3, 3), (2, 3)],
+    ], mirror)
+    piece = center_window(ch)
+    eu, ev = ch.graph.edges_local.T
+    inside = np.isin(np.arange(ch.m), piece)
+    cut = inside[eu] != inside[ev]
+    outside = np.where(inside[eu[cut]], ev[cut], eu[cut])
+    assert outside.size == 2
+    assert (np.abs(ch.graph.coords[outside][:, 0]) == 2).all()
+    assert pm.set_conductance(ch, piece).ac_connected
+    assert_tilings_match_reference(ch)
+
+
+@pytest.mark.parametrize("line, splits", [
+    # arms above and to the right of the central piece
+    ([(-1, 4), (-1, 3), (-1, 2), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1), (2, -1),
+      (3, -1), (4, -1), (4, 0), (4, 1)], True),
+    # one arm, leaving the central piece's complement connected
+    ([(-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (2, 1), (3, 1), (4, 1), (4, 2), (4, 3),
+      (4, 4)], False),
+], ids=["two-arms", "one-arm"])
+def test_chosen_piece_at_the_traversal_root(line, splits):
+    # the central piece holds vertex 0, whose piece the search starts from
+    ch = polyline_chain(4, [line])
+    piece = center_window(ch)
+    assert 0 in piece
+    assert pm.set_conductance(ch, piece).ac_connected != splits
+    assert_tilings_match_reference(ch)
+
+
+def test_every_interior_piece_of_a_path_splits():
+    # a snake through the whole box: the cluster is a path, so removing any
+    # piece that does not hold an end disconnects it
+    rows = [[(x, y) for x in (range(-4, 5) if (y + 4) % 2 == 0 else range(4, -5, -1))]
+            for y in range(-4, 5)]
+    ch = polyline_chain(4, [[v for row in rows for v in row]])
+    assert ch.m == 81 and ch.graph.edges_local.shape[0] == 80
     assert_tilings_match_reference(ch)
