@@ -11,7 +11,12 @@ above SPARSE_EIGEN_MIN vertices one sparse shift-invert Lanczos solve,
 certified complete by Sylvester's law of inertia (`Chain.eigenpairs_above`),
 with the dense eigendecomposition as fallback up to MATRIX_HARD_CAP. The
 kernel is the rank-k product D^{-1/2} A A^T D^{1/2}; a probe makes its rows
-in blocks and never holds it whole. The mixing search needs no probe below a
+in blocks, one matrix product each, and never holds it whole. Row x lies
+within chi_x / 2 of pi in TV, chi_x its chi-square distance from the
+k-vectors, so a probe makes rows in decreasing order of chi_x and stops once
+no row left can reach the distance it computes (`_row_pass`): at d=2 n=21,
+about a quarter of the rows for the distance to stationarity and half for
+the pairwise sup. The mixing search needs no probe below a
 lower bound on the crossing of e^{-1}: the relaxation time tau2 for the
 pairwise profile, (1 - ln 2) tau2 for the distance to stationarity.
 
@@ -285,48 +290,102 @@ def _row_blocks(m: int, rows: int):
     return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
-def _kernel_rows(a: np.ndarray, sqrt_pi: np.ndarray, rows) -> tuple:
-    """Rows of the row-stochastic e^{tQ} = D^{-1/2} A A^T D^{1/2}, and their sums.
+def _tv_to(rows: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Half the L1 distance from each row to each reference row, in one C pass."""
+    # imported here: scipy.spatial adds about 4 MB and 60 ms to the import
+    # of percmix, and only the mixing probes use it
+    from scipy.spatial.distance import cdist
 
-    The row normalisation absorbs D^{-1/2}. By Cauchy-Schwarz with weights pi,
+    return 0.5 * cdist(rows, refs, "cityblock")
+
+
+class _KernelRows:
+    """The deviation rows K(x, .) - pi of one probe kernel, made on demand.
+
+    K = e^{tQ} = D^{-1/2} A A^T D^{1/2} is normalised to be row-stochastic:
+    row x of A A^T D^{1/2} sums to s_x = A_x . (A^T sqrt(pi)), an O(mk)
+    product. With 1/s folded into A and -pi appended as one more mode, a
+    block of rows minus pi is one product [A/s, 1][rows] [A^T D^{1/2}; -pi^T];
+    the normalisation absorbs D^{-1/2}. By Cauchy-Schwarz with weights pi,
     the modes left out of A move row x by at most pi(x)^{-1/2} tol/m in L1,
     which is below tol * sqrt(deg_max / deg_min).
+
+    The weighted deviation (K(x, .) - pi) / sqrt(pi) of a row is
+    sum_j coords[x, j] v_j over the k orthonormal modes v_j; the stationary
+    mode's coordinate is shifted by its sign, which leaves every difference
+    unchanged. ``made`` counts the rows made.
     """
-    block = a[rows] @ a.T
-    block *= sqrt_pi
-    sums = block.sum(axis=1)
-    block /= sums[:, None]
-    return block, sums
+
+    def __init__(self, chain: Chain, t: float, tol: float):
+        a, decay = _probe_modes(chain, t, tol)
+        m, k = a.shape
+        self.right = np.vstack([a.T * np.sqrt(chain.pi), -chain.pi])
+        self.left = np.ones((m, k + 1))
+        self.left[:, :k] = a / (a @ self.right[:k].sum(axis=1))[:, None]
+        self.coords = self.left[:, :k] * np.sqrt(decay)
+        self.coords[:, -1] -= math.copysign(1.0, self.coords[0, -1])
+        self.made = 0
+
+    def __call__(self, idx: np.ndarray) -> np.ndarray:
+        m = self.right.shape[1]
+        out = np.empty((idx.size, m))
+        for lo, hi in _row_blocks(m, idx.size):
+            np.matmul(self.left[idx[lo:hi]], self.right, out=out[lo:hi])
+        self.made += idx.size
+        return out
 
 
-def _kernel_pass(a: np.ndarray, pi: np.ndarray, pivot: int | None = None) -> tuple:
-    """One pass over the kernel rows in blocks.
+def _row_pass(dev_rows, coords: np.ndarray, pairwise: bool, step: int) -> tuple:
+    """The kernel rows a probe needs, in decreasing order of their chi-square bound.
 
-    Returns each row's TV distance to stationarity r, each row's sum before
-    normalisation and, given a pivot start, the TV distance from the pivot's
-    row to every row (else None).
+    Row x lies within ub_x = chi_x / 2 (plus rounding slack) of pi in TV, by
+    Cauchy-Schwarz with weights pi, chi_x being the norm of ``coords[x]``.
+    Rows are made ``step`` at a time from the largest ub down, keeping R,
+    the largest distance r to pi so far, and in pairwise mode the TV distance
+    from the first row (the pivot) to each, whose maximum is the incumbent;
+    one `_tv_to` call gives a block's distances to both.
+    The pass stops before the row with bound ub once no row from there on
+    can matter: ub <= R for the distance to stationarity, and
+    ub + max(R, ub) <= incumbent for the pairwise sup, since TV_ij <= r_i + r_j.
+
+    Returns C, the rows made in ascending order, with their r and, in
+    pairwise mode, their distances to the pivot (else None).
     """
-    m = a.shape[0]
-    sqrt_pi = np.sqrt(pi)
-    r, sums = np.empty(m), np.empty(m)
-    tv_pivot = None
-    if pivot is not None:
-        pivot_dev = _kernel_rows(a, sqrt_pi, [pivot])[0][0] - pi
-        tv_pivot = np.empty(m)
-    for lo, hi in _row_blocks(m, m):
-        dev, sums_block = _kernel_rows(a, sqrt_pi, slice(lo, hi))
-        sums[lo:hi] = sums_block
-        dev -= pi
-        if tv_pivot is not None:
-            tv_pivot[lo:hi] = 0.5 * np.abs(dev - pivot_dev).sum(axis=1)
-        np.abs(dev, out=dev)
-        r[lo:hi] = 0.5 * dev.sum(axis=1)
-    return r, sums, tv_pivot
+    chi = np.sqrt((coords * coords).sum(axis=1))
+    ub = 0.5 * chi * (1.0 + 1e-9) + 1e-12
+    order = np.argsort(-ub, kind="stable")
+    m = order.size
+    r = np.empty(m)
+    tv_pivot = np.empty(m) if pairwise else None
+    refs = None
+    best = top = 0.0
+    done = 0
+    while done < m:
+        hi = min(done + step, m)
+        dev = dev_rows(order[done:hi])
+        if refs is None:  # pi and, in pairwise mode, the pivot's row, as deviations
+            refs = np.vstack([np.zeros(dev.shape[1]), dev[0]])[:1 + pairwise]
+        dist = _tv_to(dev, refs)
+        r[done:hi] = dist[:, 0]
+        top = max(top, float(dist[:, 0].max()))
+        if pairwise:
+            tv_pivot[done:hi] = dist[:, 1]
+            best = max(best, float(dist[:, 1].max()))
+        done = hi
+        if done < m:
+            nxt = float(ub[order[done]])
+            if (nxt + max(top, nxt) <= best) if pairwise else nxt <= top:
+                break
+    c = np.argsort(order[:done], kind="stable")
+    return order[:done][c], r[c], None if tv_pivot is None else tv_pivot[c]
 
 
-def _distance_to_stationarity(chain: Chain, t: float, tol: float) -> float:
-    """Worst TV distance of a start's time-t law from pi: one pass over the rows."""
-    r = _kernel_pass(_probe_modes(chain, t, tol)[0], chain.pi)[0]
+def _distance_to_stationarity(chain: Chain, t: float, tol: float,
+                              rows: _KernelRows | None = None) -> float:
+    """Worst TV distance of a start's time-t law from pi: one ordered row pass."""
+    if rows is None:
+        rows = _KernelRows(chain, t, tol)
+    r = _row_pass(rows, rows.coords, False, max(1, _BLOCK_ENTRIES // chain.m))[1]
     return min(1.0, float(r.max()))
 
 
@@ -339,27 +398,33 @@ def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarr
     - TV_ij <= r_i + r_j, with r the distances to stationarity, drops every
       row too close to stationarity to beat the incumbent;
     - TV_ij <= TV_ip + TV_pj through the pivot row p;
+    - TV_ij <= TV_iq + TV_qj through a second pivot q, the kept row farthest
+      from p, whose distances come from the kept rows;
     - TV_ij <= chi_ij / 2 for the kept rows (Cauchy-Schwarz with weights pi),
       where chi_ij = ||coords_i - coords_j|| comes from a Gram product: the
       rows of ``coords`` must be isometric to the weighted deviations
       (K(x, .) - pi) / sqrt(pi);
     - ``prior(i, j)``, upper bounds known from elsewhere (inf where none).
 
-    The remaining pairs are evaluated exactly, from the kept rows minus pi
-    (``dev_rows(keep)``), in batches of ``chunk`` in decreasing order of
-    bound, until no bound beats the best exact value. Every discard is
-    certified by a bound, so the result is the exact maximum. Returns it with
-    the evaluated pairs (i, j, TV_ij), i < j.
+    The kept rows minus pi (``dev_rows(keep)``) are made once, before the
+    bounds. The remaining pairs are evaluated exactly from them, in batches
+    of ``chunk`` in decreasing order of bound, until no bound beats the best
+    exact value. Every discard is certified by a bound, so the result is the
+    exact maximum. Returns it with the evaluated pairs (i, j, TV_ij), i < j;
+    the distances to q raise the incumbent but are not among them.
     """
     best = float(tv_pivot.max())
     keep = np.nonzero(r > best - float(r.max()) - 1e-12)[0]
     if keep.size < 2:
         none = np.empty(0, dtype=np.intp)
         return min(1.0, best), (none, none, np.empty(0))
-    c = coords[keep]
-    sq = (c * c).sum(axis=1)
+    rows = dev_rows(keep)
     rk = r[keep]
     tk = tv_pivot[keep]
+    tq = _tv_to(rows, rows[int(np.argmax(tk))][None])[:, 0]
+    best = max(best, float(tq.max()))
+    c = coords[keep]
+    sq = (c * c).sum(axis=1)
     found = []
     for lo in range(0, keep.size - 1, _GRAM_ROWS):
         hi = min(lo + _GRAM_ROWS, keep.size)
@@ -370,6 +435,7 @@ def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarr
         # the pass, the exact values from rows made again
         np.minimum(bound, rk[lo:hi, None] + rk[lo:] + 1e-12, out=bound)
         np.minimum(bound, tk[lo:hi, None] + tk[lo:] + 1e-12, out=bound)
+        np.minimum(bound, tq[lo:hi, None] + tq[lo:] + 1e-12, out=bound)
         i, j = np.nonzero(np.triu(bound > best, k=1))
         found.append((i + lo, j + lo, bound[i, j]))
     i, j, bound = (np.concatenate(parts) for parts in zip(*found))
@@ -380,7 +446,6 @@ def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarr
     order = np.argsort(-bound, kind="stable")
     i, j, neg_bound = i[order], j[order], -bound[order]
 
-    rows = dev_rows(keep)
     done = 0
     tv = np.empty(i.size)
     while True:
@@ -397,34 +462,33 @@ def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarr
     return min(1.0, best), (keep[i[:done]], keep[j[:done]], tv[:done])
 
 
-def _pairwise_distance(chain: Chain, t: float, tol: float, prior=None) -> tuple:
+def _pairwise_sup(dev_rows, coords: np.ndarray, chunk: int, prior=None) -> tuple:
+    """Exact sup over start pairs of the TV distance between kernel rows.
+
+    `_row_pass` makes the rows that can matter, C, and `_pair_search` finds
+    the sup over pairs in C; no pair with a row outside C can beat it. Returns
+    the sup with the evaluated pairs (i, j, TV_ij), i < j, in global indices.
+    """
+    made, r, tv_pivot = _row_pass(dev_rows, coords, True, chunk)
+    local_prior = None if prior is None else lambda i, j: prior(made[i], made[j])
+    best, (i, j, tv) = _pair_search(lambda idx: dev_rows(made[idx]), coords[made], r,
+                                    tv_pivot, chunk, local_prior)
+    return best, (made[i], made[j], tv)
+
+
+def _pairwise_distance(chain: Chain, t: float, tol: float, prior=None,
+                       rows: _KernelRows | None = None) -> tuple:
     """Worst TV distance between two starts at time t, and the pairs evaluated.
 
-    One pass makes the kernel rows in blocks, with their distances to pi and
-    to a pivot: the start with the largest chi-square distance to pi as the
-    modes give it. The weighted deviation (K(x, .) - pi) / sqrt(pi) of a row
-    is sum_j coords[x, j] v_j over the k orthonormal modes v_j, so k-vectors
-    give the chi-square pair bounds; the stationary mode's coordinate is
-    shifted by its sign, which leaves every difference unchanged. Only the
-    rows kept by `_pair_search` are made again, and held (keep x m).
+    The rows come from one `_KernelRows` maker: an ordered pass makes those
+    whose chi-square bound can still reach the incumbent, its first row (the
+    largest chi-square distance to pi) is the pivot, and the k-vectors
+    ``coords`` give the chi-square pair bounds. Only the rows kept by
+    `_pair_search` are made again, and held (keep x m).
     """
-    a, decay = _probe_modes(chain, t, tol)
-    pi = chain.pi
-    sqrt_pi = np.sqrt(pi)
-    pivot = int(np.argmax((a[:, :-1] ** 2 * decay[:-1]).sum(axis=1) / pi))
-    r, sums, tv_pivot = _kernel_pass(a, pi, pivot)
-    coords = a * np.sqrt(decay) / sums[:, None]
-    coords[:, -1] -= math.copysign(1.0, coords[0, -1])
-
-    def dev_rows(idx):
-        out = np.empty((idx.size, chain.m))
-        for lo, hi in _row_blocks(chain.m, idx.size):
-            out[lo:hi] = _kernel_rows(a, sqrt_pi, idx[lo:hi])[0]
-        out -= pi
-        return out
-
-    chunk = max(1, _BLOCK_ENTRIES // chain.m)
-    return _pair_search(dev_rows, coords, r, tv_pivot, chunk, prior)
+    if rows is None:
+        rows = _KernelRows(chain, t, tol)
+    return _pairwise_sup(rows, rows.coords, max(1, _BLOCK_ENTRIES // chain.m), prior)
 
 
 class _PairCache:
@@ -479,7 +543,8 @@ class MixingResult:
     ``error_bound`` bounds the numerical error of d(t_lo) and d(t_hi); it is
     NaN where it was not computed, which leaves the result uncertified.
     ``pairs_evaluated`` counts the start pairs whose distance the pairwise
-    probes evaluated exactly after pruning, summed over the probes.
+    probes evaluated exactly after pruning, and ``rows_made`` the kernel rows
+    the probes made, each summed over the probes.
     """
 
     tau1: float
@@ -493,6 +558,7 @@ class MixingResult:
     trace: list = field(default_factory=list)  # (t, d) pairs in time order
     error_bound: float = math.nan
     pairs_evaluated: int = 0
+    rows_made: int = 0
 
     @property
     def certified(self) -> bool:
@@ -520,9 +586,11 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
 
     Each probe kernel is made directly at its time from the modes with
     e^{t lambda} > tol/m, so ``tol`` bounds the truncation as the Poisson
-    tolerance does. A probe makes the kernel rows in blocks: stationarity
-    mode is that one pass, and pairwise mode then searches the start pairs
-    (`_pair_search`), holding only the rows it keeps. Within one call, each
+    tolerance does. A probe makes the kernel rows in blocks, in decreasing
+    order of their chi-square bound, until no row left can matter
+    (`_row_pass`): stationarity mode is that one pass, and pairwise mode then
+    searches the pairs of the rows made (`_pair_search`), holding only the
+    rows it keeps. ``rows_made`` counts every row made. Within one call, each
     pair distance evaluated at a time s bounds that pair at every later
     probe time t by TV(s) + E(s) + E(t) (`_PairCache`), E being the error
     bound below. Each probe still finds the exact sup, and the trace holds
@@ -551,8 +619,8 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         )
     if mode not in ("pairwise", "stationarity"):
         raise DomainError(f"unknown mixing mode {mode!r}")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if tau2_hint is None:
         from .spectral import spectral_gap  # spectral builds on this module
 
@@ -561,8 +629,8 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         raise DomainError(f"tau2_hint must be positive, got {tau2_hint}")
     if resolution is None:
         resolution = max(1e-3, 1e-3 * tau2_hint)
-    if resolution <= 0:
-        raise DomainError("resolution must be positive")
+    if not 0.0 < resolution < math.inf:
+        raise DomainError(f"resolution must be positive and finite, got {resolution}")
     if t_max is None:
         t_max = 100.0 * chain.m**2
 
@@ -581,24 +649,28 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
             rounding = math.sqrt(chain.m * ratio) * (chain.m * eps + t * residual)
             return 2.0 * (math.sqrt(ratio) * tol + rounding)
 
-        def distance(t):
+        def distance(t, rows):
             err = error_bound(t)
             d, pairs = _pairwise_distance(
-                chain, t, tol, prior=lambda i, j: cache.bound(t, err, i, j))
+                chain, t, tol, prior=lambda i, j: cache.bound(t, err, i, j), rows=rows)
             cache.add(t, err, *pairs)
             return d
 
         t_lo = float(tau2_hint)
     else:
-        distance = lambda t: _distance_to_stationarity(chain, t, tol)
+        distance = lambda t, rows: _distance_to_stationarity(chain, t, tol, rows)
         error_bound = lambda t: math.nan
         t_lo = (1.0 - math.log(2.0)) * tau2_hint
 
     thr = TV_THRESHOLD
     trace = {}
+    rows_made = 0
 
     def evaluate(t):
-        d = distance(t)
+        nonlocal rows_made
+        rows = _KernelRows(chain, t, tol)
+        d = distance(t, rows)
+        rows_made += rows.made
         trace[t] = d
         return d
 
@@ -642,7 +714,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         tau1=(t_lo + t_hi) / 2.0, t_lo=t_lo, t_hi=t_hi, d_lo=d_lo, d_hi=d_hi,
         mode=mode, resolution=resolution, poisson_tol=tol,
         trace=sorted(trace.items()), error_bound=error_bound(t_hi),
-        pairs_evaluated=cache.evaluated,
+        pairs_evaluated=cache.evaluated, rows_made=rows_made,
     )
     result.check_monotone()
     return result

@@ -71,10 +71,12 @@ class ExperimentConfig:
             raise DomainError(f"p must be in (0, 1], got {self.p}")
         if not self.n_list:
             raise DomainError("n_list must be nonempty")
-        if list(self.n_list) != sorted(self.n_list):
-            raise DomainError("n_list must be ascending")
+        if any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
+            raise DomainError(f"n_list must be strictly ascending, got {list(self.n_list)}")
         if not self.seed_list:
             raise DomainError("seed_list must be nonempty")
+        if len(set(self.seed_list)) != len(self.seed_list):
+            raise DomainError(f"seed_list repeats: {list(self.seed_list)}")
         if not self.quantities:
             raise DomainError("at least one quantity is required")
         unknown = set(self.quantities) - set(QUANTITIES)
@@ -86,11 +88,12 @@ class ExperimentConfig:
             raise DomainError(f"unknown mixing mode {self.mode!r}")
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
-        if not self.poisson_tol > 0.0:
-            raise DomainError(f"poisson_tol must be positive, got {self.poisson_tol}")
-        if not self.resolution_factor > 0.0:
+        if not 0.0 < self.poisson_tol < math.inf:
             raise DomainError(
-                f"resolution_factor must be positive, got {self.resolution_factor}")
+                f"poisson_tol must be positive and finite, got {self.poisson_tol}")
+        if not 0.0 < self.resolution_factor < math.inf:
+            raise DomainError(
+                f"resolution_factor must be positive and finite, got {self.resolution_factor}")
         if any(block < MIN_BLOCK_SCALE for block in self.renorm_blocks):
             raise DomainError(f"renorm_blocks must be at least {MIN_BLOCK_SCALE}, "
                               f"got {list(self.renorm_blocks)}")
@@ -269,7 +272,7 @@ def _quantity_rows(inst: _Instance) -> list:
                 mix = inst.mixing
                 detail = (f"t_lo={mix.t_lo!r} t_hi={mix.t_hi!r} mode={mix.mode} "
                           f"resolution={mix.resolution!r} probes={len(mix.trace)} "
-                          f"pairs_evaluated={mix.pairs_evaluated}")
+                          f"pairs_evaluated={mix.pairs_evaluated} rows={mix.rows_made}")
                 cert = "heuristic"
                 if mix.mode == "pairwise" and mix.certified:
                     cert = "exact"

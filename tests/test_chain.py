@@ -14,11 +14,16 @@ from percmix.chain import (
     DEFAULT_POISSON_TOL,
     MixingResult,
     _distance_to_stationarity,
+    _KernelRows,
     _mode_floor,
     _pair_search,
     _PairCache,
     _pairwise_distance,
+    _pairwise_sup,
     _poisson_weights,
+    _probe_modes,
+    _row_blocks,
+    _row_pass,
 )
 from percmix.errors import CapacityError, DomainError, EmptyClusterError, NonConvergenceError
 from percmix.fixtures import (
@@ -67,6 +72,42 @@ def _spectral_kernel(chain, t, tol):
     mat *= np.sqrt(chain.pi)
     mat /= mat.sum(axis=1, keepdims=True)
     return mat
+
+
+def _kernel_pass(a, pi, pivot=None):
+    """All-rows oracle for the ordered row pass: every kernel row, in blocks.
+
+    Row x of D^{-1/2} A A^T D^{1/2} is normalised by its own sum. Returns each
+    row's TV distance to pi and, given a pivot start, the TV distance from
+    the pivot's row to every row (else None).
+    """
+    sqrt_pi = np.sqrt(pi)
+
+    def dev_rows(rows):
+        block = a[rows] @ a.T
+        block *= sqrt_pi
+        block /= block.sum(axis=1, keepdims=True)
+        block -= pi
+        return block
+
+    m = a.shape[0]
+    r = np.empty(m)
+    tv_pivot = None
+    if pivot is not None:
+        pivot_dev = dev_rows([pivot])[0]
+        tv_pivot = np.empty(m)
+    for lo, hi in _row_blocks(m, m):
+        dev = dev_rows(slice(lo, hi))
+        if tv_pivot is not None:
+            tv_pivot[lo:hi] = 0.5 * np.abs(dev - pivot_dev).sum(axis=1)
+        np.abs(dev, out=dev)
+        r[lo:hi] = 0.5 * dev.sum(axis=1)
+    return r, tv_pivot
+
+
+def _row_bounds(coords):
+    """ub_x of the ordered row pass: chi_x / 2 with its rounding slack."""
+    return 0.5 * np.sqrt((coords * coords).sum(axis=1)) * (1.0 + 1e-9) + 1e-12
 
 
 def _stationarity_distance(mat, pi):
@@ -525,6 +566,84 @@ def test_pairwise_sup_exact_on_random_kernels(m):
         for chunk in (64, 1024):
             assert abs(_pairwise_sup_distance(mat, pi, chunk=chunk) - brute) < 1e-12
             assert abs(pair_search_on_matrix(mat, pi, chunk=chunk)[0] - brute) < 1e-12
+
+
+@pytest.mark.parametrize("m", [40, 300, 500])
+def test_ordered_row_pass_keeps_the_sup_on_random_kernels(m):
+    rng = np.random.default_rng(m)
+    pi = rng.random(m) + 0.5
+    pi /= pi.sum()
+    skipped = 0
+    for spread in (1e-3, 0.3, 3.0):
+        mat = pi * np.exp(spread * rng.standard_normal((m, m)))
+        # a few far rows, as started near a bottleneck
+        far = rng.choice(m, size=3, replace=False)
+        mat[far] *= np.exp(spread * np.linspace(-2.0, 2.0, m))
+        mat /= mat.sum(axis=1, keepdims=True)
+        dev = mat - pi
+        coords = dev / np.sqrt(pi)
+        brute = brute_pairwise(mat, pi)
+        for chunk in (16, 1024):
+            best, (i, j, tv) = _pairwise_sup(lambda idx: dev[idx], coords, chunk)
+            assert abs(best - brute) < 1e-12
+            assert np.all(i < j)
+            exact = 0.5 * np.abs(dev[i] - dev[j]).sum(axis=1)
+            assert np.abs(tv - exact).max(initial=0.0) < 1e-12
+            made, r, _ = _row_pass(lambda idx: dev[idx], coords, False, chunk)
+            assert abs(r.max() - 0.5 * np.abs(dev).sum(axis=1).max()) < 1e-12
+            skipped += m - made.size
+    assert skipped > 0  # the stop fired
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ordered_row_pass_matches_the_all_rows_oracle(seed):
+    ch = pm.build_chain(small_cluster(n=16, seed=seed))
+    tau2 = pm.spectral_gap(ch).tau2
+    tol = DEFAULT_POISSON_TOL
+    step = max(1, chain_module._BLOCK_ENTRIES // ch.m)
+    for t in (1.2 * tau2, 1.8 * tau2):  # inside the first pairwise bracket [tau2, 2 tau2]
+        rows = _KernelRows(ch, t, tol)
+        ub = _row_bounds(rows.coords)
+        pivot = int(np.argmax(ub))
+        r_all, tv_all = _kernel_pass(_probe_modes(ch, t, tol)[0], ch.pi, pivot)
+        for pairwise in (True, False):
+            made, r, tv_pivot = _row_pass(rows, rows.coords, pairwise, step)
+            assert np.all(np.diff(made) > 0) and made.size < ch.m
+            assert np.abs(r - r_all[made]).max() < 1e-12
+            # every skipped row is within its bound, and no bound reaches
+            skipped = np.setdiff1d(np.arange(ch.m), made)
+            assert np.all(r_all[skipped] <= ub[skipped])
+            reach = ub[skipped].max()
+            if pairwise:
+                assert pivot in made
+                assert np.abs(tv_pivot - tv_all[made]).max() < 1e-12
+                assert reach + max(r.max(), reach) <= tv_pivot.max()
+            else:
+                assert tv_pivot is None and reach <= r.max()
+
+
+def test_mixing_counts_the_rows_it_makes(monkeypatch):
+    ch = pm.build_chain(small_cluster(n=16))
+    tau2 = pm.spectral_gap(ch).tau2
+    calls = []
+    make = _KernelRows.__call__
+    monkeypatch.setattr(_KernelRows, "__call__",
+                        lambda self, idx: calls.append(idx.size) or make(self, idx))
+    for mode in ("pairwise", "stationarity"):
+        calls.clear()
+        result = pm.mixing_time(ch, resolution=1e-3 * tau2, mode=mode, tau2_hint=tau2)
+        assert result.rows_made == sum(calls) > 0
+    # one pass per probe, each stopped short of the m rows
+    assert result.rows_made < len(result.trace) * ch.m
+
+
+def test_mixing_rejects_non_finite_tolerances():
+    ch = pm.build_chain(cycle_graph(4))
+    for bad in (math.inf, math.nan, 0.0):
+        with pytest.raises(DomainError):
+            pm.mixing_time(ch, tol=bad)
+        with pytest.raises(DomainError):
+            pm.mixing_time(ch, resolution=bad)
 
 
 def test_certified_needs_margins_above_error_bound():

@@ -131,6 +131,15 @@ def test_validation_exit_codes(tmp_path):
     assert main([]) == 1
 
 
+@pytest.mark.parametrize("args", [["--n", "4,4"], ["--n", "4,6,6"],
+                                  ["--n", "4", "--seeds", "1,1"]])
+def test_scaling_repeated_instance_exits_1_before_writing(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert main(["scaling", *args, "--quantities", "census", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_malformed_numbers_exit_1(tmp_path, capsys):
     out = str(tmp_path / "out")
     cases = [
@@ -156,7 +165,8 @@ def test_bad_fpp_request_exits_1_before_writing(tmp_path, capsys, args):
 
 @pytest.mark.parametrize("line", ["n_list = 4,six", "d = 2.5", "poisson_tol = 0",
                                   "resolution_factor = -1", "renorm_blocks = 4",
-                                  "rtol = 1e-10"])
+                                  "rtol = 1e-10", "poisson_tol = inf",
+                                  "resolution_factor = inf", "seed_list = 1,1"])
 def test_bad_config_file_exits_1(tmp_path, capsys, line):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(f"n_list = 4\nseed_list = 0\nquantities = census\n{line}\n")

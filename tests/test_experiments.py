@@ -88,6 +88,16 @@ def test_config_validation():
             ExperimentConfig(resolution_factor=bad)
 
 
+def test_config_rejects_repeated_instances_and_non_finite_tolerances():
+    # a repeated n or seed would run its instances twice and count them twice in the fits
+    for bad in (dict(n_list=(6, 6)), dict(n_list=(6, 9, 9)), dict(seed_list=(1, 1)),
+                dict(seed_list=(0, 2, 0)), dict(poisson_tol=math.inf),
+                dict(resolution_factor=math.inf)):
+        with pytest.raises(DomainError):
+            ExperimentConfig(**bad)
+    assert ExperimentConfig(n_list=(6, 9), seed_list=(3, 1)).seed_list == (3, 1)
+
+
 def test_default_preset_is_desk_scale():
     cfg = default_preset()
     assert cfg.d == 2 and cfg.p == 0.7
