@@ -44,7 +44,6 @@ from .geometry import (
     DualFppField,
     GoodSiteField,
     classify_good_vertices,
-    coarse_grain,
     fpp_regression,
     good_density_curve,
 )

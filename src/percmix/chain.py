@@ -212,10 +212,10 @@ def _poisson_weights(t: float, tol: float) -> np.ndarray:
     to t and `pdtrc` above, so the weights sum to 1 - P(N > K) to rounding;
     exp(k log t - t - log k!) would carry an error of about eps * t each.
     """
-    if t < 0:
-        raise DomainError("time must be nonnegative")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"time must be nonnegative and finite, got {t}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if t == 0.0:
         return np.ones(1)
     log_inv = math.log(1.0 / min(tol, 1.0))

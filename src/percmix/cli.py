@@ -23,6 +23,7 @@ from .experiments import (
     EXIT_RUNTIME,
     EXIT_VALIDATION,
     ExperimentConfig,
+    check_seed_list,
     run_instance,
     run_scaling,
 )
@@ -99,9 +100,9 @@ def _single_n(args) -> int:
 
 
 def _seed_list(args) -> tuple:
-    if getattr(args, "seeds", None):
-        return _int_list(args.seeds)
-    return (args.seed,)
+    seeds = _int_list(args.seeds) if getattr(args, "seeds", None) else (args.seed,)
+    check_seed_list(seeds)
+    return seeds
 
 
 def _cmd_generate(args) -> int:

@@ -44,6 +44,14 @@ EXIT_PARTIAL = 3
 THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def check_seed_list(seeds) -> None:
+    """Reject an empty seed list or one that repeats a seed."""
+    if not seeds:
+        raise DomainError("seed_list must be nonempty")
+    if len(set(seeds)) != len(seeds):
+        raise DomainError(f"seed_list repeats: {list(seeds)}")
+
+
 class SweepInterrupted(PercmixError):
     """Raised by the testing hook that simulates an interrupted sweep."""
 
@@ -73,10 +81,7 @@ class ExperimentConfig:
             raise DomainError("n_list must be nonempty")
         if any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
             raise DomainError(f"n_list must be strictly ascending, got {list(self.n_list)}")
-        if not self.seed_list:
-            raise DomainError("seed_list must be nonempty")
-        if len(set(self.seed_list)) != len(self.seed_list):
-            raise DomainError(f"seed_list repeats: {list(self.seed_list)}")
+        check_seed_list(self.seed_list)
         if not self.quantities:
             raise DomainError("at least one quantity is required")
         unknown = set(self.quantities) - set(QUANTITIES)

@@ -1,6 +1,6 @@
 """Geometric probes of a percolation configuration.
 
-Three instruments, all pure functions of a bond configuration:
+Two instruments, both pure functions of a bond configuration:
 
 * first-passage distances on the planar dual, where a dual edge costs 1 when
   the primal edge it crosses is open and 0 otherwise (so dual geodesics trace
@@ -8,15 +8,16 @@ Three instruments, all pure functions of a bond configuration:
   the merged outer face has no analogue off the finite box);
 * a renormalized good-site field: a block site is good when its window holds
   an open cluster touching all faces that absorbs every component of
-  non-trivial diameter;
-* window-occupancy coarse-graining of vertex sets onto the block lattice.
+  non-trivial diameter.
 
-The first two run as whole-array passes. Dual distances contract the
-weight-0 dual edges (one ``connected_components`` call) and then run one
-bidirectional level BFS over the quotient graph that serves every pair at
-once and stops each pair where its two searches meet. Good-site windows are
-labelled as one block-diagonal graph per batch, with per-piece data from
-scatter reductions. Batches stay within ``_BATCH_ENTRIES`` entries.
+Both run as whole-array passes. Dual distances contract the weight-0 dual
+edges (one ``connected_components`` call) and then run one bidirectional
+level BFS over the quotient graph that serves every pair at once and stops
+each pair where its two searches meet. Good-site windows are slices of one
+grid of forward-edge flags; a batch of them is one gather, one padded CSR
+graph and one ``connected_components`` call, and only the few pieces large
+enough to be stray get their diameters measured. Batches stay within
+``_BATCH_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -293,65 +294,66 @@ class GoodSiteField:
                          f"{int(self.good[i])},{int(self.witness[i])}\n")
 
 
-def _classify_windows(box, open_mask, bases, radius: int, block: int):
-    """Condition 1, goodness and witness for the full windows at ``bases``.
+def _classify_windows(flags, bases, offsets, block: int):
+    """Condition 1, goodness and witness for one batch of full windows.
 
-    A window is given by the VertexId of its lowest corner (its base); its
-    vertices are base + offsets in row-major window order, so local order is
-    VertexId order. The windows form one block-diagonal graph (window j owns
-    nodes j*size .. (j+1)*size - 1) labelled by one ``connected_components``
-    call; every per-piece quantity is a scatter reduction over the labels.
+    ``flags[a, j]`` holds the open flags of the forward axis-``a`` edges of
+    window j's vertices, on the window grid (a copy, whose last layer along
+    each axis is cleared in place); ``bases[j]`` is the VertexId of its
+    lowest corner, and ``offsets`` maps row-major local order to VertexId
+    offsets, so local order is VertexId order. The windows form one padded
+    CSR graph (window j owns nodes j*size .. (j+1)*size - 1): every node has
+    d slots, the forward neighbour along each axis when that edge is open and
+    the node itself otherwise, so one ``connected_components`` call labels
+    every window with no edge list to compact or sort.
     """
-    d, n = box.spec.d, box.spec.n
-    side = 2 * radius + 1
+    d, b, side = flags.shape[0], flags.shape[1], flags.shape[2]
     size = side**d
-    offsets = box.window_vertex_ids([-n] * d, [-n + side - 1] * d).ravel()
-    coords = np.indices((side,) * d).reshape(d, -1)  # local coordinates, (d, size)
-    b = bases.size
     total = b * size
-    shift = (np.arange(b, dtype=np.int64) * size)[:, None]
-    rows, cols = [], []
+    node = np.arange(total, dtype=np.int32)  # a batch holds far below 2**31 slots
+    indices = np.empty((total, d), dtype=np.int32)
     for a in range(d):
-        tails = np.nonzero(coords[a] < side - 1)[0]
-        keep = open_mask[box.edge_lookup[bases[:, None] + offsets[tails], a]]
-        rows.append((shift + tails)[keep])
-        cols.append((shift + tails + side ** (d - 1 - a))[keep])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    ncomp, labels = csgraph.connected_components(
-        sparse.coo_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)),
-                          shape=(total, total)),
-        directed=False,
-    )
-    owner = np.empty(ncomp, dtype=np.int64)  # window of each piece
-    owner[labels] = np.repeat(np.arange(b), size)
+        # cut the edges that leave the window first: scipy does not range-check
+        # CSR indices, and a column past the last node is out of bounds
+        flags[(a, slice(None)) + (slice(None),) * a + (-1,)] = False
+        indices[:, a] = np.where(flags[a].ravel(), node + side ** (d - 1 - a), node)
+    graph = sparse.csr_matrix(
+        (np.ones(total * d), indices.ravel(), np.arange(0, total * d + 1, d, dtype=np.int32)),
+        shape=(total, total))
+    ncomp, labels = csgraph.connected_components(graph, directed=False)
+    by_window = labels.reshape((b,) + (side,) * d)
 
-    by_window = labels.reshape(b, size)
     spanning = np.ones(ncomp, dtype=bool)
-    diam = np.zeros(ncomp, dtype=np.int64)
     for a in range(d):
         for end in (0, side - 1):
             hit = np.zeros(ncomp, dtype=bool)
-            hit[by_window[:, coords[a] == end]] = True
+            hit[by_window[(slice(None),) * (1 + a) + (end,)]] = True
             spanning &= hit
-        coord = np.tile(coords[a], b)
-        cmax = np.full(ncomp, -1, dtype=np.int64)
-        cmin = np.full(ncomp, side, dtype=np.int64)
-        np.maximum.at(cmax, labels, coord)
-        np.minimum.at(cmin, labels, coord)
-        diam = np.maximum(diam, cmax - cmin)
-    stray = (10 * diam > block) & ~spanning  # big pieces besides a spanning one
-
+    # every spanning piece touches the low axis-0 face, which names its window
+    owner = np.zeros(ncomp, dtype=np.int64)
+    owner[by_window[:, 0]] = np.arange(b).reshape((b,) + (1,) * (d - 1))
     n_spanning = np.bincount(owner[spanning], minlength=b)
+
+    # a piece of L-infinity diameter D has at least D + 1 nodes, so only the
+    # non-spanning pieces above block // 10 + 1 nodes can be stray
+    candidate = ~spanning & (np.bincount(labels, minlength=ncomp) > block // 10 + 1)
+    nodes = np.flatnonzero(candidate[labels])
+    nodes = nodes[np.argsort(labels[nodes])]  # each candidate piece one segment
+    starts = np.flatnonzero(np.diff(labels[nodes], prepend=-1))
+    diam = np.zeros(starts.size, dtype=np.int64)
+    for a in range(d):
+        coord = nodes // side ** (d - 1 - a) % side
+        diam = np.maximum(diam, np.maximum.reduceat(coord, starts)
+                          - np.minimum.reduceat(coord, starts))
+    stray = np.zeros(b, dtype=bool)
+    stray[nodes[starts[10 * diam > block]] // size] = True
+
     crossing = n_spanning >= 1
-    good = (n_spanning == 1) & (np.bincount(owner[stray], minlength=b) == 0)
-    # witness: smallest VertexId of the spanning piece = its first node
-    first = np.full(ncomp, total, dtype=np.int64)
-    np.minimum.at(first, labels, np.arange(total, dtype=np.int64))
-    stars = np.nonzero(spanning)[0]
+    good = (n_spanning == 1) & ~stray
+    # witness: the first node, in VertexId order, of the one spanning piece
+    first = spanning[labels.reshape(b, size)[good]].argmax(axis=1)
     witness = np.full(b, -1, dtype=np.int64)
-    witness[owner[stars]] = bases[owner[stars]] + offsets[first[stars] % size]
-    witness[~good] = -1
+    witness[good] = bases[good] + offsets[first]
     return crossing, good, witness
 
 
@@ -369,6 +371,7 @@ def classify_good_vertices(config: BondConfig, block: int) -> GoodSiteField:
     box = build_box(config.box)
     n, d = config.box.n, config.box.d
     radius = _window_radius(block)
+    side = 2 * radius + 1
     sites = block_sites(config.box, block)
     num_sites = sites.shape[0]
     classified = (np.abs(sites) + radius <= n).all(axis=1)
@@ -377,64 +380,30 @@ def classify_good_vertices(config: BondConfig, block: int) -> GoodSiteField:
     witness = np.full(num_sites, -1, dtype=np.int64)
 
     todo = np.nonzero(classified)[0]
-    bases = box.coord_to_vertex(sites[todo] - radius)
-    per_batch = max(1, _BATCH_ENTRIES // (2 * radius + 1) ** d)
-    for start in range(0, todo.size, per_batch):
-        idx = todo[start:start + per_batch]
-        crossing[idx], good[idx], witness[idx] = _classify_windows(
-            box, config.open_mask, bases[start:start + per_batch], radius, block)
-    return GoodSiteField(
+    field = GoodSiteField(
         block=block, box=config.box, p=config.p, seed=config.seed,
         sites=sites, classified=classified, crossing_cluster=crossing,
         good=good, witness=witness,
     )
-
-
-def coarse_grain(box: BoxSpec, vertex_ids, block: int) -> np.ndarray:
-    """Block-lattice image of a vertex set by window-occupancy thresholding.
-
-    A site v of (block Z)^d inside the box enters the image when its window
-    (radius floor(5*block/4), truncated at the box) holds at least block/10
-    vertices of the set; the count comparison 10*count >= block is exact.
-    Returns site coordinates, shape (S', d).
-    """
-    graph = build_box(box)
-    vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
-    sites = block_sites(box, block)
-    if vertex_ids.size == 0:
-        return sites[:0]
-    coords = graph.vertex_coords(vertex_ids)
-    radius = _window_radius(block)
-    keep = []
-    for i in range(sites.shape[0]):
-        count = int((np.abs(coords - sites[i]) <= radius).all(axis=1).sum())
-        if 10 * count >= block:
-            keep.append(i)
-    return sites[keep]
-
-
-def sites_connected(site_coords: np.ndarray, block: int) -> bool:
-    """Connectivity of a site set under nearest-neighbour block adjacency."""
-    s = np.asarray(site_coords, dtype=np.int64)
-    if s.shape[0] == 0:
-        raise DomainError("empty site set")
-    if s.shape[0] == 1:
-        return True
-    index = {tuple(row): i for i, row in enumerate(s)}
-    seen = {0}
-    stack = [0]
-    d = s.shape[1]
-    while stack:
-        i = stack.pop()
-        for a in range(d):
-            for sign in (-1, 1):
-                nb = s[i].copy()
-                nb[a] += sign * block
-                j = index.get(tuple(nb))
-                if j is not None and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-    return len(seen) == s.shape[0]
+    if todo.size == 0:  # the box is smaller than one window
+        return field
+    corners = sites[todo] - radius
+    bases = box.coord_to_vertex(corners)
+    offsets = box.window_vertex_ids([-n] * d, [-n + side - 1] * d).ravel()
+    # open flags of every vertex's forward edges as a (d, box side, ...) grid,
+    # read by each batch as one gather of its window slices
+    lookup = box.edge_lookup.T.reshape((d,) + (config.box.side,) * d)
+    forward = config.open_mask[lookup] & (lookup >= 0)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        forward, (side,) * d, axis=tuple(range(1, d + 1)))
+    per_batch = max(1, _BATCH_ENTRIES // side**d)
+    for start in range(0, todo.size, per_batch):
+        batch = slice(start, start + per_batch)
+        idx = todo[batch]
+        flags = windows[(slice(None),) + tuple((corners[batch] + n).T)]
+        crossing[idx], good[idx], witness[idx] = _classify_windows(
+            flags, bases[batch], offsets, block)
+    return field
 
 
 @dataclass(frozen=True)

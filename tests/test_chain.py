@@ -313,6 +313,16 @@ def test_poisson_weights_raise_past_their_proven_depth():
             _poisson_weights(50.0, 1e-10)
 
 
+@pytest.mark.parametrize("t, tol", [(math.nan, 1e-10), (math.inf, 1e-10), (-1.0, 1e-10),
+                                    (2.0, math.nan), (2.0, math.inf), (2.0, 0.0)])
+def test_poisson_weights_reject_non_finite_or_negative_input(t, tol):
+    with pytest.raises(DomainError):
+        _poisson_weights(t, tol)
+    ch = pm.build_chain(cycle_graph(4))
+    with pytest.raises(DomainError):
+        pm.transient_distribution(ch, np.full(4, 0.25), t, tol=tol)
+
+
 def test_tv_distance_basic():
     assert pm.tv_distance(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
     assert pm.tv_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0

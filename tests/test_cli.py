@@ -115,6 +115,16 @@ def test_renorm_csv(tmp_path):
     assert out.read_text().count("\n") == 3  # header + 2 rows
 
 
+def test_renorm_default_scales_beyond_the_box(tmp_path):
+    # the default --n 8 is smaller than every window at --N 8,16: no site is
+    # classified, and each row says so
+    out = tmp_path / "renorm.csv"
+    assert main(["renorm", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(row.split(",")[3] == "0" for row in rows)
+
+
 def test_fpp_csv(tmp_path):
     out = tmp_path / "fpp.csv"
     code = main(["fpp", "--n", "16", "--p", "1.0", "--seed", "0",
@@ -137,6 +147,18 @@ def test_scaling_repeated_instance_exits_1_before_writing(tmp_path, capsys, args
     out = tmp_path / "out"
     assert main(["scaling", *args, "--quantities", "census", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["renorm", "--n", "24", "--p", "1.0", "--N", "8", "--seeds", "1,1"],
+    ["renorm", "--n", "24", "--p", "1.0", "--N", "8", "--seeds", "0,1,0"],
+    ["fpp", "--n", "16", "--p", "1.0", "--pairs", "40", "--l1", "4,16", "--seeds", "1,1"],
+])
+def test_repeated_seed_exits_1_before_writing(tmp_path, capsys, args):
+    out = tmp_path / "out.csv"
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: seed_list repeats: ")
     assert not out.exists()
 
 

@@ -17,10 +17,8 @@ from percmix.geometry import (
     GoodSiteField,
     block_sites,
     classify_good_vertices,
-    coarse_grain,
     density_rows_to_csv,
     good_density_curve,
-    sites_connected,
 )
 from percmix.lattice import BoxSpec, build_box, dual_lattice
 
@@ -180,6 +178,53 @@ def reference_classify_good_vertices(config, block):
         block=block, box=config.box, p=config.p, seed=config.seed, sites=sites,
         classified=classified, crossing_cluster=crossing, good=good, witness=witness,
     )
+
+
+def coarse_grain(box, vertex_ids, block):
+    """Block-lattice image of a vertex set by window-occupancy thresholding.
+
+    A site v of (block Z)^d inside the box enters the image when its window
+    (radius floor(5*block/4), truncated at the box) holds at least block/10
+    vertices of the set; the count comparison 10*count >= block is exact.
+    Returns site coordinates, shape (S', d).
+    """
+    graph = build_box(box)
+    vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
+    sites = block_sites(box, block)
+    if vertex_ids.size == 0:
+        return sites[:0]
+    coords = graph.vertex_coords(vertex_ids)
+    radius = (5 * block) // 4
+    keep = []
+    for i in range(sites.shape[0]):
+        count = int((np.abs(coords - sites[i]) <= radius).all(axis=1).sum())
+        if 10 * count >= block:
+            keep.append(i)
+    return sites[keep]
+
+
+def sites_connected(site_coords, block):
+    """Connectivity of a site set under nearest-neighbour block adjacency."""
+    s = np.asarray(site_coords, dtype=np.int64)
+    if s.shape[0] == 0:
+        raise DomainError("empty site set")
+    if s.shape[0] == 1:
+        return True
+    index = {tuple(row): i for i, row in enumerate(s)}
+    seen = {0}
+    stack = [0]
+    d = s.shape[1]
+    while stack:
+        i = stack.pop()
+        for a in range(d):
+            for sign in (-1, 1):
+                nb = s[i].copy()
+                nb[a] += sign * block
+                j = index.get(tuple(nb))
+                if j is not None and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    return len(seen) == s.shape[0]
 
 
 def assert_fields_equal(fast, slow):
@@ -390,6 +435,14 @@ def test_good_sites_block_scale_guard():
         pm.classify_good_vertices(config, 7)
 
 
+@pytest.mark.parametrize("d,n,block", [(2, 2, 8), (2, 2, 16), (2, 8, 8), (3, 4, 8)])
+def test_good_sites_box_smaller_than_window(d, n, block):
+    config = pm.sample_bond_config(BoxSpec(d, n), 0.7, 0)
+    field = pm.classify_good_vertices(config, block)
+    assert field.num_classified == 0
+    assert_fields_equal(field, reference_classify_good_vertices(config, block))
+
+
 def test_good_sites_boundary_unclassified():
     field = pm.classify_good_vertices(pm.sample_bond_config(BoxSpec(2, 20), 0.7, 0), 8)
     radius = (5 * 8) // 4
@@ -448,6 +501,51 @@ def test_good_sites_match_per_site_loop_at_criterion_size():
     for block in (8, 16, 24):
         assert_fields_equal(classify_good_vertices(config, block),
                             reference_classify_good_vertices(config, block))
+
+
+# blocks on both sides of the steps of block // 10, where the piece-size
+# prefilter of the stray test sits closest to the diameter rule
+@pytest.mark.parametrize("d,n,block,p", [(2, 40, block, p) for block in (9, 10, 19, 20)
+                                         for p in (0.55, 0.7, 0.9)]
+                         + [(3, 22, 10, p) for p in (0.3, 0.45, 0.6)])
+def test_good_sites_match_per_site_loop_where_block_tenth_steps(d, n, block, p):
+    for seed in range(2):
+        config = pm.sample_bond_config(BoxSpec(d, n), p, seed)
+        assert_fields_equal(classify_good_vertices(config, block),
+                            reference_classify_good_vertices(config, block))
+
+
+@pytest.mark.parametrize("d,n,block", [(2, 24, 8), (2, 40, 13), (3, 12, 8)])
+def test_good_sites_full_lattice_witness_is_lowest_corner(d, n, block):
+    config = pm.sample_bond_config(BoxSpec(d, n), 1.0, 0)
+    field = classify_good_vertices(config, block)
+    inner = field.classified
+    corners = build_box(config.box).coord_to_vertex(field.sites[inner] - (5 * block) // 4)
+    assert field.good[inner].all()
+    np.testing.assert_array_equal(field.witness[inner], corners)
+    assert (field.witness[~inner] == -1).all()
+
+
+@pytest.mark.parametrize("d,n,block", [(2, 80, 8), (3, 18, 8)])
+def test_good_sites_one_label_call_per_batch(monkeypatch, d, n, block):
+    config = pm.sample_bond_config(BoxSpec(d, n), 0.7, 0)
+    calls = []
+    label = csgraph.connected_components
+
+    def counting_label(graph, *args, **kwargs):
+        calls.append(graph.shape[0])
+        return label(graph, *args, **kwargs)
+
+    def no_coo(*args, **kwargs):
+        raise AssertionError("window graphs are built as CSR directly")
+
+    monkeypatch.setattr(geometry_module.csgraph, "connected_components", counting_label)
+    monkeypatch.setattr(geometry_module.sparse, "coo_matrix", no_coo)
+    field = classify_good_vertices(config, block)
+    size = (2 * ((5 * block) // 4) + 1) ** d
+    per_batch = max(1, geometry_module._BATCH_ENTRIES // size)
+    assert len(calls) == -(-field.num_classified // per_batch)
+    assert sum(calls) == field.num_classified * size
 
 
 def test_good_density_curve_samples_each_seed_once(monkeypatch):
