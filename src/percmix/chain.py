@@ -14,11 +14,15 @@ kernel is the rank-k product D^{-1/2} A A^T D^{1/2}; a probe makes its rows
 in blocks, one matrix product each, and never holds it whole. Row x lies
 within chi_x / 2 of pi in TV, chi_x its chi-square distance from the
 k-vectors, so a probe makes rows in decreasing order of chi_x and stops once
-no row left can reach the distance it computes (`_row_pass`): at d=2 n=21,
-about a quarter of the rows for the distance to stationarity and half for
-the pairwise sup. The mixing search needs no probe below a
-lower bound on the crossing of e^{-1}: the relaxation time tau2 for the
-pairwise profile, (1 - ln 2) tau2 for the distance to stationarity.
+no row left can change its answer (`_row_pass`). Bisection only asks whether
+d(t) > e^{-1}, so a probe stops as soon as that is proven against the kernel
+error bound, and its value is then a bound on d(t), not d(t) itself: the
+mixing trace holds bounds, and `mixing_time(..., exact=True)` the exact
+values. At d=2 n=21 the probes make about an eighth of the rows for the
+distance to stationarity and under a third for the pairwise sup. The mixing
+search needs no probe below a lower bound on the crossing of e^{-1}: the
+relaxation time tau2 for the pairwise profile, (1 - ln 2) tau2 for the
+distance to stationarity.
 
 The uniformized jump kernel is exactly the discrete simple random walk
 kernel P, so e^{tQ} is also the Poisson(t) mixture of powers of P. That
@@ -269,6 +273,8 @@ def _mode_floor(m: int, t: float, tol: float) -> float:
 # many entries, so no probe holds an m x m array.
 _BLOCK_ENTRIES = 1 << 17
 _GRAM_ROWS = 256  # rows of the keep x keep Gram product made at a time
+# (floor, ceil) levels of a probe that settles nothing by a bound: the exact value
+_EXACT = (0.0, math.inf)
 
 
 def _probe_modes(chain: Chain, t: float, tol: float) -> tuple:
@@ -335,7 +341,8 @@ class _KernelRows:
         return out
 
 
-def _row_pass(dev_rows, coords: np.ndarray, pairwise: bool, step: int) -> tuple:
+def _row_pass(dev_rows, coords: np.ndarray, pairwise: bool, step: int,
+              levels: tuple = _EXACT) -> tuple:
     """The kernel rows a probe needs, in decreasing order of their chi-square bound.
 
     Row x lies within ub_x = chi_x / 2 (plus rounding slack) of pi in TV, by
@@ -343,14 +350,20 @@ def _row_pass(dev_rows, coords: np.ndarray, pairwise: bool, step: int) -> tuple:
     Rows are made ``step`` at a time from the largest ub down, keeping R,
     the largest distance r to pi so far, and in pairwise mode the TV distance
     from the first row (the pivot) to each, whose maximum is the incumbent;
-    one `_tv_to` call gives a block's distances to both.
-    The pass stops before the row with bound ub once no row from there on
-    can matter: ub <= R for the distance to stationarity, and
-    ub + max(R, ub) <= incumbent for the pairwise sup, since TV_ij <= r_i + r_j.
+    one `_tv_to` call gives a block's distances to both. The probe's value
+    is R for the distance to stationarity and the incumbent for the
+    pairwise sup, and ``levels`` = (floor, ceil) say which answers settle it.
+    The pass stops once that value exceeds ceil (the probe is decided
+    above), or before the row with bound ub once no row from there on can
+    lift the value above max(value, floor): ub <= max(R, floor) for the
+    distance to stationarity, and ub + max(R, ub) <= max(incumbent, floor)
+    for the pairwise sup, since TV_ij <= r_i + r_j. The levels (0, inf)
+    leave the exact maximum.
 
     Returns C, the rows made in ascending order, with their r and, in
     pairwise mode, their distances to the pivot (else None).
     """
+    floor, ceil = levels
     chi = np.sqrt((coords * coords).sum(axis=1))
     ub = 0.5 * chi * (1.0 + 1e-9) + 1e-12
     order = np.argsort(-ub, kind="stable")
@@ -372,26 +385,35 @@ def _row_pass(dev_rows, coords: np.ndarray, pairwise: bool, step: int) -> tuple:
             tv_pivot[done:hi] = dist[:, 1]
             best = max(best, float(dist[:, 1].max()))
         done = hi
-        if done < m:
+        value = best if pairwise else top
+        if done < m and value <= ceil:
             nxt = float(ub[order[done]])
-            if (nxt + max(top, nxt) <= best) if pairwise else nxt <= top:
-                break
+            if (nxt + max(top, nxt) if pairwise else nxt) > max(value, floor):
+                continue
+        break
     c = np.argsort(order[:done], kind="stable")
     return order[:done][c], r[c], None if tv_pivot is None else tv_pivot[c]
 
 
 def _distance_to_stationarity(chain: Chain, t: float, tol: float,
-                              rows: _KernelRows | None = None) -> float:
-    """Worst TV distance of a start's time-t law from pi: one ordered row pass."""
+                              rows: _KernelRows | None = None,
+                              levels: tuple = _EXACT) -> float:
+    """Worst TV distance of a start's time-t law from pi: one ordered row pass.
+
+    With ``levels`` = (floor, ceil) the value is a row's distance above
+    ceil (a lower bound), floor when no row beats it (an upper bound), and
+    the exact maximum in between.
+    """
     if rows is None:
         rows = _KernelRows(chain, t, tol)
-    r = _row_pass(rows, rows.coords, False, max(1, _BLOCK_ENTRIES // chain.m))[1]
-    return min(1.0, float(r.max()))
+    step = max(1, _BLOCK_ENTRIES // chain.m)
+    r = _row_pass(rows, rows.coords, False, step, levels)[1]
+    return min(1.0, max(float(r.max()), levels[0]))
 
 
 def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarray,
-                 chunk: int = 1024, prior=None) -> tuple:
-    """Exact sup over start pairs of the TV distance between kernel rows.
+                 chunk: int = 1024, prior=None, levels: tuple = _EXACT) -> tuple:
+    """Sup over start pairs of the TV distance between kernel rows, up to ``levels``.
 
     The incumbent is the farthest row from the pivot row (``tv_pivot``), and
     rigorous bounds close in on the maximizing pair:
@@ -409,20 +431,29 @@ def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarr
     The kept rows minus pi (``dev_rows(keep)``) are made once, before the
     bounds. The remaining pairs are evaluated exactly from them, in batches
     of ``chunk`` in decreasing order of bound, until no bound beats the best
-    exact value. Every discard is certified by a bound, so the result is the
-    exact maximum. Returns it with the evaluated pairs (i, j, TV_ij), i < j;
-    the distances to q raise the incumbent but are not among them.
+    exact value. ``levels`` = (floor, ceil) cut the search short: it returns
+    as soon as an exact value exceeds ceil, and every bound is held against
+    max(best, floor) rather than best. The result is therefore an exact pair
+    value above ceil (a lower bound on the sup), floor itself when no pair
+    beats it (an upper bound), and the exact sup in between, since every
+    discarded pair then lies at or below the final best; the levels (0, inf)
+    give the exact sup. Returns it with the evaluated pairs (i, j, TV_ij),
+    i < j; the distances to q raise the incumbent but are not among them.
     """
+    floor, ceil = levels
+    none = np.empty(0, dtype=np.intp)
     best = float(tv_pivot.max())
-    keep = np.nonzero(r > best - float(r.max()) - 1e-12)[0]
-    if keep.size < 2:
-        none = np.empty(0, dtype=np.intp)
-        return min(1.0, best), (none, none, np.empty(0))
+    keep = np.nonzero(r > max(best, floor) - float(r.max()) - 1e-12)[0]
+    if best > ceil or keep.size < 2:
+        return min(1.0, max(best, floor)), (none, none, np.empty(0))
     rows = dev_rows(keep)
     rk = r[keep]
     tk = tv_pivot[keep]
     tq = _tv_to(rows, rows[int(np.argmax(tk))][None])[:, 0]
     best = max(best, float(tq.max()))
+    if best > ceil:
+        return min(1.0, max(best, floor)), (none, none, np.empty(0))
+    level = max(best, floor)
     c = coords[keep]
     sq = (c * c).sum(axis=1)
     found = []
@@ -436,21 +467,21 @@ def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarr
         np.minimum(bound, rk[lo:hi, None] + rk[lo:] + 1e-12, out=bound)
         np.minimum(bound, tk[lo:hi, None] + tk[lo:] + 1e-12, out=bound)
         np.minimum(bound, tq[lo:hi, None] + tq[lo:] + 1e-12, out=bound)
-        i, j = np.nonzero(np.triu(bound > best, k=1))
+        i, j = np.nonzero(np.triu(bound > level, k=1))
         found.append((i + lo, j + lo, bound[i, j]))
     i, j, bound = (np.concatenate(parts) for parts in zip(*found))
     if prior is not None and i.size:
         np.minimum(bound, prior(keep[i], keep[j]), out=bound)
-        alive = bound > best
+        alive = bound > level
         i, j, bound = i[alive], j[alive], bound[alive]
     order = np.argsort(-bound, kind="stable")
     i, j, neg_bound = i[order], j[order], -bound[order]
 
     done = 0
     tv = np.empty(i.size)
-    while True:
+    while best <= ceil:
         # pairs sit in decreasing order of bound: stop at the first that cannot win
-        stop = min(done + chunk, int(np.searchsorted(neg_bound, -best)))
+        stop = min(done + chunk, int(np.searchsorted(neg_bound, -max(best, floor))))
         if stop <= done:
             break
         diff = rows[i[done:stop]]
@@ -459,36 +490,42 @@ def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarr
         tv[done:stop] = 0.5 * diff.sum(axis=1)
         best = max(best, float(tv[done:stop].max()))
         done = stop
-    return min(1.0, best), (keep[i[:done]], keep[j[:done]], tv[:done])
+    return min(1.0, max(best, floor)), (keep[i[:done]], keep[j[:done]], tv[:done])
 
 
-def _pairwise_sup(dev_rows, coords: np.ndarray, chunk: int, prior=None) -> tuple:
-    """Exact sup over start pairs of the TV distance between kernel rows.
+def _pairwise_sup(dev_rows, coords: np.ndarray, chunk: int, prior=None,
+                  levels: tuple = _EXACT) -> tuple:
+    """Sup over start pairs of the TV distance between kernel rows, up to ``levels``.
 
     `_row_pass` makes the rows that can matter, C, and `_pair_search` finds
-    the sup over pairs in C; no pair with a row outside C can beat it. Returns
-    the sup with the evaluated pairs (i, j, TV_ij), i < j, in global indices.
+    the sup over pairs in C; no pair with a row outside C can beat it. Both
+    stop as ``levels`` allow (see `_pair_search` for what the value is).
+    Returns the value with the evaluated pairs (i, j, TV_ij), i < j, in
+    global indices.
     """
-    made, r, tv_pivot = _row_pass(dev_rows, coords, True, chunk)
+    made, r, tv_pivot = _row_pass(dev_rows, coords, True, chunk, levels)
     local_prior = None if prior is None else lambda i, j: prior(made[i], made[j])
     best, (i, j, tv) = _pair_search(lambda idx: dev_rows(made[idx]), coords[made], r,
-                                    tv_pivot, chunk, local_prior)
+                                    tv_pivot, chunk, local_prior, levels)
     return best, (made[i], made[j], tv)
 
 
 def _pairwise_distance(chain: Chain, t: float, tol: float, prior=None,
-                       rows: _KernelRows | None = None) -> tuple:
+                       rows: _KernelRows | None = None,
+                       levels: tuple = _EXACT) -> tuple:
     """Worst TV distance between two starts at time t, and the pairs evaluated.
 
     The rows come from one `_KernelRows` maker: an ordered pass makes those
     whose chi-square bound can still reach the incumbent, its first row (the
     largest chi-square distance to pi) is the pivot, and the k-vectors
     ``coords`` give the chi-square pair bounds. Only the rows kept by
-    `_pair_search` are made again, and held (keep x m).
+    `_pair_search` are made again, and held (keep x m). ``levels`` as in
+    `_pair_search`.
     """
     if rows is None:
         rows = _KernelRows(chain, t, tol)
-    return _pairwise_sup(rows, rows.coords, max(1, _BLOCK_ENTRIES // chain.m), prior)
+    return _pairwise_sup(rows, rows.coords, max(1, _BLOCK_ENTRIES // chain.m), prior,
+                         levels)
 
 
 class _PairCache:
@@ -540,11 +577,17 @@ class MixingResult:
 
     ``t_lo``/``t_hi`` bracket the first crossing of the e^{-1} threshold with
     d(t_lo) above and d(t_hi) at or below it; ``tau1`` is the bracket midpoint.
-    ``error_bound`` bounds the numerical error of d(t_lo) and d(t_hi); it is
-    NaN where it was not computed, which leaves the result uncertified.
-    ``pairs_evaluated`` counts the start pairs whose distance the pairwise
-    probes evaluated exactly after pruning, and ``rows_made`` the kernel rows
-    the probes made, each summed over the probes.
+    The trace, ``d_lo`` and ``d_hi`` hold what each probe proved: a probe
+    time in ``decided`` was settled by a bound, a lower bound on d(t) when
+    its entry is above e^{-1} and an upper bound when at or below it; every
+    other entry is the exact d(t) (``mixing_time(..., exact=True)`` decides
+    no probe by a bound). ``error_bound`` bounds the numerical error of
+    d(t_lo) and d(t_hi); it is NaN where it was not computed, which leaves
+    the result uncertified. ``pairs_evaluated`` counts the start pairs whose
+    distance the pairwise probes evaluated exactly after pruning, and
+    ``rows_made`` the kernel rows the probes made, each summed over the
+    probes. ``modes`` is the number of eigenpairs of the solve at the lower
+    end of the search, which every probe reads from.
     """
 
     tau1: float
@@ -559,6 +602,8 @@ class MixingResult:
     error_bound: float = math.nan
     pairs_evaluated: int = 0
     rows_made: int = 0
+    decided: list = field(default_factory=list)  # probe times settled by a bound
+    modes: int = 0
 
     @property
     def certified(self) -> bool:
@@ -567,16 +612,35 @@ class MixingResult:
                 and TV_THRESHOLD - self.d_hi > self.error_bound)
 
     def check_monotone(self, slack: float = 1e-8) -> None:
-        for (t0, d0), (t1, d1) in zip(self.trace, self.trace[1:]):
-            if t1 > t0 and d1 > d0 + slack:
+        """Raise unless the trace fits a non-increasing distance profile.
+
+        No probe may be decided above e^{-1} after one decided at or below
+        it, and no exact value or lower bound may exceed an earlier exact
+        value or upper bound by more than ``slack``. Lower bounds are not
+        compared with each other, since their order says nothing.
+        """
+        decided = set(self.decided)
+        cap = below = None  # (t, d) of the least earlier upper bound; first probe below
+        for t, d in self.trace:
+            above = d > TV_THRESHOLD
+            if above and below is not None:
                 raise PercmixError(
-                    f"distance trace is not non-increasing: d({t0})={d0} vs d({t1})={d1}"
+                    f"distance trace is not non-increasing: d({t})={d} is above e^-1 "
+                    f"after d({below[0]})={below[1]}"
                 )
+            if (above or t not in decided) and cap is not None and d > cap[1] + slack:
+                raise PercmixError(
+                    f"distance trace is not non-increasing: d({cap[0]})={cap[1]} vs d({t})={d}"
+                )
+            if not (above and t in decided) and (cap is None or d < cap[1]):
+                cap = (t, d)
+            if not above and below is None:
+                below = (t, d)
 
 
 def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pairwise",
                 tol: float = DEFAULT_POISSON_TOL, tau2_hint: float | None = None,
-                t_max: float | None = None) -> MixingResult:
+                t_max: float | None = None, exact: bool = False) -> MixingResult:
     """Mixing time of the walk by bisection on the monotone distance profile.
 
     ``pairwise`` mode uses the worst-case distance over start pairs (the
@@ -593,8 +657,21 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     rows it keeps. ``rows_made`` counts every row made. Within one call, each
     pair distance evaluated at a time s bounds that pair at every later
     probe time t by TV(s) + E(s) + E(t) (`_PairCache`), E being the error
-    bound below. Each probe still finds the exact sup, and the trace holds
-    those exact values.
+    bound below.
+
+    Bisection only asks whether d(t) > e^{-1}, so each probe stops once its
+    answer is proven (Levin-Peres-Wilmer, Ch. 4: d is non-increasing). A
+    pairwise probe at t runs between the levels floor = e^{-1} - 2 E(t) and
+    ceil = e^{-1} + E(t): it returns an exact pair distance above ceil (a
+    lower bound on d(t)), floor itself when no pair beats it (an upper
+    bound), and the exact d(t) in between. Every decision, and whether each
+    bracket end clears e^{-1} by more than E, is then what the exact values
+    give; certification reads E(t_hi), so a d(t_lo) decided against E(t_lo)
+    that does not clear E(t_hi) is evaluated again exactly. Stationarity
+    probes, which carry no error bound, use
+    floor = ceil = e^{-1}. The trace therefore holds bounds at the probe
+    times listed in ``decided``; ``exact=True`` runs the same probes with
+    the levels (0, inf), and its trace holds the exact d(t) throughout.
 
     The bracket starts at a lower bound on the crossing from the relaxation
     time tau2 (``tau2_hint``, else `spectral_gap`): the pairwise profile
@@ -634,6 +711,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     if t_max is None:
         t_max = 100.0 * chain.m**2
 
+    thr = TV_THRESHOLD
     cache = _PairCache(chain.m)
     if mode == "pairwise":
         ratio = float(chain.degrees.max()) / float(chain.degrees.min())
@@ -649,33 +727,47 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
             rounding = math.sqrt(chain.m * ratio) * (chain.m * eps + t * residual)
             return 2.0 * (math.sqrt(ratio) * tol + rounding)
 
-        def distance(t, rows):
+        def levels(t):
+            err = error_bound(t)
+            return thr - 2.0 * err, thr + err
+
+        def distance(t, rows, lv):
             err = error_bound(t)
             d, pairs = _pairwise_distance(
-                chain, t, tol, prior=lambda i, j: cache.bound(t, err, i, j), rows=rows)
+                chain, t, tol, prior=lambda i, j: cache.bound(t, err, i, j), rows=rows,
+                levels=lv)
             cache.add(t, err, *pairs)
             return d
 
         t_lo = float(tau2_hint)
     else:
-        distance = lambda t, rows: _distance_to_stationarity(chain, t, tol, rows)
+        distance = lambda t, rows, lv: _distance_to_stationarity(chain, t, tol, rows, lv)
         error_bound = lambda t: math.nan
+        levels = lambda t: (thr, thr)
         t_lo = (1.0 - math.log(2.0)) * tau2_hint
 
-    thr = TV_THRESHOLD
     trace = {}
+    decided = set()
     rows_made = 0
 
-    def evaluate(t):
+    def evaluate(t, settle=not exact):
         nonlocal rows_made
+        floor, ceil = levels(t) if settle else _EXACT
         rows = _KernelRows(chain, t, tol)
-        d = distance(t, rows)
+        d = distance(t, rows, (floor, ceil))
         rows_made += rows.made
         trace[t] = d
+        if settle and not floor < d <= ceil:
+            decided.add(t)
+        else:
+            decided.discard(t)
         return d
 
+    def solve_at(t):  # no probe goes below t
+        return chain.eigenpairs_above(_mode_floor(chain.m, t, tol))[0].size
+
     d_lo = None  # d(t_lo) is evaluated only when the bracket needs it
-    chain.eigenpairs_above(_mode_floor(chain.m, t_lo, tol))  # no probe goes lower
+    modes = solve_at(t_lo)
     while True:
         t = 2.0 * t_lo
         if t > t_max:
@@ -709,12 +801,17 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         # (or the hint overshot tau2): the crossing lies below t_lo
         t_hi, d_hi = t_lo, d_lo
         t_lo, d_lo = t_lo / 2.0, None
+        modes = solve_at(t_lo)
 
+    if mode == "pairwise" and t_lo in decided and not d_lo - thr > error_bound(t_hi):
+        # d(t_lo) was decided against E(t_lo); certification reads E(t_hi)
+        d_lo = evaluate(t_lo, settle=False)
     result = MixingResult(
         tau1=(t_lo + t_hi) / 2.0, t_lo=t_lo, t_hi=t_hi, d_lo=d_lo, d_hi=d_hi,
         mode=mode, resolution=resolution, poisson_tol=tol,
         trace=sorted(trace.items()), error_bound=error_bound(t_hi),
         pairs_evaluated=cache.evaluated, rows_made=rows_made,
+        decided=sorted(decided), modes=modes,
     )
     result.check_monotone()
     return result

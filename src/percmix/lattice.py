@@ -228,8 +228,12 @@ class DualGraph:
         return ncomp == 1
 
 
+@lru_cache(maxsize=16)
 def dual_lattice(box: BoxGraph) -> DualGraph:
-    """Planar dual of a d=2 box; errors on any other dimension."""
+    """Planar dual of a d=2 box (cached per box; its arrays are read-only).
+
+    Errors on any other dimension.
+    """
     return DualGraph(box)
 
 

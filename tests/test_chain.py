@@ -25,7 +25,13 @@ from percmix.chain import (
     _row_blocks,
     _row_pass,
 )
-from percmix.errors import CapacityError, DomainError, EmptyClusterError, NonConvergenceError
+from percmix.errors import (
+    CapacityError,
+    DomainError,
+    EmptyClusterError,
+    NonConvergenceError,
+    PercmixError,
+)
 from percmix.fixtures import (
     complete_graph,
     cycle_graph,
@@ -425,6 +431,110 @@ def test_mixing_matches_doubling_search_oracle(graph, mode):
     assert abs(result.tau1 - oracle) <= resolution
 
 
+SMALL_GRAPHS = {
+    "edge": single_edge, "c4": lambda: cycle_graph(4), "n6": lambda: small_cluster(n=6),
+    "n9s0": lambda: small_cluster(n=9, seed=0), "n9s1": lambda: small_cluster(n=9, seed=1),
+    "n9s2": lambda: small_cluster(n=9, seed=2),
+}
+DECISION_GRAPHS = dict(SMALL_GRAPHS, n16s0=lambda: small_cluster(n=16, seed=0),
+                       n16s1=lambda: small_cluster(n=16, seed=1))
+
+
+def _assert_on_its_side(d, d_ref, t, slack=1e-9):
+    """A trace entry above e^-1 is a lower bound on d(t), one at or below an upper bound.
+
+    ``d_ref`` is d(t) from another route, agreeing to ``slack``; where d(t) is
+    e^-1 to rounding (the single edge at its lower end) that decides no side.
+    """
+    if d > math.exp(-1.0):
+        assert d_ref > math.exp(-1.0) - slack and d <= d_ref + slack, t
+    else:
+        assert d_ref <= math.exp(-1.0) + slack and d >= d_ref - slack, t
+
+
+@pytest.mark.parametrize("mode", ["pairwise", "stationarity"])
+@pytest.mark.parametrize("name", DECISION_GRAPHS)
+def test_decision_probes_bracket_as_the_exact_route(name, mode):
+    ch = pm.build_chain(DECISION_GRAPHS[name]())
+    resolution = max(1e-3, 1e-3 * pm.spectral_gap(ch).tau2)
+    fast = pm.mixing_time(ch, resolution=resolution, mode=mode)
+    exact = pm.mixing_time(ch, resolution=resolution, mode=mode, exact=True)
+    assert (fast.tau1, fast.t_lo, fast.t_hi) == (exact.tau1, exact.t_lo, exact.t_hi)
+    assert [t for t, _ in fast.trace] == [t for t, _ in exact.trace]
+    assert fast.certified == exact.certified
+    assert exact.decided == [] and set(fast.decided) <= {t for t, _ in fast.trace}
+    for (t, d), (_, d_exact) in zip(fast.trace, exact.trace):
+        assert (d > math.exp(-1.0)) == (d_exact > math.exp(-1.0)), t
+        _assert_on_its_side(d, d_exact, t, slack=1e-12)
+        if t not in fast.decided:
+            assert abs(d - d_exact) < 1e-12, t
+
+
+@pytest.mark.parametrize("mode", ["pairwise", "stationarity"])
+@pytest.mark.parametrize("name", SMALL_GRAPHS)
+def test_decision_trace_bounds_the_uniformized_profile(name, mode):
+    ch = pm.build_chain(SMALL_GRAPHS[name]())
+    resolution = max(1e-3, 1e-3 * pm.spectral_gap(ch).tau2)
+    result = pm.mixing_time(ch, resolution=resolution, mode=mode)
+    oracle = distance_profile(ch, [t for t, _ in result.trace], mode=mode, tol=1e-12)
+    for (t, d), (_, d_ref) in zip(result.trace, oracle):
+        _assert_on_its_side(d, d_ref, t)
+
+
+def test_decision_probes_do_no_more_work_than_exact_ones():
+    ch = pm.build_chain(small_cluster(n=16))
+    tau2 = pm.spectral_gap(ch).tau2
+    fast = pm.mixing_time(ch, resolution=1e-3 * tau2, tau2_hint=tau2)
+    exact = pm.mixing_time(ch, resolution=1e-3 * tau2, tau2_hint=tau2, exact=True)
+    assert fast.decided and fast.certified
+    assert fast.rows_made <= exact.rows_made
+    assert fast.pairs_evaluated <= exact.pairs_evaluated
+
+
+def test_decided_lower_end_is_evaluated_again_where_certification_needs_it(monkeypatch):
+    ch = pm.build_chain(small_cluster(n=9))
+    tau2 = pm.spectral_gap(ch).tau2
+    kw = dict(resolution=0.25 * tau2, tau2_hint=tau2)
+    plain = pm.mixing_time(ch, exact=True, **kw)
+    margin = plain.d_lo - math.exp(-1.0)
+    # an eigen-residual for which E(t) grows through the margin between t_lo and
+    # t_hi: the t_lo probe clears E(t_lo) but certification reads E(t_hi)
+    ratio = float(ch.degrees.max()) / float(ch.degrees.min())
+    t_mid = math.sqrt(plain.t_lo * plain.t_hi)
+    residual = margin / (2.0 * math.sqrt(ch.m * ratio) * t_mid)
+    monkeypatch.setattr(chain_module, "_eigen_residual", lambda s, w, v: residual)
+    exact = pm.mixing_time(ch, exact=True, **kw)
+    fast = pm.mixing_time(ch, **kw)
+    assert (fast.t_lo, fast.t_hi) == (exact.t_lo, exact.t_hi) == (plain.t_lo, plain.t_hi)
+    assert not fast.certified and not exact.certified
+    assert fast.t_lo not in fast.decided
+    assert abs(fast.d_lo - exact.d_lo) < 1e-12
+
+
+def test_check_monotone_orders_decisions_not_lower_bounds():
+    thr = math.exp(-1.0)
+
+    def result(trace, decided):
+        return MixingResult(tau1=1.5, t_lo=1.0, t_hi=2.0, d_lo=thr + 0.1, d_hi=thr - 0.1,
+                            mode="pairwise", resolution=1.0, poisson_tol=1e-10,
+                            trace=trace, decided=decided)
+
+    # lower bounds from different probes need not be ordered
+    result([(1.0, thr + 0.01), (2.0, thr + 0.2), (3.0, thr - 0.1)], [1.0, 2.0, 3.0]
+           ).check_monotone()
+    # a probe decided above after one decided below, bound or exact
+    for decided in ([1.0, 2.0], [2.0], []):
+        with pytest.raises(PercmixError):
+            result([(1.0, thr - 1e-12), (2.0, thr + 1e-12)], decided).check_monotone()
+    # a lower bound above an earlier exact value or upper bound
+    with pytest.raises(PercmixError):
+        result([(1.0, thr + 0.1), (2.0, thr + 0.2)], [2.0]).check_monotone()
+    # exact values are compared pairwise, as before, and a lower bound caps nothing
+    with pytest.raises(PercmixError):
+        result([(1.0, 0.6), (2.0, 0.5), (3.0, 0.55)], []).check_monotone()
+    result([(1.0, 0.6), (2.0, 0.5), (3.0, 0.55)], [2.0]).check_monotone()
+
+
 def test_mixing_trace_monotone():
     result = pm.mixing_time(pm.build_chain(small_cluster()), resolution=1.0)
     result.check_monotone()
@@ -550,7 +660,7 @@ def test_partial_mode_kernel_matches_uniformized(box, p, seed, f):
                                      (10, "pairwise")])
 def test_mixing_trace_matches_uniformized_profile(n, mode):
     ch = pm.build_chain(small_cluster(n=n))
-    result = pm.mixing_time(ch, resolution=2.0, mode=mode)
+    result = pm.mixing_time(ch, resolution=2.0, mode=mode, exact=True)
     oracle = distance_profile(ch, [t for t, _ in result.trace], mode=mode, tol=1e-12)
     assert len(oracle) == len(result.trace) >= 5
     for (t, d), (_, d_ref) in zip(result.trace, oracle):

@@ -21,7 +21,8 @@ from percmix.experiments import (
     run_scaling,
     write_rows,
 )
-from percmix.fitting import fit_linear, fit_loglog, fit_through_origin
+from percmix.fitting import fit_linear, fit_loglog
+from helpers import fit_through_origin
 
 
 def test_fit_loglog_exact_square():
@@ -384,6 +385,10 @@ def test_tau1_detail_counts_probes_and_pairs(tmp_path):
         tokens = row.detail.split()
         assert f"probes={len(mix.trace)}" in tokens
         assert f"pairs_evaluated={mix.pairs_evaluated}" in tokens
+        assert f"decided={len(mix.decided)}" in tokens
+        assert f"modes={mix.modes}" in tokens
+        assert 0 <= len(mix.decided) <= len(mix.trace)
+        assert 1 <= mix.modes <= (2 * row.n + 1) ** 2  # at most one per box vertex
         evaluated.append(mix.pairs_evaluated)
     assert max(evaluated) > 0
 

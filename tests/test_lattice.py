@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percmix.errors import CapacityError, DomainError, UnsupportedDimensionError
-from percmix.lattice import BoxSpec, build_box, dual_lattice, l1_diameter
+from percmix.lattice import BoxSpec, DualGraph, build_box, dual_lattice, l1_diameter
 
 
 def brute_edge_count(d, n):
@@ -128,6 +128,15 @@ def test_dual_face_adjacency_interior():
 def test_dual_rejects_other_dimensions():
     with pytest.raises(UnsupportedDimensionError):
         dual_lattice(build_box(BoxSpec(3, 1)))
+
+
+def test_dual_is_built_once_per_box():
+    dual = dual_lattice(build_box(BoxSpec(2, 3)))
+    assert dual_lattice(build_box(BoxSpec(2, 3))) is dual
+    assert not dual.dual_u.flags.writeable and not dual.dual_v.flags.writeable
+    fresh = DualGraph(build_box(BoxSpec(2, 3)))
+    assert np.array_equal(fresh.dual_u, dual.dual_u)
+    assert np.array_equal(fresh.dual_v, dual.dual_v)
 
 
 def test_l1_diameter_basic():

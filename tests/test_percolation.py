@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percmix.errors import DomainError, EmptyClusterError, MembershipError
-from percmix.fitting import fit_through_origin
 from percmix.lattice import BoxSpec, build_box
 from percmix.percolation import (
     BondConfig,
@@ -14,6 +13,7 @@ from percmix.percolation import (
     sample_bond_config,
     sample_site_config,
 )
+from helpers import fit_through_origin
 
 BOX = BoxSpec(2, 3)
 
