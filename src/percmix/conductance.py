@@ -12,17 +12,18 @@ complement (that surgery preserves the cut edge set while growing the mass).
 
 The window bound works on a chunk of consecutive tilings (a window radius
 and an axis offset each) at once. Each tiling gets its own copy of the
-cluster, every vertex its window index; one connected-components pass over
-the edges whose ends share a window labels all window pieces of the chunk,
-and ``bincount`` gives their sizes, degree sums and inner edge counts.
-Contracting each piece to a node gives the quotient graph Q, multi-edges
-summed. Pieces are disjoint connected sets, so the cluster minus a piece
-falls apart exactly as Q minus the piece's node does: one depth-first search
-of Q (Tarjan 1972) finds, for every recorded piece at once, the subtrees no
-edge leads out of above the piece, and with prefix sums over preorder their
-degree sums and sizes. The reattached cut is the complement component of
-largest degree sum, its size, and its crossing, the Q-edges between it and
-the piece.
+cluster, every vertex its window index (-1 outside every window); one
+connected-components pass over the edges whose ends share an index labels
+all pieces of the chunk: the window pieces, and each connected region
+outside every window as one piece. ``bincount`` gives their sizes, degree
+sums and inner edge counts. Contracting each piece to a node gives the
+quotient graph Q, multi-edges summed. Pieces are disjoint connected sets,
+so the cluster minus a window piece falls apart exactly as Q minus the
+piece's node does: one depth-first search of Q (Tarjan 1972) finds, for
+every recorded piece at once, the subtrees no edge leads out of above the
+piece, and with prefix sums over preorder their degree sums and sizes. The
+reattached cut is the complement component of largest degree sum, its
+size, and its crossing, the Q-edges between it and the piece.
 """
 
 from __future__ import annotations
@@ -252,10 +253,12 @@ class ConductanceProfile:
 
     Points are sorted by x and non-increasing in phi; the value on
     [x_i, x_{i+1}) is phi(x_i). ``exact`` points come from full enumeration,
-    ``upper-bound`` points only dominate the true profile.
+    ``upper-bound`` points only dominate the true profile. ``cuts`` counts
+    the window cuts a windowed profile was taken over (0 otherwise).
     """
 
     points: list
+    cuts: int = 0
 
     def __post_init__(self):
         self.points = sorted(self.points, key=lambda p: p.x)
@@ -297,22 +300,26 @@ class ConductanceProfile:
 
         ``cuts`` holds one (crossing, degree sum, size) row per cut of a
         chain with total degree ``total``. Among cuts of equal degree sum the
-        first one of least crossing is the witness.
+        first one of least crossing is the witness. The running minimum
+        compares phi = c/q, with c = crossing·total and q = key·(total − key),
+        by Python-int cross-multiplication, which cannot overflow; the
+        ``Fraction`` is built only when the record changes.
         """
         cuts = np.asarray(cuts, dtype=np.int64).reshape(-1, 3)
         crossing, deg, size = cuts.T
+        first = _first_per_group(deg, crossing)
         points = []
         running = None
-        running_size = 0
-        for i in _first_per_group(deg, crossing):
-            key = int(deg[i])
-            val = Fraction(int(crossing[i]) * total, key * (total - key))
-            if running is None or val < running:
-                running = val
-                running_size = int(size[i])
+        for key, cross, sz in zip(deg[first].tolist(), crossing[first].tolist(),
+                                  size[first].tolist()):
+            c, q = cross * total, key * (total - key)
+            if running is None or c * running.denominator < running.numerator * q:
+                running = Fraction(c, q)
+                running_phi = float(running)
+                running_size = sz
             points.append(ProfilePoint(
                 x=key / total,
-                phi=float(running),
+                phi=running_phi,
                 certification=certification,
                 witness_size=running_size,
                 x_fraction=Fraction(key, total),
@@ -470,6 +477,12 @@ def _tiling_cuts(chain: Chain, wid: np.ndarray) -> np.ndarray:
     its largest piece (ties to the piece holding the lowest vertex) when its
     mass is at most 1/2, followed by that piece's reattached cut when the
     piece's complement is disconnected.
+
+    Each connected region outside every window is one piece of window -1,
+    never chosen. Contracting a connected set disjoint from a window piece
+    leaves the components of the piece's complement as they were, and piece
+    labels still follow the lowest vertex, so both tie-breaks (heaviest
+    component, then the one holding the lowest vertex) are unchanged.
     """
     wid = np.atleast_2d(wid)
     c = wid.shape[0]
@@ -478,13 +491,16 @@ def _tiling_cuts(chain: Chain, wid: np.ndarray) -> np.ndarray:
     # copy j of the cluster, one per tiling, holds nodes j*m .. j*m + m - 1
     base = np.arange(c, dtype=np.int64)[:, None] * m
     gu, gv = base + eu, base + ev
-    intra = (wid[:, eu] == wid[:, ev]) & (wid[:, eu] >= 0)
+    intra = wid[:, eu] == wid[:, ev]
     pieces = sparse.coo_matrix((np.ones(int(intra.sum()), dtype=np.int8), (gu[intra], gv[intra])),
                                shape=(c * m, c * m))
     # csgraph numbers components in the order of their lowest node, so piece
     # labels follow (copy, lowest vertex)
     K, labels = csgraph.connected_components(pieces.tocsr(), directed=False)
-    low = np.unique(labels, return_index=True)[1]  # lowest node of each piece
+    # lowest node of each piece: where the running maximum label grows
+    low = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
+    if low.size != K:
+        raise RuntimeError("connected components are not numbered by their lowest node")
     size = np.bincount(labels, minlength=K)
     degsum = np.bincount(labels, weights=np.tile(chain.degrees, c), minlength=K).astype(np.int64)
     crossing = degsum - 2 * np.bincount(labels[gu[intra]], minlength=K)
@@ -599,9 +615,11 @@ def profile_upper_box(chain: Chain, config=None, k_values=None) -> ConductancePr
     (side 2k+1) at a few axis offsets. Tilings run in chunks of about
     ``_BATCH_ENTRIES`` vertices and edges, each a few whole-array calls: every
     vertex of every tiling's copy of the cluster gets its window index, one
-    connected-components pass over the edges inside windows labels every
-    window piece, and ``bincount`` gives the pieces' sizes, degree sums and
-    crossing counts. The largest piece of each window is recorded.
+    connected-components pass over the edges whose ends share an index
+    labels every window piece and every connected region outside all
+    windows, and ``bincount`` gives the pieces' sizes, degree sums and
+    crossing counts. The largest piece of each window is recorded. A tiling
+    whose offset leaves no whole window inside the box is skipped.
     Contracting every piece to a node gives the quotient graph Q, plus a root
     joined to each copy's first piece; one depth-first search of Q gives each
     node's subtree as a preorder range and its low-link, the earliest node an
@@ -610,7 +628,7 @@ def profile_upper_box(chain: Chain, config=None, k_values=None) -> ConductancePr
     copy unless P is its root. When that is more than one component, the
     heaviest (or the set around it) is recorded too, with crossing equal to
     the Q-edges between it and P. Every recorded point dominates the true
-    profile at its mass.
+    profile at its mass. The profile's ``cuts`` counts the recorded cuts.
     """
     graph = chain.graph
     if graph.box is None or graph.coords is None:
@@ -622,14 +640,17 @@ def profile_upper_box(chain: Chain, config=None, k_values=None) -> ConductancePr
     for k in ks:
         if not 1 <= k < n:
             raise DomainError(f"window radius {k} outside [1, n)")
-    tilings = [(k, off) for k in ks for off in _window_offsets(d, k)]
+    # an offset past 2(n - k) on an axis leaves no window there
+    tilings = [(k, off) for k in ks for off in _window_offsets(d, k) if max(off) <= 2 * (n - k)]
     step = max(1, _BATCH_ENTRIES // (chain.m + graph.edges_local.shape[0]))
     cuts = [np.zeros((0, 3), dtype=np.int64)]
     for lo in range(0, len(tilings), step):
         wid = np.stack([_window_ids(graph.coords, n, k, off) for k, off in tilings[lo:lo + step]])
         cuts.append(_tiling_cuts(chain, wid))
-    return ConductanceProfile.lower_envelope(np.concatenate(cuts), chain.total_degree,
-                                             "upper-bound")
+    cuts = np.concatenate(cuts)
+    profile = ConductanceProfile.lower_envelope(cuts, chain.total_degree, "upper-bound")
+    profile.cuts = cuts.shape[0]
+    return profile
 
 
 def sweep_cut(chain: Chain, spectral: SpectralResult | None = None) -> CutValue:

@@ -288,7 +288,8 @@ def _quantity_rows(inst: _Instance) -> list:
                 add("tau1", mix.tau1, cert, detail)
             elif quantity == "phi_upper":
                 value, source = inst.phi_upper_value()
-                add("phi_upper", value, "upper-bound", f"source={source}")
+                add("phi_upper", value, "upper-bound",
+                    f"source={source} windows={inst.box_profile.cuts}")
             elif quantity == "lk":
                 if inst.exact_profile is not None and inst.chain.pi_min < 0.5:
                     value = cond.lk_bound(inst.exact_profile, inst.chain.pi_min)

@@ -195,6 +195,60 @@ def test_profile_non_increasing_random():
         assert pm.profile_exact(ch).is_non_increasing()
 
 
+def envelope_by_fractions(cuts, total):
+    """(x, phi, witness size) of the running minimum, by ``Fraction`` comparison."""
+    best = {}
+    for crossing, deg, size in cuts:
+        if deg not in best or crossing < best[deg][0]:
+            best[deg] = (crossing, size)
+    out, running = [], None
+    for deg in sorted(best):
+        crossing, size = best[deg]
+        phi = Fraction(crossing * total, deg * (total - deg))
+        if running is None or phi < running[0]:
+            running = (phi, size)
+        out.append((Fraction(deg, total), running[0], running[1]))
+    return out
+
+
+def envelope_points(profile):
+    return [(p.x_fraction, p.phi_fraction, p.witness_size) for p in profile.points]
+
+
+def test_lower_envelope_keeps_the_first_witness_of_an_equal_phi():
+    # 3·100/(10·90) and 7·100/(30·70) are both 1/3 in different terms; the
+    # later, heavier cut does not take the witness, the strictly lower one does
+    cuts = [(7, 30, 12), (3, 10, 5), (9, 30, 2), (5, 40, 7), (6, 50, 9)]
+    prof = ConductanceProfile.lower_envelope(cuts, 100, "upper-bound")
+    assert envelope_points(prof) == [
+        (Fraction(1, 10), Fraction(1, 3), 5),
+        (Fraction(3, 10), Fraction(1, 3), 5),
+        (Fraction(2, 5), Fraction(5, 24), 7),
+        (Fraction(1, 2), Fraction(5, 24), 7),
+    ]
+    assert envelope_points(prof) == envelope_by_fractions(cuts, 100)
+    assert [p.phi for p in prof.points] == [float(p.phi_fraction) for p in prof.points]
+    assert prof.cuts == 0
+
+
+@pytest.mark.parametrize("cuts, witness", [
+    ([(900, 3_000_000, 1), (900, 3_001_000, 2)], 2),
+    ([(907, 3_000_000, 1), (908, 3_000_001, 2)], 1),
+], ids=["improves", "does-not-improve"])
+def test_lower_envelope_orders_products_beyond_int64(cuts, witness):
+    total = 10**7 + 19
+    (a, k1, _), (b, k2, _) = cuts
+    c1, q1, c2, q2 = a * total, k1 * (total - k1), b * total, k2 * (total - k2)
+    assert min(c1 * q2, c2 * q1) > 2**63
+    # int64 products wrap here and would order the two cuts the other way
+    with np.errstate(over="ignore"):
+        wrapped = bool(np.int64(c2) * np.int64(q1) < np.int64(c1) * np.int64(q2))
+    assert wrapped != (c2 * q1 < c1 * q2)
+    prof = ConductanceProfile.lower_envelope(cuts, total, "upper-bound")
+    assert envelope_points(prof) == envelope_by_fractions(cuts, total)
+    assert prof.points[1].witness_size == witness
+
+
 def test_lk_bound_constant_profile():
     prof = ConductanceProfile([ProfilePoint(0.25, 1.0, "exact", 1)])
     assert pm.lk_bound(prof, 0.25) == pytest.approx(32 * math.log(2))
@@ -437,8 +491,9 @@ def test_profile_upper_box_matches_per_window_reference(tmp_path, d, data, p, se
 
 # d=3 at p=0.4 (p_c ~ 0.249) so that complements split; the property test
 # stops at n=4 there
-@pytest.mark.parametrize("n,seed,d,p", [(12, 0, 2, 0.7), (16, 1, 2, 0.7), (6, 0, 3, 0.4)],
-                         ids=["12-0", "16-1", "d3-6-0"])
+@pytest.mark.parametrize("n,seed,d,p", [(12, 0, 2, 0.7), (16, 1, 2, 0.7), (6, 0, 3, 0.4),
+                                       (6, 0, 3, 0.7)],
+                         ids=["12-0", "16-1", "d3-6-0", "d3-6-0-p07"])
 def test_profile_upper_box_matches_reference_at_preset_sizes(tmp_path, n, seed, d, p):
     assert_matches_reference(cluster_chain(n, p, seed, d), tmp_path)
 
@@ -579,3 +634,82 @@ def test_every_interior_piece_of_a_path_splits():
     ch = polyline_chain(4, [[v for row in rows for v in row]])
     assert ch.m == 81 and ch.graph.edges_local.shape[0] == 80
     assert_tilings_match_reference(ch)
+
+
+def test_component_numbering_out_of_lowest_node_order_is_refused(monkeypatch):
+    ch = cluster_chain(4)
+    components = csgraph.connected_components
+
+    def reversed_labels(graph, directed=True):
+        count, labels = components(graph, directed=directed)
+        return count, count - 1 - labels
+
+    monkeypatch.setattr(conductance_module.csgraph, "connected_components", reversed_labels)
+    with pytest.raises(RuntimeError, match="not numbered by their lowest node"):
+        pm.profile_upper_box(ch)
+
+
+def outside_components(chain, piece, k, off):
+    """Components of the complement of ``piece`` outside every window of (k, off)."""
+    n = chain.graph.box.n
+    wid = conductance_module._window_ids(chain.graph.coords, n, k, off)
+    rest = np.setdiff1d(np.arange(chain.m), piece)
+    sub = chain.graph.adjacency[rest][:, rest]
+    ncomp, labels = csgraph.connected_components(sub, directed=False)
+    return [rest[labels == j] for j in range(ncomp) if (wid[rest[labels == j]] < 0).all()]
+
+
+def only_window_piece(chain, k, off):
+    """Cluster indices inside the single window of (k, off)."""
+    n = chain.graph.box.n
+    wid = conductance_module._window_ids(chain.graph.coords, n, k, off)
+    assert wid.max() == 0
+    return np.nonzero(wid == 0)[0]
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_complement_component_outside_every_window(mirror):
+    # at n=4 each k=3 tiling has one window: [-4, 2]^2 at offset 0, and
+    # [-2, 4] x [-4, 2] at offset (2, 0) for the mirror image. The piece in
+    # it is a 3-vertex segment whose complement is two arms lying wholly
+    # outside the window, each merged into one quotient node
+    ch = polyline_chain(4, [
+        [(4, 2), (3, 2), (2, 2), (1, 2), (0, 2), (0, 3), (0, 4), (-1, 4), (-2, 4), (-3, 4),
+         (-4, 4), (-4, 3)],
+    ], mirror)
+    off = (2, 0) if mirror else (0, 0)
+    piece = only_window_piece(ch, 3, off)
+    assert piece.size == 3
+    assert sorted(c.size for c in outside_components(ch, piece, 3, off)) == [2, 7]
+    assert not pm.set_conductance(ch, piece).ac_connected
+    assert_tilings_match_reference(ch)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_complement_tie_decided_outside_every_window(mirror):
+    # a 4-vertex square and a 5-vertex path hang off the window piece, both
+    # of degree sum 9 and both outside the only window of the k=3 tiling:
+    # the lowest vertex, outside every window, decides the witness size
+    ch = polyline_chain(4, [
+        [(-1, 2), (0, 2), (1, 2), (1, 3), (2, 3), (3, 3), (4, 3), (4, 4)],
+        [(-1, 2), (-1, 3), (-2, 3), (-2, 4), (-1, 4), (-1, 3)],
+    ], mirror)
+    piece = only_window_piece(ch, 3, (0, 0))
+    assert piece.size == 3
+    parts = outside_components(ch, piece, 3, (0, 0))
+    assert sorted(c.size for c in parts) == [4, 5]
+    assert [int(ch.degrees[c].sum()) for c in parts] == [9, 9]
+    assert_tilings_match_reference(ch)
+
+
+def test_offset_tilings_without_a_window_are_skipped(tmp_path):
+    # at n=9 an offset past 2(n - k) leaves no window: both of k=8's and one
+    # of k=7's offsets per axis
+    ch = cluster_chain(9, seed=3)
+    n, k_values = 9, [7, 8]
+    empty = [(k, off) for k in k_values for off in _window_offsets(2, k)
+             if max(off) > 2 * (n - k)]
+    assert len(empty) == 6
+    for k, off in empty:
+        assert (conductance_module._window_ids(ch.graph.coords, n, k, off) == -1).all()
+    assert_matches_reference(ch, tmp_path, k_values)

@@ -412,3 +412,18 @@ def test_var_lower_detail_counts_sources(tmp_path):
         vb = inst.var_bound
         assert f"sources={vb.sources}" in row.detail.split()
         assert 1 <= vb.sources <= inst.chain.m
+
+
+def test_phi_upper_detail_counts_windows(tmp_path):
+    small = dict(n_list=(6, 9), quantities=("phi_upper",))
+    serial = run_scaling(small_config(tmp_path, out=str(tmp_path / "s"), **small))
+    run_scaling(small_config(tmp_path, out=str(tmp_path / "p"), workers=2, **small))
+    assert (tmp_path / "p" / "rows.csv").read_bytes() == (tmp_path / "s" / "rows.csv").read_bytes()
+    cfg = small_config(tmp_path, **small)
+    rows = [r for r in serial.rows if r.quantity == "phi_upper"]
+    assert len(rows) == 4
+    for row in rows:
+        profile = experiments._Instance(cfg, row.n, row.seed).box_profile
+        assert f"windows={profile.cuts}" in row.detail.split()
+        # every profile point has its own witness cut
+        assert len(profile.points) <= profile.cuts
