@@ -5,8 +5,6 @@ from .chain import (
     MixingResult,
     build_chain,
     mixing_time,
-    transient_distribution,
-    tv_distance,
 )
 from .conductance import (
     CheegerResult,
@@ -47,17 +45,14 @@ from .geometry import (
     fpp_regression,
     good_density_curve,
 )
-from .lattice import BoxGraph, BoxSpec, DualGraph, build_box, dual_lattice, l1_diameter
+from .lattice import BoxGraph, BoxSpec, DualGraph, build_box, dual_lattice
 from .percolation import (
     BondConfig,
     ClusterCensus,
     ClusterGraph,
-    SiteConfig,
-    chemical_distance,
     cluster_census,
     largest_cluster,
     sample_bond_config,
-    sample_site_config,
 )
 from .spectral import (
     DistanceVarianceBound,

@@ -25,9 +25,13 @@ relaxation time tau2 for the pairwise profile, (1 - ln 2) tau2 for the
 distance to stationarity.
 
 The uniformized jump kernel is exactly the discrete simple random walk
-kernel P, so e^{tQ} is also the Poisson(t) mixture of powers of P. That
-route serves single transient distributions, and its Poisson weights build
-the uniformized kernel that tests compare the spectral kernels against.
+kernel P, so e^{tQ} is also the Poisson(t) mixture of powers of P.
+`transient_distribution` and `_poisson_weights` are that route. The
+pipeline does not call them and they are not exported: they are the oracle
+that tests compare the spectral kernels against. They are also this
+module's only use of ``scipy.special``; importing it with the package keeps
+its load out of the first pairwise probe, whose lazy ``cdist`` import would
+otherwise pull it in.
 """
 
 from __future__ import annotations
@@ -117,11 +121,6 @@ class Chain:
         return float(self.degrees.min()) / self.total_degree
 
     @property
-    def edge_measure(self) -> float:
-        """q(x, y) for any directed edge: 1 / (2|E|)."""
-        return 1.0 / self.total_degree
-
-    @property
     def box(self):
         return self.graph.box
 
@@ -194,15 +193,6 @@ class Chain:
 def build_chain(graph: ClusterGraph) -> Chain:
     """Wrap a graph as a walk chain; `ClusterGraph` is connected by construction."""
     return Chain(graph)
-
-
-def tv_distance(mu: np.ndarray, nu: np.ndarray) -> float:
-    """Total-variation distance, half the L1 distance between the vectors."""
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if mu.shape != nu.shape:
-        raise DomainError(f"distribution supports differ: {mu.shape} vs {nu.shape}")
-    return min(1.0, 0.5 * float(np.abs(mu - nu).sum()))
 
 
 def _poisson_weights(t: float, tol: float) -> np.ndarray:

@@ -62,10 +62,6 @@ class CutValue:
     ac_connected: bool
 
     @property
-    def q_cross(self) -> float:
-        return self.crossing / self.deg_total
-
-    @property
     def phi(self) -> float:
         return self.crossing * self.deg_total / (self.deg_a * (self.deg_total - self.deg_a))
 
@@ -73,10 +69,6 @@ class CutValue:
     def phi_fraction(self) -> Fraction:
         return Fraction(self.crossing * self.deg_total,
                         self.deg_a * (self.deg_total - self.deg_a))
-
-    @property
-    def pi_fraction(self) -> Fraction:
-        return Fraction(self.deg_a, self.deg_total)
 
 
 def _induced_connected(chain: Chain, idx: np.ndarray) -> bool:
@@ -266,27 +258,6 @@ class ConductanceProfile:
     @property
     def x_min(self) -> float:
         return self.points[0].x
-
-    def value_at(self, x: float) -> float:
-        if not self.points or x < self.points[0].x - 1e-15:
-            raise DomainError(f"profile undefined below {self.points[0].x if self.points else 'empty'}")
-        val = self.points[0].phi
-        for p in self.points:
-            if p.x <= x + 1e-15:
-                val = p.phi
-            else:
-                break
-        return val
-
-    def is_non_increasing(self) -> bool:
-        phis = [p.phi for p in self.points]
-        return all(a >= b - 1e-12 for a, b in zip(phis, phis[1:]))
-
-    def scaled(self, c: float) -> "ConductanceProfile":
-        return ConductanceProfile([
-            ProfilePoint(p.x, p.phi * c, p.certification, p.witness_size)
-            for p in self.points
-        ])
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

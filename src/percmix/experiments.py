@@ -33,7 +33,6 @@ from .percolation import cluster_census, largest_cluster, sample_bond_config
 
 SCHEMA_VERSION = 1
 QUANTITIES = ("tau1", "tau2", "phi_upper", "lk", "var_lower", "census", "fpp", "renorm")
-CERTIFICATIONS = ("exact", "upper-bound", "heuristic", "error")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

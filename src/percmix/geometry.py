@@ -77,10 +77,6 @@ class DualFppField:
             shape=(num_classes, num_classes),
         ).tocsr()
 
-    def weight(self, dual_edge_id: int) -> int:
-        """Weight of the dual edge paired with primal EdgeId ``dual_edge_id``."""
-        return int(self.config.open_mask[self.dual.primal_edge_of_dual(dual_edge_id)])
-
     def distance(self, x_face, y_face) -> int:
         """0-1 weighted distance between two dual vertices (face coordinates)."""
         return int(self.distances([x_face], [y_face])[0])
@@ -283,15 +279,6 @@ class GoodSiteField:
         if k == 0:
             raise DomainError("no interior sites at this block scale")
         return float(self.good[self.classified].sum()) / k
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            coord_cols = ",".join(f"v{a}" for a in range(self.box.d))
-            fh.write(f"{coord_cols},classified,good,witness\n")
-            for i in range(self.sites.shape[0]):
-                coords = ",".join(str(int(c)) for c in self.sites[i])
-                fh.write(f"{coords},{int(self.classified[i])},"
-                         f"{int(self.good[i])},{int(self.witness[i])}\n")
 
 
 def _classify_windows(flags, bases, offsets, block: int):

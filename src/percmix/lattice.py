@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import CapacityError, DomainError, UnsupportedDimensionError
 
@@ -86,7 +84,6 @@ class BoxGraph:
 
         for arr in (self.strides, self.edge_tail, self.edge_axis, self.edge_head, self.edge_lookup):
             arr.setflags(write=False)
-        self._adjacency = None
 
     def vertex_coords(self, vids) -> np.ndarray:
         """Coordinates in {-n..n}^d for an array of vertex ids."""
@@ -113,21 +110,6 @@ class BoxGraph:
         if eid < 0 or self.edge_head[eid] != hi:
             raise DomainError(f"vertices {u} and {v} are not lattice neighbours")
         return int(eid)
-
-    def degrees(self) -> np.ndarray:
-        deg = np.bincount(self.edge_tail, minlength=self.num_vertices)
-        deg += np.bincount(self.edge_head, minlength=self.num_vertices)
-        return deg
-
-    def adjacency(self) -> sparse.csr_matrix:
-        if self._adjacency is None:
-            ones = np.ones(self.num_edges, dtype=np.int8)
-            a = sparse.coo_matrix(
-                (ones, (self.edge_tail, self.edge_head)),
-                shape=(self.num_vertices, self.num_vertices),
-            )
-            self._adjacency = (a + a.T).tocsr()
-        return self._adjacency
 
     def window_vertex_ids(self, lo, hi) -> np.ndarray:
         """Vertex ids of the sub-box [lo, hi]^d, shaped like the window grid.
@@ -202,31 +184,6 @@ class DualGraph:
             raise DomainError("face coordinate outside the box")
         return (coords[..., 0] + n) * side + (coords[..., 1] + n)
 
-    @property
-    def num_dual_edges(self) -> int:
-        return self.box.num_edges
-
-    def primal_edge_of_dual(self, dual_edge_id: int) -> int:
-        """The pairing is the identity on indices; kept explicit for clarity."""
-        if not 0 <= dual_edge_id < self.num_dual_edges:
-            raise DomainError("dual edge id out of range")
-        return dual_edge_id
-
-    def adjacency(self, include_outer: bool = True) -> sparse.csr_matrix:
-        size = self.num_inner_faces + (1 if include_outer else 0)
-        u, v = self.dual_u, self.dual_v
-        if not include_outer:
-            keep = (u != self.outer_face) & (v != self.outer_face)
-            u, v = u[keep], v[keep]
-        a = sparse.coo_matrix((np.ones(u.size, dtype=np.int8), (u, v)), shape=(size, size))
-        return (a + a.T).tocsr()
-
-    def is_connected(self) -> bool:
-        if self.num_inner_faces == 0:
-            return True
-        ncomp, _ = csgraph.connected_components(self.adjacency(), directed=False)
-        return ncomp == 1
-
 
 @lru_cache(maxsize=16)
 def dual_lattice(box: BoxGraph) -> DualGraph:
@@ -235,26 +192,3 @@ def dual_lattice(box: BoxGraph) -> DualGraph:
     Errors on any other dimension.
     """
     return DualGraph(box)
-
-
-def l1_diameter(points) -> int:
-    """Max pairwise L1 distance over a nonempty set of lattice points.
-
-    Uses the rotation trick: the L1 diameter equals the max over the 2^(d-1)
-    sign patterns s (s_0 = +1) of max - min of the projections sum_i s_i x_i.
-    """
-    pts = np.asarray(list(points) if not isinstance(points, np.ndarray) else points)
-    if pts.size == 0:
-        raise DomainError("l1_diameter of an empty set")
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    d = pts.shape[1]
-    best = 0
-    for bits in range(2 ** (d - 1)):
-        signs = np.ones(d, dtype=np.int64)
-        for a in range(1, d):
-            if bits >> (a - 1) & 1:
-                signs[a] = -1
-        proj = pts @ signs
-        best = max(best, int(proj.max() - proj.min()))
-    return best

@@ -11,6 +11,7 @@ monotone in p, a single seed yields a monotone coupling across p values.
 from __future__ import annotations
 
 import io
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -25,7 +26,6 @@ from .errors import (
 )
 from .lattice import BoxGraph, BoxSpec, build_box
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
 _MULT2 = np.uint64(0x94D049BB133111EB)
@@ -34,6 +34,10 @@ _BOND_SALT = np.uint64(0)
 _SITE_SALT = np.uint64(0x6A09E667F3BCC909)
 
 _MAGIC = b"PMX1"
+_HEADER = struct.Struct("<4sIIdQ")  # magic, d, n, p, seed
+# What float.hex writes: the text form stores p exactly, and a decimal "0.7"
+# would otherwise parse as the hexadecimal 0x0.7.
+_HEX_FLOAT = re.compile(r"[+-]?0x[0-9a-f]+(\.[0-9a-f]*)?(p[+-]?[0-9]+)?", re.IGNORECASE)
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
@@ -75,6 +79,8 @@ class BondConfig:
     def __post_init__(self):
         if self.open_mask.shape != (self.box.edge_count,):
             raise DomainError("open mask length does not match the edge count")
+        if not 0.0 <= self.p <= 1.0:
+            raise DomainError(f"probability must be in [0, 1], got {self.p}")
 
     @property
     def open_count(self) -> int:
@@ -84,19 +90,20 @@ class BondConfig:
         return np.nonzero(self.open_mask)[0]
 
     def to_bytes(self) -> bytes:
-        header = struct.pack(
-            "<4sIIdQ", _MAGIC, self.box.d, self.box.n,
-            self.p, self.seed & 0xFFFFFFFFFFFFFFFF,
+        header = _HEADER.pack(
+            _MAGIC, self.box.d, self.box.n, self.p, self.seed & 0xFFFFFFFFFFFFFFFF,
         )
         return header + np.packbits(self.open_mask).tobytes()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "BondConfig":
-        magic, d, n, p, seed = struct.unpack_from("<4sIIdQ", blob)
+        if len(blob) < _HEADER.size:
+            raise DomainError("bond configuration block shorter than its header")
+        magic, d, n, p, seed = _HEADER.unpack_from(blob)
         if magic != _MAGIC:
             raise DomainError("not a bond configuration block")
         box = BoxSpec(d, n)
-        bits = np.frombuffer(blob, dtype=np.uint8, offset=struct.calcsize("<4sIIdQ"))
+        bits = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size)
         mask = np.unpackbits(bits)[: box.edge_count].astype(bool)
         return cls(box, p, seed, mask)
 
@@ -112,54 +119,38 @@ class BondConfig:
     def from_text(cls, text: str) -> "BondConfig":
         header = {}
         open_ids = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if "=" in line:
-                k, v = line.split("=", 1)
-                header[k.strip()] = v.strip()
-            else:
-                open_ids.append(int(line))
         try:
+            for line in text.splitlines():
+                line = line.strip()
+                if not line:
+                    continue
+                if "=" in line:
+                    k, v = line.split("=", 1)
+                    header[k.strip()] = v.strip()
+                else:
+                    open_ids.append(int(line))
             box = BoxSpec(int(header["d"]), int(header["n"]))
+            if not _HEX_FLOAT.fullmatch(header["p"]):
+                raise DomainError(f"p={header['p']} is not in float.hex form")
             p = float.fromhex(header["p"])
             seed = int(header["seed"])
         except KeyError as exc:
             raise DomainError(f"missing header field {exc}") from exc
+        except DomainError:
+            raise
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(f"malformed bond configuration text: {exc}") from exc
+        if any(not 0 <= e < box.edge_count for e in open_ids):
+            raise DomainError(f"open EdgeIds must lie in [0, {box.edge_count})")
         mask = np.zeros(box.edge_count, dtype=bool)
         mask[np.asarray(open_ids, dtype=np.int64)] = True
         return cls(box, p, seed, mask)
-
-
-@dataclass(frozen=True)
-class SiteConfig:
-    """An open/closed assignment on the vertices of B_d(n)."""
-
-    box: BoxSpec
-    p: float
-    seed: int
-    open_mask: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.open_mask.shape != (self.box.vertex_count,):
-            raise DomainError("open mask length does not match the vertex count")
-
-    @property
-    def open_count(self) -> int:
-        return int(self.open_mask.sum())
 
 
 def sample_bond_config(box: BoxSpec, p: float, seed: int) -> BondConfig:
     mask = _threshold_mask(seed, box.edge_count, p, _BOND_SALT)
     mask.setflags(write=False)
     return BondConfig(box, p, seed, mask)
-
-
-def sample_site_config(box: BoxSpec, p: float, seed: int) -> SiteConfig:
-    mask = _threshold_mask(seed, box.vertex_count, p, _SITE_SALT)
-    mask.setflags(write=False)
-    return SiteConfig(box, p, seed, mask)
 
 
 def bernoulli_site_field(seed: int, count: int, p: float) -> np.ndarray:
@@ -289,11 +280,6 @@ class ClusterCensus:
         return self.component_edges.shape[0]
 
     @property
-    def largest_edge_density(self) -> float:
-        denom = self.box.d * self.box.vertex_count
-        return float(self.component_edges[0]) / denom
-
-    @property
     def largest_vertex_fraction(self) -> float:
         return float(self.component_vertices[0]) / self.box.vertex_count
 
@@ -304,14 +290,6 @@ class ClusterCensus:
             return 0.0
         return float(self.component_edges[1]) / float(self.component_edges[0])
 
-    @property
-    def total_edges(self) -> int:
-        return int(self.component_edges.sum())
-
-    @property
-    def total_vertices(self) -> int:
-        return int(self.component_vertices.sum())
-
 
 def cluster_census(config: BondConfig) -> ClusterCensus:
     graph = build_box(config.box)
@@ -320,12 +298,3 @@ def cluster_census(config: BondConfig) -> ClusterCensus:
     edges = np.bincount(labels[graph.edge_tail[config.open_edges()]], minlength=verts.size)
     order = np.lexsort((-verts, -edges))
     return ClusterCensus(config.box, config.p, config.seed, edges[order], verts[order])
-
-
-def chemical_distance(cluster: ClusterGraph, x: int, y: int) -> int:
-    """Graph distance between two global VertexIds inside the cluster."""
-    lx, ly = cluster.local_index(x), cluster.local_index(y)
-    if lx == ly:
-        return 0
-    dist = csgraph.dijkstra(cluster.adjacency, indices=lx, unweighted=True, directed=False)
-    return int(dist[ly])

@@ -1,9 +1,20 @@
-"""Test-only helpers shared by several test modules."""
+"""Test-only helpers shared by several test modules.
+
+Closed-form graphs, oracles and accessors that tests compare the package
+against; nothing in ``percmix`` calls them.
+"""
+
+from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
+from percmix.conductance import ConductanceProfile, ProfilePoint
 from percmix.errors import DomainError
 from percmix.fitting import FitResult
+from percmix.lattice import BoxSpec
+from percmix.percolation import ClusterGraph, largest_cluster, sample_bond_config
 
 
 def fit_through_origin(x, y) -> FitResult:
@@ -25,3 +36,143 @@ def fit_through_origin(x, y) -> FitResult:
     ss_tot = float((y * y).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return FitResult(slope=slope, intercept=0.0, r_squared=r2, n_points=x.size)
+
+
+# ---------------------------------------------------------------------------
+# small closed-form graphs, accepted anywhere a cluster is (no lattice data)
+
+
+def cycle_graph(m: int) -> ClusterGraph:
+    if m < 3:
+        raise DomainError("cycle needs at least 3 vertices")
+    edges = [(i, (i + 1) % m) for i in range(m)]
+    return ClusterGraph(np.arange(m), np.array(edges))
+
+
+def path_graph(m: int) -> ClusterGraph:
+    if m < 2:
+        raise DomainError("path needs at least 2 vertices")
+    edges = [(i, i + 1) for i in range(m - 1)]
+    return ClusterGraph(np.arange(m), np.array(edges))
+
+
+def complete_graph(m: int) -> ClusterGraph:
+    if m < 2:
+        raise DomainError("complete graph needs at least 2 vertices")
+    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    return ClusterGraph(np.arange(m), np.array(edges))
+
+
+def single_edge() -> ClusterGraph:
+    return path_graph(2)
+
+
+def full_box_cluster(d: int, n: int) -> ClusterGraph:
+    """The whole box B_d(n) as the p=1 percolation cluster."""
+    return largest_cluster(sample_bond_config(BoxSpec(d, n), 1.0, 0))
+
+
+# ---------------------------------------------------------------------------
+# distances and walk oracles
+
+
+def tv_distance(mu: np.ndarray, nu: np.ndarray) -> float:
+    """Total-variation distance, half the L1 distance between the vectors."""
+    mu = np.asarray(mu, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    if mu.shape != nu.shape:
+        raise DomainError(f"distribution supports differ: {mu.shape} vs {nu.shape}")
+    return min(1.0, 0.5 * float(np.abs(mu - nu).sum()))
+
+
+def chemical_distance(cluster: ClusterGraph, x: int, y: int) -> int:
+    """Graph distance between two global VertexIds inside the cluster."""
+    lx, ly = cluster.local_index(x), cluster.local_index(y)
+    if lx == ly:
+        return 0
+    dist = csgraph.dijkstra(cluster.adjacency, indices=lx, unweighted=True, directed=False)
+    return int(dist[ly])
+
+
+def l1_diameter(points) -> int:
+    """Max pairwise L1 distance over a nonempty set of lattice points.
+
+    Uses the rotation trick: the L1 diameter equals the max over the 2^(d-1)
+    sign patterns s (s_0 = +1) of max - min of the projections sum_i s_i x_i.
+    """
+    pts = np.asarray(list(points) if not isinstance(points, np.ndarray) else points)
+    if pts.size == 0:
+        raise DomainError("l1_diameter of an empty set")
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    d = pts.shape[1]
+    best = 0
+    for bits in range(2 ** (d - 1)):
+        signs = np.ones(d, dtype=np.int64)
+        for a in range(1, d):
+            if bits >> (a - 1) & 1:
+                signs[a] = -1
+        proj = pts @ signs
+        best = max(best, int(proj.max() - proj.min()))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# conductance profiles
+
+
+def profile_value_at(profile: ConductanceProfile, x: float) -> float:
+    """The step function's value at x: phi of the last point with x_i <= x."""
+    points = profile.points
+    if not points or x < points[0].x - 1e-15:
+        raise DomainError(f"profile undefined below {points[0].x if points else 'empty'}")
+    val = points[0].phi
+    for p in points:
+        if p.x <= x + 1e-15:
+            val = p.phi
+        else:
+            break
+    return val
+
+
+def profile_is_non_increasing(profile: ConductanceProfile) -> bool:
+    phis = [p.phi for p in profile.points]
+    return all(a >= b - 1e-12 for a, b in zip(phis, phis[1:]))
+
+
+def profile_scaled(profile: ConductanceProfile, c: float) -> ConductanceProfile:
+    return ConductanceProfile([
+        ProfilePoint(p.x, p.phi * c, p.certification, p.witness_size)
+        for p in profile.points
+    ])
+
+
+# ---------------------------------------------------------------------------
+# lattice graphs as sparse matrices
+
+
+def box_degrees(box) -> np.ndarray:
+    deg = np.bincount(box.edge_tail, minlength=box.num_vertices)
+    deg += np.bincount(box.edge_head, minlength=box.num_vertices)
+    return deg
+
+
+@lru_cache(maxsize=16)
+def box_adjacency(box) -> sparse.csr_matrix:
+    """Symmetric 0/1 adjacency of every box edge (cached per box)."""
+    ones = np.ones(box.num_edges, dtype=np.int8)
+    a = sparse.coo_matrix(
+        (ones, (box.edge_tail, box.edge_head)),
+        shape=(box.num_vertices, box.num_vertices),
+    )
+    return (a + a.T).tocsr()
+
+
+def dual_adjacency(dual, include_outer: bool = True) -> sparse.csr_matrix:
+    size = dual.num_inner_faces + (1 if include_outer else 0)
+    u, v = dual.dual_u, dual.dual_v
+    if not include_outer:
+        keep = (u != dual.outer_face) & (v != dual.outer_face)
+        u, v = u[keep], v[keep]
+    a = sparse.coo_matrix((np.ones(u.size, dtype=np.int8), (u, v)), shape=(size, size))
+    return (a + a.T).tocsr()

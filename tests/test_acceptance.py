@@ -25,8 +25,8 @@ import percmix as pm
 from percmix.errors import EmptyClusterError
 from percmix.experiments import ExperimentConfig, default_preset, run_instance, run_scaling
 from percmix.fitting import fit_loglog, fit_loglog_geomean
-from percmix.fixtures import cycle_graph, single_edge
 from percmix.geometry import classify_good_vertices
+from helpers import cycle_graph, single_edge
 from test_conductance import cheeger_unrestricted
 
 E_INV = math.exp(-1.0)

@@ -21,6 +21,7 @@ from percmix.geometry import (
     good_density_curve,
 )
 from percmix.lattice import BoxSpec, build_box, dual_lattice
+from helpers import box_adjacency
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +253,6 @@ def test_fpp_full_lattice_is_l1():
         assert field.distance(a, b) == int(np.abs(a - b).sum())
 
 
-def test_fpp_weight_pairs_with_primal_edge():
-    config = pm.sample_bond_config(BoxSpec(2, 4), 0.5, 9)
-    field = DualFppField(config)
-    for eid in range(0, config.box.edge_count, 7):
-        assert field.weight(eid) == int(config.open_mask[eid])
-
-
 def test_fpp_requires_dimension_two():
     with pytest.raises(UnsupportedDimensionError):
         DualFppField(pm.sample_bond_config(BoxSpec(3, 2), 0.5, 0))
@@ -291,14 +285,6 @@ def test_fpp_regression_p_one_control():
     assert reg.slope == pytest.approx(1.0)
     assert reg.intercept == pytest.approx(0.0, abs=1e-9)
     assert reg.r_squared == pytest.approx(1.0)
-
-
-def test_fpp_weight_rejects_out_of_range_ids():
-    config = pm.sample_bond_config(BoxSpec(2, 4), 0.5, 9)
-    field = DualFppField(config)
-    for eid in (-1, config.box.edge_count):
-        with pytest.raises(DomainError):
-            field.weight(eid)
 
 
 @settings(max_examples=40, deadline=None)
@@ -578,7 +564,7 @@ def test_coarse_grain_whole_box():
 
 
 def _random_connected_set(graph, rng, size):
-    adj = graph.adjacency()
+    adj = box_adjacency(graph)
     start = int(rng.integers(0, graph.num_vertices))
     seen = {start}
     frontier = [start]

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from percmix.errors import CapacityError, DomainError, UnsupportedDimensionError
-from percmix.lattice import BoxSpec, DualGraph, build_box, dual_lattice, l1_diameter
+from percmix.lattice import BoxSpec, DualGraph, build_box, dual_lattice
+from helpers import box_adjacency, box_degrees, dual_adjacency, l1_diameter
 
 
 def brute_edge_count(d, n):
@@ -54,7 +56,7 @@ def test_edge_count_formula(d, n):
 def test_interior_degree():
     box = build_box(BoxSpec(3, 2))
     center = box.coord_to_vertex(np.zeros(3, dtype=int))
-    assert box.degrees()[center] == 6
+    assert box_degrees(box)[center] == 6
 
 
 def test_vertex_roundtrip_all():
@@ -97,29 +99,36 @@ def test_spec_validation():
 def test_dual_pairing_total():
     box = build_box(BoxSpec(2, 1))
     dual = dual_lattice(box)
-    assert dual.num_dual_edges == 12
-    # every primal edge crosses exactly one dual edge; pairing is index-aligned
-    for eid in range(12):
-        assert dual.primal_edge_of_dual(eid) == eid
-    assert dual.dual_u.shape == (12,)
+    assert dual.dual_u.size == 12
+    # every primal edge crosses exactly one dual edge; pairing is index-aligned:
+    # both ends of primal edge k are corners of each inner face of dual edge k
+    ends = [box.vertex_coords(box.edge_tail), box.vertex_coords(box.edge_head)]
+    for faces in (dual.dual_u, dual.dual_v):
+        inner = faces != dual.outer_face
+        side = dual.faces_per_side
+        corner = np.stack([faces // side, faces % side], axis=1) - box.spec.n
+        for coords in ends:
+            offset = coords[inner] - corner[inner]
+            assert np.all((offset == 0) | (offset == 1))
     # the two faces of a dual edge are distinct
     assert np.all(dual.dual_u != dual.dual_v)
 
 
 def test_dual_empty_box():
     dual = dual_lattice(build_box(BoxSpec(2, 0)))
-    assert dual.num_dual_edges == 0
+    assert dual.dual_u.size == 0
     assert dual.num_inner_faces == 0
 
 
 def test_dual_connected():
-    assert dual_lattice(build_box(BoxSpec(2, 2))).is_connected()
+    adj = dual_adjacency(dual_lattice(build_box(BoxSpec(2, 2))))
+    assert csgraph.connected_components(adj, directed=False)[0] == 1
 
 
 def test_dual_face_adjacency_interior():
     # neighbouring interior faces share exactly one dual edge
     dual = dual_lattice(build_box(BoxSpec(2, 2)))
-    adj = dual.adjacency(include_outer=False)
+    adj = dual_adjacency(dual, include_outer=False)
     f = dual.coord_to_face(np.array([0, 0]))
     g = dual.coord_to_face(np.array([1, 0]))
     assert adj[f, g] == 1
@@ -169,7 +178,7 @@ def _connected_subsets_with_bbox(n):
     coords = box.vertex_coords(np.arange(m))
     u = (coords[:, 0] + coords[:, 1]).tolist()
     v = (coords[:, 0] - coords[:, 1]).tolist()
-    adj_csr = box.adjacency()
+    adj_csr = box_adjacency(box)
     adj = []
     for i in range(m):
         mask = 0

@@ -1,0 +1,46 @@
+"""The package's public surface: what it exports and what importing it loads."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import percmix
+
+SRC = Path(percmix.__file__).resolve().parent
+ROOT = SRC.parents[1]
+
+
+def _exported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return sorted(alias.asname or alias.name
+                  for node in tree.body if isinstance(node, ast.ImportFrom)
+                  for alias in node.names)
+
+
+def test_every_export_has_a_caller_outside_tests():
+    # an export that only tests call belongs in the tests
+    files = [f for f in SRC.glob("*.py") if f.name != "__init__.py"]
+    files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    lines = [line for f in files for line in f.read_text(encoding="utf-8").splitlines()]
+    names = _exported_names()
+    assert len(names) > 40  # the parse found the import lists
+    unused = []
+    for name in names:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unused.append(name)
+    assert unused == [], unused
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # chain imports cdist lazily, inside the first pairwise probe
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, percmix; print('scipy.spatial' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,12 @@ from percmix.errors import DomainError, EmptyClusterError, MembershipError
 from percmix.lattice import BoxSpec, build_box
 from percmix.percolation import (
     BondConfig,
-    chemical_distance,
+    bernoulli_site_field,
     cluster_census,
     largest_cluster,
     sample_bond_config,
-    sample_site_config,
 )
-from helpers import fit_through_origin
+from helpers import chemical_distance, fit_through_origin
 
 BOX = BoxSpec(2, 3)
 
@@ -21,8 +22,8 @@ BOX = BoxSpec(2, 3)
 def test_degenerate_probabilities():
     assert sample_bond_config(BOX, 0.0, 1).open_count == 0
     assert sample_bond_config(BOX, 1.0, 1).open_count == BOX.edge_count
-    assert sample_site_config(BOX, 0.0, 1).open_count == 0
-    assert sample_site_config(BOX, 1.0, 1).open_count == BOX.vertex_count
+    assert bernoulli_site_field(1, BOX.vertex_count, 0.0).sum() == 0
+    assert bernoulli_site_field(1, BOX.vertex_count, 1.0).sum() == BOX.vertex_count
     with pytest.raises(DomainError):
         sample_bond_config(BOX, 1.2, 1)
     with pytest.raises(DomainError):
@@ -38,8 +39,8 @@ def test_determinism():
 def test_bond_and_site_streams_differ():
     box = BoxSpec(1, 6)  # 13 vertices, 12 edges
     bond = sample_bond_config(box, 0.5, 3)
-    site = sample_site_config(box, 0.5, 3)
-    assert not np.array_equal(bond.open_mask, site.open_mask[: box.edge_count])
+    site = bernoulli_site_field(3, box.vertex_count, 0.5)
+    assert not np.array_equal(bond.open_mask, site[: box.edge_count])
 
 
 @given(st.integers(0, 2**63 - 1))
@@ -77,7 +78,8 @@ def test_site_fraction_within_three_standard_errors():
     box = BoxSpec(2, 16)
     p = 0.9
     n_seeds = 200
-    total = sum(sample_site_config(box, p, seed).open_count for seed in range(n_seeds))
+    total = sum(int(bernoulli_site_field(seed, box.vertex_count, p).sum())
+                for seed in range(n_seeds))
     frac = total / (box.vertex_count * n_seeds)
     se = np.sqrt(p * (1 - p) / (box.vertex_count * n_seeds))
     assert abs(frac - p) < 3 * se
@@ -174,7 +176,7 @@ def test_p_one_cluster_is_whole_box():
 def test_census_trivial():
     c1 = cluster_census(sample_bond_config(BoxSpec(2, 2), 1.0, 0))
     assert c1.num_components == 1
-    assert c1.largest_edge_density == pytest.approx(40 / (2 * 25))
+    assert c1.component_edges[0] / (2 * 25) == pytest.approx(40 / (2 * 25))
     assert c1.second_largest_ratio == 0.0
     c0 = cluster_census(sample_bond_config(BoxSpec(2, 2), 0.0, 0))
     assert c0.num_components == 25
@@ -186,9 +188,9 @@ def test_census_trivial():
 def test_census_totals(seed, p):
     config = sample_bond_config(BoxSpec(2, 4), p, seed)
     census = cluster_census(config)
-    assert census.total_edges == config.open_count
-    assert census.total_vertices == config.box.vertex_count
-    assert 0.0 <= census.largest_edge_density <= 1.0
+    assert int(census.component_edges.sum()) == config.open_count
+    assert int(census.component_vertices.sum()) == config.box.vertex_count
+    assert 0.0 <= census.component_edges[0] / (config.box.d * config.box.vertex_count) <= 1.0
     # sorted descending by edge count
     edges = census.component_edges
     assert all(edges[i] >= edges[i + 1] for i in range(len(edges) - 1))
@@ -259,3 +261,24 @@ def test_text_roundtrip_bit_exact():
 def test_binary_rejects_garbage():
     with pytest.raises(DomainError):
         BondConfig.from_bytes(b"XXXX" + bytes(32))
+
+
+def _b22_text(p="0x1.6666666666666p-1", ids=(0,)):
+    """Text form of a B_2(2) configuration (40 edges) with the given fields."""
+    return f"d=2\nn=2\np={p}\nseed=0\n" + "".join(f"{e}\n" for e in ids)
+
+
+@pytest.mark.parametrize("read, data", [
+    (BondConfig.from_text, _b22_text(ids=(-1,))),
+    (BondConfig.from_text, _b22_text(ids=(0, 40))),
+    (BondConfig.from_text, _b22_text(p="0.7")),
+    (BondConfig.from_text, _b22_text(p="0x1.8p+0")),
+    (BondConfig.from_text, _b22_text(p="0x1p99999")),
+    (BondConfig.from_text, _b22_text(ids=("edge",))),
+    (BondConfig.from_bytes, b"PMX1" + bytes(10)),
+    (BondConfig.from_bytes, struct.pack("<4sIIdQ", b"PMX1", 2, 2, 1.5, 0) + bytes(5)),
+], ids=["negative-id", "id-past-last-edge", "decimal-p", "p-above-one", "p-overflows",
+        "non-integer-id", "short-header", "binary-p-above-one"])
+def test_readers_reject_malformed_input(read, data):
+    with pytest.raises(DomainError):
+        read(data)

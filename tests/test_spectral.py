@@ -12,18 +12,18 @@ from percmix import chain as chain_module
 from percmix import spectral as spectral_module
 from percmix.chain import count_above, top_eigenpairs
 from percmix.errors import DomainError, EmptyClusterError, InequalityViolationError
-from percmix.fixtures import (
-    complete_graph,
-    cycle_graph,
-    full_box_cluster,
-    path_graph,
-    single_edge,
-)
 from percmix.spectral import (
     _gap_floor,
     distance_variance_lower_bound,
     spectral_gap,
     sweep_ordering,
+)
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    full_box_cluster,
+    path_graph,
+    single_edge,
 )
 
 
