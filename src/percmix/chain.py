@@ -23,15 +23,6 @@ distance to stationarity and under a third for the pairwise sup. The mixing
 search needs no probe below a lower bound on the crossing of e^{-1}: the
 relaxation time tau2 for the pairwise profile, (1 - ln 2) tau2 for the
 distance to stationarity.
-
-The uniformized jump kernel is exactly the discrete simple random walk
-kernel P, so e^{tQ} is also the Poisson(t) mixture of powers of P.
-`transient_distribution` and `_poisson_weights` are that route. The
-pipeline does not call them and they are not exported: they are the oracle
-that tests compare the spectral kernels against. They are also this
-module's only use of ``scipy.special``; importing it with the package keeps
-its load out of the first pairwise probe, whose lazy ``cdist`` import would
-otherwise pull it in.
 """
 
 from __future__ import annotations
@@ -41,9 +32,10 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.special  # noqa: F401  loaded with the package, not by the first probe's cdist
 from scipy import sparse
+from scipy.linalg import eigvalsh_tridiagonal, ldl
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
-from scipy.special import pdtr, pdtrc
 
 from .caps import MATRIX_HARD_CAP, PAIRWISE_CAP, SPARSE_EIGEN_MIN
 from .errors import CapacityError, DomainError, NonConvergenceError, PercmixError
@@ -70,12 +62,22 @@ def count_above(s: sparse.spmatrix, theta: float) -> int | None:
     When SuperLU keeps every pivot on the diagonal (equal row and column
     permutations), P (S - theta I) P^T = L U with U = diag(U) L^T, so by
     Sylvester's law of inertia the positive entries of diag(U) count the
-    eigenvalues above theta exactly. None means it pivoted off the diagonal.
+    eigenvalues above theta exactly. It pivots off the diagonal when a pivot
+    vanishes, as at theta = -1 on a bipartite graph, where S - theta I has a
+    zero diagonal. The count then comes from the dense Bunch-Kaufman
+    factorization P (S - theta I) P^T = L D L^T, whose block-diagonal D (1 x 1
+    and 2 x 2 blocks, so tridiagonal) has the same inertia. None means that
+    pivoting failed above MATRIX_HARD_CAP vertices, the cap of the dense routes.
     """
     lu = _symmetric_lu(s, theta)
-    if not np.array_equal(lu.perm_r, lu.perm_c):
+    if np.array_equal(lu.perm_r, lu.perm_c):
+        return int(np.count_nonzero(lu.U.diagonal() > 0))
+    if s.shape[0] > MATRIX_HARD_CAP:
         return None
-    return int(np.count_nonzero(lu.U.diagonal() > 0))
+    a = (s - theta * sparse.identity(s.shape[0], format="csr")).toarray()
+    _, d, _ = ldl(a, overwrite_a=True, check_finite=False)
+    w = eigvalsh_tridiagonal(np.diag(d).copy(), np.diag(d, -1).copy())
+    return int(np.count_nonzero(w > 0))
 
 
 def top_eigenpairs(s: sparse.spmatrix, k: int) -> tuple:
@@ -110,19 +112,11 @@ class Chain:
         self.degrees = graph.degrees
         self.total_degree = int(self.degrees.sum())
         self.pi = self.degrees / self.total_degree
-        inv_deg = 1.0 / self.degrees
-        # P[x, y] = 1/deg(x) for x ~ y; zero diagonal.
-        self.kernel = sparse.csr_matrix(graph.adjacency.multiply(inv_deg[:, None]))
-        self.kernel_t = sparse.csr_matrix(self.kernel.T)
         self._above = None  # (theta, w, v) of the widest eigenpairs_above solve
 
     @property
     def pi_min(self) -> float:
         return float(self.degrees.min()) / self.total_degree
-
-    @property
-    def box(self):
-        return self.graph.box
 
     @cached_property
     def symmetrized(self) -> sparse.csr_matrix:
@@ -193,61 +187,6 @@ class Chain:
 def build_chain(graph: ClusterGraph) -> Chain:
     """Wrap a graph as a walk chain; `ClusterGraph` is connected by construction."""
     return Chain(graph)
-
-
-def _poisson_weights(t: float, tol: float) -> np.ndarray:
-    """Poisson(t) pmf values w_0..w_K, K the first with tail mass P(N > K) below tol.
-
-    The tail comes from `pdtrc`, not from 1 - sum(w), whose rounding can stay
-    above tol at every K. Bernstein's inequality for the Poisson law,
-    P(N >= t + x) <= exp(-x^2 / (2 (t + x / 3))), proves that K is at most
-    t + x with x solving x^2 / (2 (t + x / 3)) = log(1 / tol). Each weight is
-    a difference of the distribution function on its small side, `pdtr` up
-    to t and `pdtrc` above, so the weights sum to 1 - P(N > K) to rounding;
-    exp(k log t - t - log k!) would carry an error of about eps * t each.
-    """
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"time must be nonnegative and finite, got {t}")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    if t == 0.0:
-        return np.ones(1)
-    log_inv = math.log(1.0 / min(tol, 1.0))
-    k_hi = math.ceil(t + log_inv / 3.0 + math.sqrt(log_inv**2 / 9.0 + 2.0 * t * log_inv))
-    k = np.arange(k_hi + 1)
-    tail = pdtrc(k, t)
-    small = tail < tol
-    if not small[-1]:
-        raise NonConvergenceError(
-            f"Poisson({t:.6g}) tail not below {tol:.3g} at its bound k={k_hi}",
-            best=k_hi, residual=float(tail[-1]),
-        )
-    K = int(np.argmax(small))
-    split = min(math.floor(t), K) + 1  # weights w_0..w_{split-1} have k <= t
-    return np.concatenate([np.diff(pdtr(k[:split], t), prepend=0.0),
-                           -np.diff(tail[split - 1:K + 1])])
-
-
-def transient_distribution(chain: Chain, start: np.ndarray, t: float,
-                           tol: float = DEFAULT_POISSON_TOL) -> np.ndarray:
-    """Distribution of the walk at time t from a start distribution.
-
-    Truncated Poisson mixture of kernel powers, renormalized to sum to one.
-    ``t = 0`` returns the start distribution exactly.
-    """
-    start = np.asarray(start, dtype=float)
-    if start.shape != (chain.m,):
-        raise DomainError("start distribution has the wrong length")
-    if t == 0.0:
-        return start.copy()
-    w = _poisson_weights(t, tol)
-    vec = start.copy()
-    out = w[0] * vec
-    pt = chain.kernel_t
-    for wk in w[1:]:
-        vec = pt @ vec
-        out += wk * vec
-    return out / out.sum()
 
 
 def _mode_floor(m: int, t: float, tol: float) -> float:
@@ -402,7 +341,7 @@ def _distance_to_stationarity(chain: Chain, t: float, tol: float,
 
 
 def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarray,
-                 chunk: int = 1024, prior=None, levels: tuple = _EXACT) -> tuple:
+                 chunk: int = 1024, levels: tuple = _EXACT) -> tuple:
     """Sup over start pairs of the TV distance between kernel rows, up to ``levels``.
 
     The incumbent is the farthest row from the pivot row (``tv_pivot``), and
@@ -415,8 +354,7 @@ def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarr
     - TV_ij <= chi_ij / 2 for the kept rows (Cauchy-Schwarz with weights pi),
       where chi_ij = ||coords_i - coords_j|| comes from a Gram product: the
       rows of ``coords`` must be isometric to the weighted deviations
-      (K(x, .) - pi) / sqrt(pi);
-    - ``prior(i, j)``, upper bounds known from elsewhere (inf where none).
+      (K(x, .) - pi) / sqrt(pi).
 
     The kept rows minus pi (``dev_rows(keep)``) are made once, before the
     bounds. The remaining pairs are evaluated exactly from them, in batches
@@ -460,10 +398,6 @@ def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarr
         i, j = np.nonzero(np.triu(bound > level, k=1))
         found.append((i + lo, j + lo, bound[i, j]))
     i, j, bound = (np.concatenate(parts) for parts in zip(*found))
-    if prior is not None and i.size:
-        np.minimum(bound, prior(keep[i], keep[j]), out=bound)
-        alive = bound > level
-        i, j, bound = i[alive], j[alive], bound[alive]
     order = np.argsort(-bound, kind="stable")
     i, j, neg_bound = i[order], j[order], -bound[order]
 
@@ -483,8 +417,7 @@ def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarr
     return min(1.0, max(best, floor)), (keep[i[:done]], keep[j[:done]], tv[:done])
 
 
-def _pairwise_sup(dev_rows, coords: np.ndarray, chunk: int, prior=None,
-                  levels: tuple = _EXACT) -> tuple:
+def _pairwise_sup(dev_rows, coords: np.ndarray, chunk: int, levels: tuple = _EXACT) -> tuple:
     """Sup over start pairs of the TV distance between kernel rows, up to ``levels``.
 
     `_row_pass` makes the rows that can matter, C, and `_pair_search` finds
@@ -494,13 +427,12 @@ def _pairwise_sup(dev_rows, coords: np.ndarray, chunk: int, prior=None,
     global indices.
     """
     made, r, tv_pivot = _row_pass(dev_rows, coords, True, chunk, levels)
-    local_prior = None if prior is None else lambda i, j: prior(made[i], made[j])
     best, (i, j, tv) = _pair_search(lambda idx: dev_rows(made[idx]), coords[made], r,
-                                    tv_pivot, chunk, local_prior, levels)
+                                    tv_pivot, chunk, levels)
     return best, (made[i], made[j], tv)
 
 
-def _pairwise_distance(chain: Chain, t: float, tol: float, prior=None,
+def _pairwise_distance(chain: Chain, t: float, tol: float,
                        rows: _KernelRows | None = None,
                        levels: tuple = _EXACT) -> tuple:
     """Worst TV distance between two starts at time t, and the pairs evaluated.
@@ -514,40 +446,7 @@ def _pairwise_distance(chain: Chain, t: float, tol: float, prior=None,
     """
     if rows is None:
         rows = _KernelRows(chain, t, tol)
-    return _pairwise_sup(rows, rows.coords, max(1, _BLOCK_ENTRIES // chain.m), prior,
-                         levels)
-
-
-class _PairCache:
-    """The pair distances evaluated exactly by earlier probes of one search.
-
-    TV between the laws of two starts is non-increasing in time (LPW, Ch. 4).
-    A value TV(s) computed with error at most E(s) therefore bounds the
-    computed TV(t) at every later time t by TV(s) + E(s) + E(t).
-    """
-
-    def __init__(self, m: int):
-        self.m = m
-        self.entries = []  # (s, sorted pair keys, TV(s) + E(s))
-        self.evaluated = 0
-
-    def add(self, s: float, err: float, i: np.ndarray, j: np.ndarray,
-            tv: np.ndarray) -> None:
-        keys = i * self.m + j
-        order = np.argsort(keys, kind="stable")
-        self.entries.append((s, keys[order], tv[order] + err))
-        self.evaluated += tv.size
-
-    def bound(self, t: float, err: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Upper bounds on the pairs' computed TV at t (inf where none is known)."""
-        keys = i * self.m + j
-        out = np.full(keys.size, math.inf)
-        for s, known, value in self.entries:
-            if s < t and known.size:
-                pos = np.minimum(np.searchsorted(known, keys), known.size - 1)
-                hit = known[pos] == keys
-                out[hit] = np.minimum(out[hit], value[pos[hit]])
-        return out + err
+    return _pairwise_sup(rows, rows.coords, max(1, _BLOCK_ENTRIES // chain.m), levels)
 
 
 def _eigen_residual(s: sparse.spmatrix, w: np.ndarray, v: np.ndarray,
@@ -644,24 +543,24 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     order of their chi-square bound, until no row left can matter
     (`_row_pass`): stationarity mode is that one pass, and pairwise mode then
     searches the pairs of the rows made (`_pair_search`), holding only the
-    rows it keeps. ``rows_made`` counts every row made. Within one call, each
-    pair distance evaluated at a time s bounds that pair at every later
-    probe time t by TV(s) + E(s) + E(t) (`_PairCache`), E being the error
-    bound below.
+    rows it keeps. ``rows_made`` counts every row made and
+    ``pairs_evaluated`` every pair evaluated exactly, each summed over the
+    probes; no probe reads another's distances.
 
     Bisection only asks whether d(t) > e^{-1}, so each probe stops once its
     answer is proven (Levin-Peres-Wilmer, Ch. 4: d is non-increasing). A
     pairwise probe at t runs between the levels floor = e^{-1} - 2 E(t) and
-    ceil = e^{-1} + E(t): it returns an exact pair distance above ceil (a
-    lower bound on d(t)), floor itself when no pair beats it (an upper
-    bound), and the exact d(t) in between. Every decision, and whether each
-    bracket end clears e^{-1} by more than E, is then what the exact values
-    give; certification reads E(t_hi), so a d(t_lo) decided against E(t_lo)
-    that does not clear E(t_hi) is evaluated again exactly. Stationarity
-    probes, which carry no error bound, use
-    floor = ceil = e^{-1}. The trace therefore holds bounds at the probe
-    times listed in ``decided``; ``exact=True`` runs the same probes with
-    the levels (0, inf), and its trace holds the exact d(t) throughout.
+    ceil = e^{-1} + E(t), E being the kernel error bound: it returns an
+    exact pair distance above ceil (a lower bound on d(t)), floor itself
+    when no pair beats it (an upper bound), and the exact d(t) in between.
+    Every decision, and whether each bracket end clears e^{-1} by more than
+    E, is then what the exact values give; certification reads E(t_hi), so
+    a d(t_lo) decided against E(t_lo) that does not clear E(t_hi) is
+    evaluated again exactly. Stationarity probes, which carry no error
+    bound, use floor = ceil = e^{-1}. The trace therefore holds bounds at
+    the probe times listed in ``decided``; ``exact=True`` runs the same
+    probes with the levels (0, inf), and its trace holds the exact d(t)
+    throughout.
 
     The bracket starts at a lower bound on the crossing from the relaxation
     time tau2 (``tau2_hint``, else `spectral_gap`): the pairwise profile
@@ -702,7 +601,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         t_max = 100.0 * chain.m**2
 
     thr = TV_THRESHOLD
-    cache = _PairCache(chain.m)
+    pairs_evaluated = 0
     if mode == "pairwise":
         ratio = float(chain.degrees.max()) / float(chain.degrees.min())
 
@@ -722,11 +621,9 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
             return thr - 2.0 * err, thr + err
 
         def distance(t, rows, lv):
-            err = error_bound(t)
-            d, pairs = _pairwise_distance(
-                chain, t, tol, prior=lambda i, j: cache.bound(t, err, i, j), rows=rows,
-                levels=lv)
-            cache.add(t, err, *pairs)
+            nonlocal pairs_evaluated
+            d, (_, _, tv) = _pairwise_distance(chain, t, tol, rows=rows, levels=lv)
+            pairs_evaluated += tv.size
             return d
 
         t_lo = float(tau2_hint)
@@ -800,7 +697,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         tau1=(t_lo + t_hi) / 2.0, t_lo=t_lo, t_hi=t_hi, d_lo=d_lo, d_hi=d_hi,
         mode=mode, resolution=resolution, poisson_tol=tol,
         trace=sorted(trace.items()), error_bound=error_bound(t_hi),
-        pairs_evaluated=cache.evaluated, rows_made=rows_made,
+        pairs_evaluated=pairs_evaluated, rows_made=rows_made,
         decided=sorted(decided), modes=modes,
     )
     result.check_monotone()

@@ -24,6 +24,7 @@ from .experiments import (
     EXIT_VALIDATION,
     ExperimentConfig,
     check_seed_list,
+    parse_quantities,
     run_instance,
     run_scaling,
 )
@@ -31,6 +32,11 @@ from .geometry import (check_fpp_request, density_rows_to_csv, fpp_regression,
                        good_density_curve)
 from .lattice import BoxSpec
 from .percolation import largest_cluster, sample_bond_config
+
+# Instance flags and their defaults. `scaling` leaves its sweep flags unset,
+# so that it can refuse them next to --config, which sets the sweep itself.
+_DEFAULTS = {"d": 2, "n": "8", "p": 0.7, "seed": 0, "mode": "auto", "workers": 1}
+_SWEEP_FLAGS = ("d", "n", "p", "seed", "seeds", "quantities", "mode", "workers")
 
 
 def _int_list(text: str) -> tuple:
@@ -48,11 +54,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seeds=False):
-        p.add_argument("--d", type=int, default=2, help="lattice dimension")
-        p.add_argument("--n", type=str, default="8",
+        p.add_argument("--d", type=int, default=_DEFAULTS["d"], help="lattice dimension")
+        p.add_argument("--n", type=str, default=_DEFAULTS["n"],
                        help="box radius (comma list allowed where a sweep makes sense)")
-        p.add_argument("--p", type=float, default=0.7, help="open-edge probability")
-        p.add_argument("--seed", type=int, default=0, help="configuration seed")
+        p.add_argument("--p", type=float, default=_DEFAULTS["p"], help="open-edge probability")
+        p.add_argument("--seed", type=int, default=_DEFAULTS["seed"], help="configuration seed")
         if seeds:
             p.add_argument("--seeds", type=str, default=None,
                            help="comma list of seeds (overrides --seed)")
@@ -66,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(a)
     a.add_argument("--quantities", type=str, default=None,
                    help="comma list (default: all desk-scale quantities)")
-    a.add_argument("--mode", choices=("pairwise", "stationarity", "auto"), default="auto")
+    a.add_argument("--mode", choices=("pairwise", "stationarity", "auto"),
+                   default=_DEFAULTS["mode"])
 
     pr = sub.add_parser("profile", help="conductance profile for one instance")
     common(pr)
@@ -75,11 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scaling", help="full (n, seed) sweep with fits")
     common(sc, seeds=True)
     sc.add_argument("--quantities", type=str, default=None)
-    sc.add_argument("--mode", choices=("pairwise", "stationarity", "auto"), default="auto")
+    sc.add_argument("--mode", choices=("pairwise", "stationarity", "auto"))
     sc.add_argument("--config", type=str, default=None, help="config file (key = value)")
     sc.add_argument("--resume", action="store_true",
                     help="reuse completed instances from a previous partial run")
-    sc.add_argument("--workers", type=int, default=1)
+    sc.add_argument("--workers", type=int)
+    sc.set_defaults(**dict.fromkeys(_SWEEP_FLAGS))
 
     rn = sub.add_parser("renorm", help="good-site density curves")
     common(rn, seeds=True)
@@ -120,10 +128,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    quantities = None
-    if args.quantities:
-        quantities = tuple(q.strip().replace("-", "_")
-                           for q in args.quantities.split(",") if q.strip())
+    quantities = parse_quantities(args.quantities) if args.quantities else None
     cfg = ExperimentConfig(
         d=args.d, p=args.p, n_list=(_single_n(args),), seed_list=(args.seed,),
         quantities=quantities or ExperimentConfig().quantities, mode=args.mode,
@@ -155,14 +160,19 @@ def _cmd_profile(args) -> int:
 
 def _cmd_scaling(args) -> int:
     if args.config:
+        given = [f"--{k}" for k in _SWEEP_FLAGS if getattr(args, k) is not None]
+        if given:
+            raise DomainError(f"--config sets the sweep; drop {', '.join(given)}")
         cfg = ExperimentConfig.from_file(args.config)
         if args.out:
             cfg = replace(cfg, out=args.out)
     else:
+        for k in _SWEEP_FLAGS:
+            if getattr(args, k) is None:
+                setattr(args, k, _DEFAULTS.get(k))
         quantities = ExperimentConfig().quantities
         if args.quantities:
-            quantities = tuple(q.strip().replace("-", "_")
-                               for q in args.quantities.split(",") if q.strip())
+            quantities = parse_quantities(args.quantities)
         cfg = ExperimentConfig(
             d=args.d, p=args.p, n_list=_int_list(args.n), seed_list=_seed_list(args),
             quantities=quantities, mode=args.mode, out=args.out,

@@ -43,6 +43,11 @@ EXIT_PARTIAL = 3
 THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def parse_quantities(text: str) -> tuple:
+    """Quantity names from a comma list; a dash in a name reads as an underscore."""
+    return tuple(q.strip().replace("-", "_") for q in text.split(",") if q.strip())
+
+
 def check_seed_list(seeds) -> None:
     """Reject an empty seed list or one that repeats a seed."""
     if not seeds:
@@ -125,7 +130,10 @@ class ExperimentConfig:
                 if "=" not in line:
                     raise DomainError(f"bad config line: {line!r}")
                 key, val = (s.strip() for s in line.split("=", 1))
-                raw[key.replace("-", "_")] = val
+                key = key.replace("-", "_")
+                if key in raw:
+                    raise DomainError(f"config key {key} is set more than once")
+                raw[key] = val
         kwargs = {}
         for f in fields(cls):
             if f.name not in raw:
@@ -135,9 +143,7 @@ class ExperimentConfig:
                 if f.name in ("n_list", "seed_list", "renorm_blocks"):
                     kwargs[f.name] = tuple(int(x) for x in val.split(",") if x)
                 elif f.name == "quantities":
-                    kwargs[f.name] = tuple(
-                        q.strip().replace("-", "_") for q in val.split(",") if q.strip()
-                    )
+                    kwargs[f.name] = parse_quantities(val)
                 elif f.name in ("d", "workers", "fpp_pairs", "fpp_l1_lo", "fpp_l1_hi",
                                 "dense_cap"):
                     kwargs[f.name] = int(val)

@@ -53,14 +53,12 @@ class DualFppField:
     def __init__(self, config: BondConfig):
         if config.box.d != 2:
             raise UnsupportedDimensionError("dual first-passage needs d=2")
-        self.config = config
         box = build_box(config.box)
         self.dual = dual_lattice(box)
         u, v = self.dual.dual_u, self.dual.dual_v
         interior = (u != self.dual.outer_face) & (v != self.dual.outer_face)
         free = interior & ~config.open_mask
         size = self.dual.num_inner_faces
-        self.num_faces = size
         num_classes, self._face_class = csgraph.connected_components(
             sparse.coo_matrix((np.ones(int(free.sum()), dtype=np.int8), (u[free], v[free])),
                               shape=(size, size)),

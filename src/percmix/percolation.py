@@ -174,22 +174,16 @@ class ClusterGraph:
     """A connected graph, usually an open cluster of a bond configuration.
 
     Vertices carry their global box VertexIds (ascending) and, when available,
-    lattice coordinates and back-references to the parent configuration's
-    EdgeIds. Synthetic fixtures use the same class with ``box=None``.
+    lattice coordinates and the box. Synthetic fixtures use the same class
+    with ``box=None``.
     """
 
-    def __init__(self, vertex_ids, edges_local, *, coords=None, parent_edge_ids=None,
-                 box: BoxSpec | None = None, p: float | None = None,
-                 seed: int | None = None, max_degree: int | None = None):
+    def __init__(self, vertex_ids, edges_local, *, coords=None,
+                 box: BoxSpec | None = None, max_degree: int | None = None):
         self.vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
         self.edges_local = np.asarray(edges_local, dtype=np.int64).reshape(-1, 2)
         self.coords = None if coords is None else np.asarray(coords, dtype=np.int64)
-        self.parent_edge_ids = (
-            None if parent_edge_ids is None else np.asarray(parent_edge_ids, dtype=np.int64)
-        )
         self.box = box
-        self.p = p
-        self.seed = seed
 
         m = self.vertex_ids.shape[0]
         if m < 1:
@@ -252,10 +246,7 @@ def largest_cluster(config: BondConfig) -> ClusterGraph:
         vertex_ids,
         np.stack([tails, heads], axis=1),
         coords=graph.vertex_coords(vertex_ids),
-        parent_edge_ids=cluster_edges,
         box=config.box,
-        p=config.p,
-        seed=config.seed,
         max_degree=2 * config.box.d,
     )
 

@@ -4,14 +4,17 @@ Closed-form graphs, oracles and accessors that tests compare the package
 against; nothing in ``percmix`` calls them.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.special import pdtr, pdtrc
 
+from percmix.chain import DEFAULT_POISSON_TOL, Chain
 from percmix.conductance import ConductanceProfile, ProfilePoint
-from percmix.errors import DomainError
+from percmix.errors import DomainError, NonConvergenceError
 from percmix.fitting import FitResult
 from percmix.lattice import BoxSpec
 from percmix.percolation import ClusterGraph, largest_cluster, sample_bond_config
@@ -115,6 +118,71 @@ def l1_diameter(points) -> int:
         proj = pts @ signs
         best = max(best, int(proj.max() - proj.min()))
     return best
+
+
+# ---------------------------------------------------------------------------
+# the uniformized walk: e^{tQ} as the Poisson(t) mixture of powers of the
+# jump kernel P, the oracle the spectral kernels are compared against
+
+
+def jump_kernel(chain: Chain) -> sparse.csr_matrix:
+    """The discrete simple random walk kernel P: P[x, y] = 1/deg(x) for x ~ y."""
+    return sparse.csr_matrix(chain.graph.adjacency.multiply(1.0 / chain.degrees[:, None]))
+
+
+def poisson_weights(t: float, tol: float) -> np.ndarray:
+    """Poisson(t) pmf values w_0..w_K, K the first with tail mass P(N > K) below tol.
+
+    The tail comes from `pdtrc`, not from 1 - sum(w), whose rounding can stay
+    above tol at every K. Bernstein's inequality for the Poisson law,
+    P(N >= t + x) <= exp(-x^2 / (2 (t + x / 3))), proves that K is at most
+    t + x with x solving x^2 / (2 (t + x / 3)) = log(1 / tol). Each weight is
+    a difference of the distribution function on its small side, `pdtr` up
+    to t and `pdtrc` above, so the weights sum to 1 - P(N > K) to rounding;
+    exp(k log t - t - log k!) would carry an error of about eps * t each.
+    """
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"time must be nonnegative and finite, got {t}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    if t == 0.0:
+        return np.ones(1)
+    log_inv = math.log(1.0 / min(tol, 1.0))
+    k_hi = math.ceil(t + log_inv / 3.0 + math.sqrt(log_inv**2 / 9.0 + 2.0 * t * log_inv))
+    k = np.arange(k_hi + 1)
+    tail = pdtrc(k, t)
+    small = tail < tol
+    if not small[-1]:
+        raise NonConvergenceError(
+            f"Poisson({t:.6g}) tail not below {tol:.3g} at its bound k={k_hi}",
+            best=k_hi, residual=float(tail[-1]),
+        )
+    K = int(np.argmax(small))
+    split = min(math.floor(t), K) + 1  # weights w_0..w_{split-1} have k <= t
+    return np.concatenate([np.diff(pdtr(k[:split], t), prepend=0.0),
+                           -np.diff(tail[split - 1:K + 1])])
+
+
+def transient_distribution(chain: Chain, start: np.ndarray, t: float,
+                           tol: float = DEFAULT_POISSON_TOL) -> np.ndarray:
+    """Distribution of the walk at time t from a start distribution.
+
+    Truncated Poisson mixture of kernel powers, renormalized to sum to one.
+    ``t = 0`` returns the start distribution exactly.
+    """
+    start = np.asarray(start, dtype=float)
+    if start.shape != (chain.m,):
+        raise DomainError("start distribution has the wrong length")
+    if t == 0.0:
+        return start.copy()
+    w = poisson_weights(t, tol)
+    vec = start.copy()
+    out = w[0] * vec
+    pt = jump_kernel(chain).T.tocsr()
+    for wk in w[1:]:
+        vec = pt @ vec
+        out += wk * vec
+    return out / out.sum()
 
 
 # ---------------------------------------------------------------------------

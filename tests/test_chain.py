@@ -17,10 +17,8 @@ from percmix.chain import (
     _KernelRows,
     _mode_floor,
     _pair_search,
-    _PairCache,
     _pairwise_distance,
     _pairwise_sup,
-    _poisson_weights,
     _probe_modes,
     _row_blocks,
     _row_pass,
@@ -33,12 +31,16 @@ from percmix.errors import (
     PercmixError,
 )
 from percmix.percolation import ClusterGraph
+import helpers
 from helpers import (
     complete_graph,
     cycle_graph,
     full_box_cluster,
+    jump_kernel,
     path_graph,
+    poisson_weights,
     single_edge,
+    transient_distribution,
     tv_distance,
 )
 
@@ -49,18 +51,18 @@ def small_cluster(n=6, p=0.7, seed=0):
 
 def generator_dense(chain):
     """Dense generator Q: off-diagonal rates 1/deg(x), diagonal -1."""
-    q = chain.kernel.toarray()
+    q = jump_kernel(chain).toarray()
     np.fill_diagonal(q, -1.0)
     return q
 
 
 def _kernel_matrix(chain, t, tol):
     """Dense matrix whose row x is the uniformized time-t distribution started at x."""
-    w = _poisson_weights(t, tol)
+    w = poisson_weights(t, tol)
     # Work with the transpose so every step is a fast csr @ dense product.
     acc = np.eye(chain.m) * w[0]
     cur = np.eye(chain.m)
-    pt = chain.kernel_t
+    pt = jump_kernel(chain).T.tocsr()
     for wk in w[1:]:
         cur = pt @ cur
         acc += wk * cur
@@ -169,7 +171,7 @@ def _pairwise_sup_distance(mat, pi, chunk=1024):
     return min(1.0, best)
 
 
-def pair_search_on_matrix(mat, pi, chunk=1024, prior=None, pivot=None):
+def pair_search_on_matrix(mat, pi, chunk=1024, pivot=None):
     """`_pair_search` over an explicit kernel matrix, with coordinates dev / sqrt(pi)."""
     dev = mat - pi
     r = 0.5 * np.abs(dev).sum(axis=1)
@@ -177,7 +179,7 @@ def pair_search_on_matrix(mat, pi, chunk=1024, prior=None, pivot=None):
         pivot = int(np.argmax(r))
     tv_pivot = 0.5 * np.abs(dev - dev[pivot]).sum(axis=1)
     return _pair_search(lambda idx: dev[idx], dev / np.sqrt(pi), r, tv_pivot,
-                        chunk=chunk, prior=prior)
+                        chunk=chunk)
 
 
 def brute_pairwise(mat, pi):
@@ -238,7 +240,7 @@ def test_generator_rows_sum_to_zero():
 def test_reversibility_exact():
     ch = pm.build_chain(small_cluster())
     # pi(x) Q_{x,y} = 1/(2|E|) for every directed edge: deg(x) * P[x,y] == 1
-    p = ch.kernel.tocoo()
+    p = jump_kernel(ch).tocoo()
     vals = p.data * ch.degrees[p.row]
     assert np.abs(vals - 1.0).max() < 1e-14
 
@@ -257,7 +259,7 @@ def test_transient_t0_exact():
     ch = pm.build_chain(cycle_graph(5))
     start = np.zeros(5)
     start[2] = 1.0
-    out = chain_module.transient_distribution(ch, start, 0.0)
+    out = transient_distribution(ch, start, 0.0)
     assert np.array_equal(out, start)
 
 
@@ -265,7 +267,7 @@ def test_transient_two_state_closed_form():
     ch = pm.build_chain(single_edge())
     start = np.array([1.0, 0.0])
     for t in (0.1, 0.5, 2.0, 10.0, 300.0):
-        out = chain_module.transient_distribution(ch, start, t, tol=1e-12)
+        out = transient_distribution(ch, start, t, tol=1e-12)
         exact = np.array([0.5 * (1 + math.exp(-2 * t)), 0.5 * (1 - math.exp(-2 * t))])
         assert np.abs(out - exact).max() < 1e-10
 
@@ -274,7 +276,7 @@ def test_transient_converges_to_stationary():
     ch = pm.build_chain(small_cluster())
     start = np.zeros(ch.m)
     start[0] = 1.0
-    out = chain_module.transient_distribution(ch, start, 50_000.0, tol=1e-10)
+    out = transient_distribution(ch, start, 50_000.0, tol=1e-10)
     assert tv_distance(out, ch.pi) < 1e-9
 
 
@@ -285,9 +287,9 @@ def test_transient_semigroup_property(t1, t2):
     start = np.zeros(7)
     start[0] = 1.0
     tol = 1e-10
-    one_shot = chain_module.transient_distribution(ch, start, t1 + t2, tol)
-    two_step = chain_module.transient_distribution(
-        ch, chain_module.transient_distribution(ch, start, t1, tol), t2, tol
+    one_shot = transient_distribution(ch, start, t1 + t2, tol)
+    two_step = transient_distribution(
+        ch, transient_distribution(ch, start, t1, tol), t2, tol
     )
     assert tv_distance(one_shot, two_step) < 10 * tol
 
@@ -301,7 +303,7 @@ LONG_POISSON_TIMES = [(5959.767380972155, 1e-12), (1939.8138785023598, 1e-12), (
 def test_poisson_weights_stop_at_the_first_small_tail(t, tol):
     # 1 - sum(w) rounds to above tol at every depth here; a search on it
     # grows its depth until memory runs out
-    w = _poisson_weights(t, tol)
+    w = poisson_weights(t, tol)
     assert pdtrc(w.size - 1, t) < tol <= pdtrc(w.size - 2, t)
     assert abs(w.sum() - 1.0) < 1e-8
 
@@ -310,24 +312,24 @@ def test_poisson_weights_stop_at_the_first_small_tail(t, tol):
 def test_poisson_weights_miss_exactly_their_tail(t, tol):
     # weights from exp(k log t - t - log k!) are off by about eps * t each,
     # which at t = 3e5 leaves 1 - sum(w) four times the true tail
-    w = _poisson_weights(t, tol)
+    w = poisson_weights(t, tol)
     assert abs(1.0 - w.sum() - pdtrc(w.size - 1, t)) <= tol / 10
 
 
 def test_poisson_weights_raise_past_their_proven_depth():
-    with mock.patch.object(chain_module, "pdtrc", lambda k, t: np.ones(np.shape(k))):
+    with mock.patch.object(helpers, "pdtrc", lambda k, t: np.ones(np.shape(k))):
         with pytest.raises(NonConvergenceError):
-            _poisson_weights(50.0, 1e-10)
+            poisson_weights(50.0, 1e-10)
 
 
 @pytest.mark.parametrize("t, tol", [(math.nan, 1e-10), (math.inf, 1e-10), (-1.0, 1e-10),
                                     (2.0, math.nan), (2.0, math.inf), (2.0, 0.0)])
 def test_poisson_weights_reject_non_finite_or_negative_input(t, tol):
     with pytest.raises(DomainError):
-        _poisson_weights(t, tol)
+        poisson_weights(t, tol)
     ch = pm.build_chain(cycle_graph(4))
     with pytest.raises(DomainError):
-        chain_module.transient_distribution(ch, np.full(4, 0.25), t, tol=tol)
+        transient_distribution(ch, np.full(4, 0.25), t, tol=tol)
 
 
 def test_tv_distance_basic():
@@ -838,22 +840,8 @@ def test_probe_distances_match_dense_kernel_oracle(box, p, seed, f):
     assert worst < 1e-12
 
 
-def test_contraction_cache_keeps_the_sup_on_a_chain():
-    ch = pm.build_chain(small_cluster(n=16))
-    tau2 = pm.spectral_gap(ch).tau2
-    # a bisection probe just above an evaluated one
-    s, t, tol, err = 1.2 * tau2, 1.21 * tau2, DEFAULT_POISSON_TOL, 1e-9
-    cache = _PairCache(ch.m)
-    cache.add(s, err, *_pairwise_distance(ch, s, tol)[1])
-    plain, fresh = _pairwise_distance(ch, t, tol)
-    cached, pruned = _pairwise_distance(ch, t, tol,
-                                        prior=lambda i, j: cache.bound(t, err, i, j))
-    assert cached == plain
-    assert 0 < pruned[2].size < fresh[2].size
-
-
 @pytest.mark.parametrize("m", [40, 300])
-def test_contraction_cache_bounds_only_later_times_with_slack(m):
+def test_pair_search_keeps_the_sup_from_a_pivot_near_stationarity(m):
     rng = np.random.default_rng(m)
     pi = rng.random(m) + 0.5
     pi /= pi.sum()
@@ -866,23 +854,6 @@ def test_contraction_cache_bounds_only_later_times_with_slack(m):
     sup = brute_pairwise(mat, pi)
     assert incumbent < sup - 1e-6
     assert abs(pair_search_on_matrix(mat, pi, pivot=pivot)[0] - sup) < 1e-12
-
-    i, j = np.triu_indices(m, k=1)
-    tv = 0.5 * np.abs(dev[i] - dev[j]).sum(axis=1)
-    # errors so large that losing either E(s) or E(t) would drop the best pair
-    t, err = 10.0, 2.0 * (sup - incumbent)
-    # an earlier probe whose computed values sit 95% of the E(s) + E(t) slack low
-    earlier = _PairCache(m)
-    earlier.add(9.0, err, i, j, tv - 1.9 * err)
-    found = pair_search_on_matrix(mat, pi, pivot=pivot,
-                                  prior=lambda a, b: earlier.bound(t, err, a, b))
-    assert abs(found[0] - sup) < 1e-12
-    # a later probe bounds nothing at t
-    later = _PairCache(m)
-    later.add(11.0, 0.0, i, j, np.zeros(tv.size))
-    found = pair_search_on_matrix(mat, pi, pivot=pivot,
-                                  prior=lambda a, b: later.bound(t, 0.0, a, b))
-    assert abs(found[0] - sup) < 1e-12
 
 
 def test_mixing_allocates_less_than_one_dense_kernel():

@@ -191,7 +191,29 @@ def test_bad_fpp_request_exits_1_before_writing(tmp_path, capsys, args):
                                   "resolution_factor = inf", "seed_list = 1,1"])
 def test_bad_config_file_exits_1(tmp_path, capsys, line):
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(f"n_list = 4\nseed_list = 0\nquantities = census\n{line}\n")
+    # the bad line replaces its key's valid value rather than repeating the key
+    base = [f"{k} = {v}" for k, v in [("n_list", "4"), ("seed_list", "0"),
+                                       ("quantities", "census")] if not line.startswith(k)]
+    cfg.write_text("\n".join([*base, line]) + "\n")
     assert main(["scaling", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seeds", "3,4"], ["--n", "4"], ["--d", "2"], ["--p", "0.7"], ["--seed", "0"],
+    ["--quantities", "census"], ["--mode", "auto"], ["--workers", "1"],
+    ["--seeds", "3,4", "--workers", "2"],
+])
+def test_scaling_refuses_sweep_flags_next_to_config(tmp_path, capsys, flags):
+    # the config file sets the sweep; a flag beside it would be ignored
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("n_list = 4\nseed_list = 0\nquantities = census\n")
+    out = tmp_path / "out"
+    assert main(["scaling", "--config", str(cfg), *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert all(f in err for f in flags if f.startswith("--"))
+    assert not out.exists()
+    # --out and --resume still combine with --config
+    assert main(["scaling", "--config", str(cfg), "--resume", "--out", str(out)]) == 0

@@ -124,6 +124,15 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         ExperimentConfig.from_file(path)
 
 
+@pytest.mark.parametrize("text", ["n_list = 6,9,12\nn_list = 6\n",
+                                  "n_list = 6,9,12\nn-list = 6\n"])
+def test_config_file_rejects_a_repeated_key(tmp_path, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(DomainError, match="n_list"):
+        ExperimentConfig.from_file(path)
+
+
 @pytest.mark.parametrize("line", ["d = two", "n_list = 6,x", "workers = 1.5",
                                   "poisson_tol = tiny"])
 def test_config_file_rejects_malformed_values(tmp_path, line):

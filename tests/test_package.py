@@ -36,11 +36,22 @@ def test_every_export_has_a_caller_outside_tests():
     assert unused == [], unused
 
 
-def test_import_leaves_scipy_spatial_unloaded():
-    # chain imports cdist lazily, inside the first pairwise probe
+def _loaded_by_import(module: str) -> bool:
+    """Whether a fresh ``import percmix`` puts ``module`` in sys.modules."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, percmix; print('scipy.spatial' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, percmix; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # chain imports cdist lazily, inside the first pairwise probe
+    assert not _loaded_by_import("scipy.spatial")
+
+
+def test_import_loads_scipy_special():
+    # chain imports it with the package; the first probe's cdist import would
+    # otherwise load it inside a timed sweep
+    assert _loaded_by_import("scipy.special")

@@ -158,6 +158,17 @@ def test_inertia_count_matches_dense_spectrum(box, p, seed, u):
     assert count_above(ch.symmetrized, theta) == int(np.count_nonzero(w > theta))
 
 
+def test_inertia_count_survives_a_vanishing_pivot():
+    # near theta = -1 the cluster's bipartite S - theta I has a zero diagonal,
+    # and the sparse factorization pivots off it
+    ch = cluster_chain(2, p=0.75, seed=19, d=3)
+    theta = -2.05 + 2.1 * 0.5
+    lu = chain_module._symmetric_lu(ch.symmetrized, theta)
+    assert not np.array_equal(lu.perm_r, lu.perm_c)
+    w = ch.eigensystem[0]
+    assert count_above(ch.symmetrized, theta) == int(np.count_nonzero(w > theta))
+
+
 @given(BOXES, PS, SEEDS, st.floats(0.0, 1.0))
 @settings(max_examples=40, deadline=None)
 def test_certified_pairs_match_dense_suffix(box, p, seed, u):
