@@ -113,6 +113,13 @@ def _seed_list(args) -> tuple:
     return seeds
 
 
+def _quantities(args) -> tuple:
+    """The --quantities list, or the default list only when the flag is absent."""
+    if args.quantities is None:
+        return ExperimentConfig().quantities
+    return parse_quantities(args.quantities)
+
+
 def _cmd_generate(args) -> int:
     box = BoxSpec(args.d, _single_n(args))
     config = sample_bond_config(box, args.p, args.seed)
@@ -128,10 +135,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    quantities = parse_quantities(args.quantities) if args.quantities else None
     cfg = ExperimentConfig(
         d=args.d, p=args.p, n_list=(_single_n(args),), seed_list=(args.seed,),
-        quantities=quantities or ExperimentConfig().quantities, mode=args.mode,
+        quantities=_quantities(args), mode=args.mode,
     )
     rows = run_instance(cfg, cfg.n_list[0], args.seed)
     for r in rows:
@@ -170,12 +176,9 @@ def _cmd_scaling(args) -> int:
         for k in _SWEEP_FLAGS:
             if getattr(args, k) is None:
                 setattr(args, k, _DEFAULTS.get(k))
-        quantities = ExperimentConfig().quantities
-        if args.quantities:
-            quantities = parse_quantities(args.quantities)
         cfg = ExperimentConfig(
             d=args.d, p=args.p, n_list=_int_list(args.n), seed_list=_seed_list(args),
-            quantities=quantities, mode=args.mode, out=args.out,
+            quantities=_quantities(args), mode=args.mode, out=args.out,
             workers=args.workers,
         )
     if cfg.out is None:

@@ -10,20 +10,26 @@ windows and a spectral sweep cut, both optionally improved by reattaching all
 but the largest complement component when a witness has a disconnected
 complement (that surgery preserves the cut edge set while growing the mass).
 
-The window bound works on a chunk of consecutive tilings (a window radius
-and an axis offset each) at once. Each tiling gets its own copy of the
-cluster, every vertex its window index (-1 outside every window); one
-connected-components pass over the edges whose ends share an index labels
-all pieces of the chunk: the window pieces, and each connected region
-outside every window as one piece. ``bincount`` gives their sizes, degree
-sums and inner edge counts. Contracting each piece to a node gives the
-quotient graph Q, multi-edges summed. Pieces are disjoint connected sets,
-so the cluster minus a window piece falls apart exactly as Q minus the
-piece's node does: one depth-first search of Q (Tarjan 1972) finds, for
-every recorded piece at once, the subtrees no edge leads out of above the
-piece, and with prefix sums over preorder their degree sums and sizes. The
-reattached cut is the complement component of largest degree sum, its
-size, and its crossing, the Q-edges between it and the piece.
+The window bound tiles the box at a few axis offsets per window radius.
+All tilings of one radius cut the cluster along a common grid, so one
+contraction serves them all: cutting every edge whose ends lie in different
+windows of any tiling of the radius leaves the cell pieces, maximal
+connected sets that share their window in every such tiling. One
+connected-components pass over copies of the cluster, one per radius of a
+chunk of radii, labels them by lowest vertex, with their sizes, degree
+sums, inner edge counts and the multiplicities of the edges between them.
+Each tiling then runs on its radius's cell pieces, a chunk of tilings at
+once: one connected-components pass over the cell edges whose ends share a
+window index labels all pieces of the chunk, the window pieces and each
+connected region outside every window as one piece, and ``bincount`` gives
+their sizes, degree sums and inner edge counts. Contracting each piece to a
+node gives the quotient graph Q, multi-edges summed. Pieces are disjoint
+connected sets, so the cluster minus a window piece falls apart exactly as
+Q minus the piece's node does: one depth-first search of Q (Tarjan 1972)
+finds, for every recorded piece at once, the subtrees no edge leads out of
+above the piece, and with prefix sums over preorder their degree sums and
+sizes. The reattached cut is the complement component of largest degree
+sum, its size, and its crossing, the Q-edges between it and the piece.
 """
 
 from __future__ import annotations
@@ -369,10 +375,23 @@ def _window_offsets(d: int, k: int) -> list:
     return seen
 
 
-# Bound on entries (vertices + edges, summed over the tilings) per chunk of
-# tilings handled together, so memory stays bounded however many tilings an
+# Bound on entries (vertices and edges summed over the radii's copies of the
+# cluster, or cells and twice the cell edges summed over the tilings) per
+# chunk handled together, so memory stays bounded however many tilings an
 # instance has.
 _BATCH_ENTRIES = 1 << 17
+
+
+def _chunks(items: list, entries: list):
+    """Runs of consecutive items of at most ``_BATCH_ENTRIES`` entries, or single items."""
+    lo, held = 0, 0
+    for i, e in enumerate(entries):
+        if i > lo and held + e > _BATCH_ENTRIES:
+            yield items[lo:i]
+            lo, held = i, 0
+        held += e
+    if items:
+        yield items[lo:]
 
 
 def _window_ids(coords: np.ndarray, n: int, k: int, off: tuple) -> np.ndarray:
@@ -441,13 +460,148 @@ def _check_depth_first(q, order, disc, end, child, child_par, first) -> None:
         raise RuntimeError("the traversal is not a depth-first search of the quotient graph")
 
 
+def _components(u: np.ndarray, v: np.ndarray, n: int) -> tuple:
+    """Connected components of the graph on n nodes with edges u-v, u ascending.
+
+    The CSR rows are read off the sorted ``u`` directly, with float64 data
+    as csgraph reads it, so neither a COO conversion nor csgraph's own cast
+    sorts the rows. csgraph numbers components in the order of their lowest
+    node, so the lowest node of each is where the running maximum label
+    grows; a numbering in any other order is refused.
+    """
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+    graph = sparse.csr_matrix((np.ones(u.size), v, indptr), shape=(n, n))
+    K, labels = csgraph.connected_components(graph, directed=False)
+    low = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
+    if low.size != K:
+        raise RuntimeError("connected components are not numbered by their lowest node")
+    return K, labels, low
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [s, s + l) over paired ``starts`` and ``lens``."""
+    return np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """Cell pieces of one or more copies of the cluster and the edges between them.
+
+    Cells are numbered by (copy, lowest vertex): copy r holds the cells
+    ``start[r]`` to ``start[r + 1] - 1`` and the edges ``edge_start[r]`` to
+    ``edge_start[r + 1] - 1``. Each edge (u < v) joins two cells of a copy
+    and carries the number ``mult`` of cluster edges between them.
+    """
+
+    vertex: np.ndarray  # lowest vertex of each cell
+    size: np.ndarray
+    deg: np.ndarray
+    inner: np.ndarray  # cluster edges inside each cell
+    start: np.ndarray
+    eu: np.ndarray
+    ev: np.ndarray
+    mult: np.ndarray
+    edge_start: np.ndarray
+
+
+def _cell_pieces(chain: Chain, keep: np.ndarray) -> _Cells:
+    """Contract copy r of the cluster along the edges ``keep[r]`` does not keep.
+
+    One connected-components pass over all copies labels the cells, and one
+    ``bincount`` or ``unique`` over all copies gives each cell's data and
+    the multiplicity of each edge between cells.
+    """
+    R, m = keep.shape[0], chain.m
+    eu, ev = chain.graph.edges_local.T
+    # copy r of the cluster holds nodes r*m .. r*m + m - 1
+    base = np.arange(R, dtype=np.int64)[:, None] * m
+    gu, gv = base + eu, base + ev
+    ku = gu[keep]
+    K, labels, low = _components(ku, gv[keep], R * m)
+    # csgraph labels are int32, and the pair keys need 64 bits
+    cu, cv = labels[gu[~keep]].astype(np.int64), labels[gv[~keep]]
+    pair, mult = np.unique(np.minimum(cu, cv) * K + np.maximum(cu, cv), return_counts=True)
+    start = np.append(labels[base[:, 0]], K)
+    cell_u, cell_v = np.divmod(pair, K)
+    return _Cells(
+        vertex=low % m,
+        size=np.bincount(labels, minlength=K),
+        deg=np.bincount(labels, weights=np.tile(chain.degrees, R), minlength=K).astype(np.int64),
+        inner=np.bincount(labels[ku], minlength=K),
+        start=start, eu=cell_u, ev=cell_v, mult=mult,
+        edge_start=np.searchsorted(cell_u, start),
+    )
+
+
 def _tiling_cuts(chain: Chain, wid: np.ndarray) -> np.ndarray:
     """(crossing, degree sum, size) rows of the tilings' cuts, in tiling and window order.
 
-    ``wid`` holds one row of window ids per tiling. Every window contributes
-    its largest piece (ties to the piece holding the lowest vertex) when its
-    mass is at most 1/2, followed by that piece's reattached cut when the
-    piece's complement is disconnected.
+    ``wid`` holds one row of window ids per tiling; the tilings run on the
+    cell pieces of their common refinement.
+    """
+    wid = np.atleast_2d(wid)
+    eu, ev = chain.graph.edges_local.T
+    cells = _cell_pieces(chain, (wid[:, eu] == wid[:, ev]).all(axis=0)[None])
+    return _piece_cuts(chain, cells, np.zeros(wid.shape[0], dtype=np.int64),
+                       wid[:, cells.vertex].ravel())
+
+
+def _tiling_edges(cells: _Cells, copy: np.ndarray, head: np.ndarray) -> tuple:
+    """Ends and multiplicities of the cell edges of tilings laid out one after another.
+
+    Tiling i runs on the cells of copy ``copy[i]``, as nodes ``head[i]``
+    onwards, so its edges keep their order and stay sorted by their first end.
+    """
+    n_edges = cells.edge_start[copy + 1] - cells.edge_start[copy]
+    edge = _ranges(cells.edge_start[copy], n_edges)
+    shift = np.repeat(head - cells.start[copy], n_edges)
+    return cells.eu[edge] + shift, cells.ev[edge] + shift, cells.mult[edge]
+
+
+def _quotient(cells: _Cells, copy: np.ndarray, wid: np.ndarray) -> tuple:
+    """Pieces of tilings run on cell pieces, and their quotient graph Q.
+
+    Tiling i runs on the cells of copy ``copy[i]``; ``wid`` holds every
+    cell's window id, tiling after tiling. Returns each piece's tiling,
+    lowest node, size, degree sum and crossing, and Q: one node per piece,
+    each cluster edge between pieces an edge (multi-edges summed), plus a
+    root node R = K joined to each tiling's first piece. The per-cell and
+    per-edge arrays are freed on return, before Q is searched.
+    """
+    n_cells = cells.start[copy + 1] - cells.start[copy]
+    head = np.cumsum(n_cells) - n_cells
+    eu, ev, mult = _tiling_edges(cells, copy, head)
+    intra = wid[eu] == wid[ev]
+    # cells follow the lowest vertex within a tiling, so piece labels and
+    # lowest nodes follow (tiling, lowest vertex)
+    K, labels, low = _components(eu[intra], ev[intra], wid.size)
+    cell = _ranges(cells.start[copy], n_cells)
+    size = np.bincount(labels, weights=cells.size[cell], minlength=K).astype(np.int64)
+    degsum = np.bincount(labels, weights=cells.deg[cell], minlength=K).astype(np.int64)
+    inner = (np.bincount(labels, weights=cells.inner[cell], minlength=K)
+             + np.bincount(labels[eu[intra]], weights=mult[intra], minlength=K))
+    crossing = degsum - 2 * inner.astype(np.int64)
+    # pieces are disjoint connected sets, so the cluster minus piece P has
+    # the components of Q minus P within P's tiling
+    lu, lv, lm = labels[eu[~intra]], labels[ev[~intra]], mult[~intra]
+    first_piece = labels[head]
+    rr = np.full(copy.size, K)
+    q = sparse.csr_matrix(
+        (np.concatenate([lm, lm, np.ones(2 * copy.size, dtype=np.int64)]),
+         (np.concatenate([lu, lv, first_piece, rr]), np.concatenate([lv, lu, rr, first_piece]))),
+        shape=(K + 1, K + 1),
+    )
+    return np.repeat(np.arange(copy.size), n_cells)[low], low, size, degsum, crossing, q
+
+
+def _piece_cuts(chain: Chain, cells: _Cells, copy: np.ndarray, wid: np.ndarray) -> np.ndarray:
+    """(crossing, degree sum, size) rows of the tilings' cuts, in tiling and window order.
+
+    The tilings run on cell pieces as in ``_quotient``. Every window
+    contributes its largest piece (ties to the piece holding the lowest
+    vertex) when its mass is at most 1/2, followed by that piece's
+    reattached cut when the piece's complement is disconnected.
 
     Each connected region outside every window is one piece of window -1,
     never chosen. Contracting a connected set disjoint from a window piece
@@ -455,51 +609,20 @@ def _tiling_cuts(chain: Chain, wid: np.ndarray) -> np.ndarray:
     labels still follow the lowest vertex, so both tie-breaks (heaviest
     component, then the one holding the lowest vertex) are unchanged.
     """
-    wid = np.atleast_2d(wid)
-    c = wid.shape[0]
     m, total = chain.m, chain.total_degree
-    eu, ev = chain.graph.edges_local.T
-    # copy j of the cluster, one per tiling, holds nodes j*m .. j*m + m - 1
-    base = np.arange(c, dtype=np.int64)[:, None] * m
-    gu, gv = base + eu, base + ev
-    intra = wid[:, eu] == wid[:, ev]
-    pieces = sparse.coo_matrix((np.ones(int(intra.sum()), dtype=np.int8), (gu[intra], gv[intra])),
-                               shape=(c * m, c * m))
-    # csgraph numbers components in the order of their lowest node, so piece
-    # labels follow (copy, lowest vertex)
-    K, labels = csgraph.connected_components(pieces.tocsr(), directed=False)
-    # lowest node of each piece: where the running maximum label grows
-    low = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
-    if low.size != K:
-        raise RuntimeError("connected components are not numbered by their lowest node")
-    size = np.bincount(labels, minlength=K)
-    degsum = np.bincount(labels, weights=np.tile(chain.degrees, c), minlength=K).astype(np.int64)
-    crossing = degsum - 2 * np.bincount(labels[gu[intra]], minlength=K)
-
-    window = wid.ravel()[low]
+    tiling, low, size, degsum, crossing, q = _quotient(cells, copy, wid)
+    window = wid[low]
     in_window = np.nonzero(window >= 0)[0]
     if in_window.size == 0:
         return np.zeros((0, 3), dtype=np.int64)
-    group = (low // m) * (int(wid.max()) + 1) + window
+    group = tiling * (int(wid.max()) + 1) + window
     chosen = in_window[_first_per_group(group[in_window], -size[in_window], low[in_window])]
     chosen = chosen[2 * degsum[chosen] <= total]
     J = chosen.size
     out = np.zeros((J, 2, 3), dtype=np.int64)
     out[:, 0] = np.stack([crossing[chosen], degsum[chosen], size[chosen]], axis=1)
 
-    # Quotient graph Q: one node per piece, each cluster edge between pieces
-    # an edge (multi-edges summed), plus a root node R joined to each copy's
-    # first piece. Pieces are disjoint connected sets, so the cluster minus
-    # piece P has the components of Q minus P within P's copy.
-    R = K
-    lu, lv = labels[gu[~intra]], labels[gv[~intra]]
-    first_piece = labels[base[:, 0]]
-    rr = np.full(c, R)
-    q = sparse.csr_matrix(
-        (np.ones(2 * (lu.size + c), dtype=np.int64),
-         (np.concatenate([lu, lv, first_piece, rr]), np.concatenate([lv, lu, rr, first_piece]))),
-        shape=(K + 1, K + 1),
-    )
+    K = R = size.size  # Q's root R is node K
     order, pred = csgraph.depth_first_order(q, R, directed=True, return_predecessors=True)
     disc = np.empty(K + 1, dtype=np.int64)
     disc[order] = np.arange(order.size)
@@ -524,8 +647,8 @@ def _tiling_cuts(chain: Chain, wid: np.ndarray) -> np.ndarray:
     _check_depth_first(q, order, disc, end, child, child_par, first)
 
     # removing P leaves the subtree of each child c with low[c] >= disc[P]
-    # (no edge from it climbs above P), plus the rest of P's copy unless P is
-    # the copy's root; the tree edge to the parent counts in low[c] harmlessly
+    # (no edge from it climbs above P), plus the rest of P's tiling unless P
+    # is its root; the tree edge to the parent counts in low[c] harmlessly
     lowval = np.minimum(disc, np.minimum.reduceat(disc[q.indices], q.indptr[:-1]))
     row = np.full(K + 1, -1)
     row[chosen] = np.arange(J)
@@ -549,9 +672,8 @@ def _tiling_cuts(chain: Chain, wid: np.ndarray) -> np.ndarray:
     slot = np.full(K + 1, -1)
     slot[sc] = J + np.arange(sc.size)
     P = chosen[split]
-    starts = q.indptr[P]
-    lens = q.indptr[P + 1] - starts
-    pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    lens = q.indptr[P + 1] - q.indptr[P]
+    pos = _ranges(q.indptr[P], lens)
     near, far, mult = np.repeat(P, lens), q.indices[pos], q.data[pos]
     real = far != R
     near, far, mult = near[real], far[real], mult[real]
@@ -564,7 +686,7 @@ def _tiling_cuts(chain: Chain, wid: np.ndarray) -> np.ndarray:
     comp_owner = np.concatenate([np.arange(J), owner])
     comp_deg = np.concatenate([np.where(has_rest, rest_deg, -1), sep_deg])
     comp_size = np.concatenate([rest_size, sep_size])
-    # the rest holds its copy's first piece, the lowest of all
+    # the rest holds its tiling's first piece, the lowest of all
     comp_low = np.concatenate([np.full(J, -1), _range_min(order, disc[sc], end[sc])])
     # heaviest complement component, ties to the one holding the lowest piece
     heavy = _first_per_group(comp_owner, -comp_deg, comp_low)[split]
@@ -579,45 +701,77 @@ def _tiling_cuts(chain: Chain, wid: np.ndarray) -> np.ndarray:
     return out[emitted]
 
 
+def _radius_cuts(chain: Chain, radii: list) -> list:
+    """Cut rows of every tiling of the given radii, in radius, offset and window order.
+
+    The cluster is cut along every window boundary of a radius at once;
+    each tiling of the radius then runs on the resulting cell pieces, in
+    chunks of about ``_BATCH_ENTRIES`` cells and cell edges (counted twice).
+    """
+    graph = chain.graph
+    n, d = graph.box.n, graph.box.d
+    eu, ev = graph.edges_local.T
+    # an offset past 2(n - k) on an axis leaves no window there
+    tilings = [(r, k, off) for r, k in enumerate(radii) for off in _window_offsets(d, k)
+               if max(off) <= 2 * (n - k)]
+    keep = np.ones((len(radii), eu.size), dtype=bool)
+    for r, k, off in tilings:
+        wid = _window_ids(graph.coords, n, k, off)
+        keep[r] &= wid[eu] == wid[ev]
+    cells = _cell_pieces(chain, keep)
+    # a cell edge counts twice: it carries a multiplicity besides its ends,
+    # and Q holds it both ways
+    entries = np.diff(cells.start) + 2 * np.diff(cells.edge_start)
+    cuts = []
+    for chunk in _chunks(tilings, [entries[r] for r, _, _ in tilings]):
+        wid = np.concatenate([
+            _window_ids(graph.coords[cells.vertex[cells.start[r]:cells.start[r + 1]]], n, k, off)
+            for r, k, off in chunk])
+        cuts.append(_piece_cuts(chain, cells, np.array([r for r, _, _ in chunk]), wid))
+    return cuts
+
+
 def profile_upper_box(chain: Chain, config=None, k_values=None) -> ConductanceProfile:
     """Upper-bound conductance profile from translated sub-box windows.
 
     For each window radius k < n the box is tiled by disjoint translates
-    (side 2k+1) at a few axis offsets. Tilings run in chunks of about
-    ``_BATCH_ENTRIES`` vertices and edges, each a few whole-array calls: every
-    vertex of every tiling's copy of the cluster gets its window index, one
-    connected-components pass over the edges whose ends share an index
-    labels every window piece and every connected region outside all
-    windows, and ``bincount`` gives the pieces' sizes, degree sums and
-    crossing counts. The largest piece of each window is recorded. A tiling
-    whose offset leaves no whole window inside the box is skipped.
+    (side 2k+1) at a few axis offsets; a tiling whose offset leaves no whole
+    window inside the box is skipped. Radii run in chunks of about
+    ``_BATCH_ENTRIES`` vertices and edges, one copy of the cluster per
+    radius: cutting every edge whose ends lie in different windows of any
+    tiling of the radius leaves its cell pieces, which one
+    connected-components pass labels for the whole chunk. The tilings then
+    run on their radius's cell pieces, in chunks of about
+    ``_BATCH_ENTRIES`` cells and cell edges (counted twice), each a few
+    whole-array calls: one connected-components pass over the cell edges
+    whose ends share a window index labels every window piece and every
+    connected region outside all windows, and ``bincount`` gives the
+    pieces' sizes, degree sums and crossing counts. The largest piece of
+    each window is recorded.
     Contracting every piece to a node gives the quotient graph Q, plus a root
-    joined to each copy's first piece; one depth-first search of Q gives each
-    node's subtree as a preorder range and its low-link, the earliest node an
-    edge from the subtree reaches. Removing a piece P leaves the subtrees of
-    the children whose low-link does not climb above P, and the rest of P's
-    copy unless P is its root. When that is more than one component, the
-    heaviest (or the set around it) is recorded too, with crossing equal to
-    the Q-edges between it and P. Every recorded point dominates the true
-    profile at its mass. The profile's ``cuts`` counts the recorded cuts.
+    joined to each tiling's first piece; one depth-first search of Q gives
+    each node's subtree as a preorder range and its low-link, the earliest
+    node an edge from the subtree reaches. Removing a piece P leaves the
+    subtrees of the children whose low-link does not climb above P, and the
+    rest of P's tiling unless P is its root. When that is more than one
+    component, the heaviest (or the set around it) is recorded too, with
+    crossing equal to the Q-edges between it and P. Every recorded point
+    dominates the true profile at its mass. The profile's ``cuts`` counts
+    the recorded cuts.
     """
     graph = chain.graph
     if graph.box is None or graph.coords is None:
         raise DomainError("chain was not built from a lattice cluster")
     if config is not None and config.box != graph.box:
         raise DomainError("configuration does not match the cluster's box")
-    n, d = graph.box.n, graph.box.d
+    n = graph.box.n
     ks = list(k_values) if k_values is not None else list(range(1, n))
     for k in ks:
         if not 1 <= k < n:
             raise DomainError(f"window radius {k} outside [1, n)")
-    # an offset past 2(n - k) on an axis leaves no window there
-    tilings = [(k, off) for k in ks for off in _window_offsets(d, k) if max(off) <= 2 * (n - k)]
-    step = max(1, _BATCH_ENTRIES // (chain.m + graph.edges_local.shape[0]))
     cuts = [np.zeros((0, 3), dtype=np.int64)]
-    for lo in range(0, len(tilings), step):
-        wid = np.stack([_window_ids(graph.coords, n, k, off) for k, off in tilings[lo:lo + step]])
-        cuts.append(_tiling_cuts(chain, wid))
+    for radii in _chunks(ks, [chain.m + graph.edges_local.shape[0]] * len(ks)):
+        cuts.extend(_radius_cuts(chain, radii))
     cuts = np.concatenate(cuts)
     profile = ConductanceProfile.lower_envelope(cuts, chain.total_degree, "upper-bound")
     profile.cuts = cuts.shape[0]

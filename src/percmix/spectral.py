@@ -61,7 +61,9 @@ def _gap_floor(chain: Chain) -> float:
     The relative margin covers rounding where f attains the minimum, as on
     the single edge, the 4-cycle and complete graphs.
     """
-    f = csgraph.dijkstra(chain.graph.adjacency, indices=0, unweighted=True, directed=False)
+    # the adjacency is symmetric (a + a.T), so directed=True walks the same
+    # edges and skips the transpose an undirected search makes
+    f = csgraph.dijkstra(chain.graph.adjacency, indices=0, unweighted=True, directed=True)
     u, v = chain.graph.edges_local.T
     dirichlet = np.count_nonzero(f[u] != f[v]) / chain.total_degree
     dev = f - chain.pi @ f
@@ -137,7 +139,8 @@ def distance_variance_lower_bound(chain: Chain) -> DistanceVarianceBound:
         order = np.argsort(-bound[alive], kind="stable")
         idx, alive = alive[order[:_SOURCE_BATCH]], alive[order[_SOURCE_BATCH:]]
         evaluated += idx.size
-        dist = csgraph.dijkstra(adj, indices=idx, unweighted=True, directed=False)
+        # exact on the symmetric adjacency, without an undirected search's transpose
+        dist = csgraph.dijkstra(adj, indices=idx, unweighted=True, directed=True)
         mean = (dist * pi).sum(axis=1)
         var = (dist * dist * pi).sum(axis=1) - mean**2
         top = var.max()

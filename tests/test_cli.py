@@ -176,6 +176,16 @@ def test_malformed_numbers_exit_1(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: "), args
 
 
+@pytest.mark.parametrize("command", ["analyze", "scaling"])
+@pytest.mark.parametrize("quantities", [",", ""], ids=["comma", "empty"])
+def test_empty_quantity_list_exits_1_before_writing(tmp_path, capsys, command, quantities):
+    # a list that parses empty is an error, not a request for the default list
+    out = tmp_path / "out"
+    assert main([command, "--n", "3", "--quantities", quantities, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: at least one quantity is required\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["--l1=-3,10"], ["--l1", "20,10"], ["--pairs", "0"],
                                   ["--pairs", "-4"], ["--n", "8"]])
 def test_bad_fpp_request_exits_1_before_writing(tmp_path, capsys, args):

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.sparse import csgraph
 
 import percmix as pm
@@ -508,6 +509,108 @@ def test_profile_upper_box_batches_in_chunks(tmp_path, monkeypatch):
     assert csv_bytes(pm.profile_upper_box(ch), tmp_path / "chunked.csv") == whole
 
 
+def count_calls(monkeypatch, name):
+    """Wrap a ``conductance`` function so that its calls are counted."""
+    calls = []
+    inner = getattr(conductance_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(conductance_module, name, counted)
+    return calls
+
+
+# d=3 at p=0.4 so that complements split
+@pytest.mark.parametrize("n,seed,d,p", [(9, 3, 2, 0.7), (6, 0, 3, 0.4)], ids=["9-3", "d3-6-0"])
+def test_one_chunk_holds_every_radius_and_tiling(tmp_path, monkeypatch, n, seed, d, p):
+    ch = cluster_chain(n, p, seed, d)
+    whole = csv_bytes(pm.profile_upper_box(ch), tmp_path / "whole.csv")
+    monkeypatch.setattr(conductance_module, "_BATCH_ENTRIES", 1 << 62)
+    contractions = count_calls(monkeypatch, "_cell_pieces")
+    passes = count_calls(monkeypatch, "_piece_cuts")
+    assert csv_bytes(pm.profile_upper_box(ch), tmp_path / "one.csv") == whole
+    assert len(contractions) == len(passes) == 1
+    assert contractions[0][1].shape[0] == n - 1
+    tilings = [(k, off) for k in range(1, n) for off in _window_offsets(d, k)
+               if max(off) <= 2 * (n - k)]
+    assert passes[0][2].size == len(tilings)
+    assert_matches_reference(ch, tmp_path)
+
+
+def test_one_radius_and_one_tiling_per_chunk(monkeypatch):
+    ch = cluster_chain(9, seed=3)
+    whole = pm.profile_upper_box(ch).points
+    monkeypatch.setattr(conductance_module, "_BATCH_ENTRIES", 1)
+    contractions = count_calls(monkeypatch, "_cell_pieces")
+    passes = count_calls(monkeypatch, "_piece_cuts")
+    assert pm.profile_upper_box(ch).points == whole
+    assert len(contractions) == 8
+    assert all(call[1].shape[0] == 1 for call in contractions)
+    assert all(call[2].size == 1 for call in passes)
+
+
+def reference_cells(chain, keep):
+    """Cell pieces of each copy by one components call per copy."""
+    eu, ev = chain.graph.edges_local.T
+    cells = []
+    for row in keep:
+        sub = sparse.coo_matrix((np.ones(int(row.sum())), (eu[row], ev[row])),
+                                shape=(chain.m, chain.m))
+        _, labels = csgraph.connected_components(sub, directed=False)
+        # number the cells by their lowest vertex
+        lowest = np.full(labels.max() + 1, chain.m)
+        np.minimum.at(lowest, labels, np.arange(chain.m))
+        rank = np.argsort(np.argsort(lowest))
+        labels = rank[labels]
+        cut = ~row
+        ends = np.sort(np.stack([labels[eu[cut]], labels[ev[cut]]], axis=1), axis=1)
+        pairs, mult = np.unique(ends, axis=0, return_counts=True)
+        cells.append(dict(
+            vertex=np.sort(lowest), size=np.bincount(labels),
+            deg=np.bincount(labels, weights=chain.degrees).astype(np.int64),
+            inner=np.bincount(labels[eu[row]], minlength=labels.max() + 1),
+            pairs=pairs, mult=mult,
+        ))
+    return cells
+
+
+def assert_cells_match_reference(chain, keep):
+    cells = conductance_module._cell_pieces(chain, keep)
+    for r, ref in enumerate(reference_cells(chain, keep)):
+        lo, hi = cells.start[r], cells.start[r + 1]
+        for field in ("vertex", "size", "deg", "inner"):
+            assert np.array_equal(getattr(cells, field)[lo:hi], ref[field]), (r, field)
+        e_lo, e_hi = cells.edge_start[r], cells.edge_start[r + 1]
+        pairs = np.stack([cells.eu[e_lo:e_hi], cells.ev[e_lo:e_hi]], axis=1) - lo
+        assert np.array_equal(pairs, ref["pairs"].reshape(-1, 2)), r
+        assert np.array_equal(cells.mult[e_lo:e_hi], ref["mult"]), r
+
+
+def test_cell_pieces_match_one_contraction_per_copy():
+    # each radius of the n=9 cluster, its tilings' window boundaries cut at once
+    ch = cluster_chain(9, seed=3)
+    n = 9
+    eu, ev = ch.graph.edges_local.T
+    keep = np.ones((n - 1, eu.size), dtype=bool)
+    for k in range(1, n):
+        for off in _window_offsets(2, k):
+            wid = conductance_module._window_ids(ch.graph.coords, n, k, off)
+            keep[k - 1] &= wid[eu] == wid[ev]
+    assert_cells_match_reference(ch, keep)
+
+
+def test_cell_pieces_of_many_copies_keep_their_edge_pairs():
+    # with no edge kept every vertex is a cell, and 30 copies of the n=21
+    # cluster make so many cells that a cell pair key passes the int32 range
+    # of csgraph's labels
+    ch = cluster_chain(21)
+    keep = np.zeros((30, ch.graph.edges_local.shape[0]), dtype=bool)
+    assert (30 * ch.m) ** 2 > 2**31
+    assert_cells_match_reference(ch, keep)
+
+
 def test_chunk_boundary_inside_one_radius(tmp_path, monkeypatch):
     # two tilings per chunk, and k=1 has three offsets, so the second chunk
     # holds the last tiling of k=1 and the first of k=2
@@ -650,6 +753,23 @@ def test_component_numbering_out_of_lowest_node_order_is_refused(monkeypatch):
     monkeypatch.setattr(conductance_module.csgraph, "connected_components", reversed_labels)
     with pytest.raises(RuntimeError, match="not numbered by their lowest node"):
         pm.profile_upper_box(ch)
+
+
+def test_pass_numbering_out_of_lowest_node_order_is_refused(monkeypatch):
+    # the contraction's labels pass; the tilings' piece labels come reversed
+    ch = cluster_chain(4)
+    components = csgraph.connected_components
+    calls = []
+
+    def reversed_after_first(graph, directed=True):
+        count, labels = components(graph, directed=directed)
+        calls.append(count)
+        return count, labels if len(calls) == 1 else count - 1 - labels
+
+    monkeypatch.setattr(conductance_module.csgraph, "connected_components", reversed_after_first)
+    with pytest.raises(RuntimeError, match="not numbered by their lowest node"):
+        pm.profile_upper_box(ch)
+    assert len(calls) == 2
 
 
 def outside_components(chain, piece, k, off):
