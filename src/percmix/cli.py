@@ -28,8 +28,8 @@ from .experiments import (
     run_instance,
     run_scaling,
 )
-from .geometry import (check_fpp_request, density_rows_to_csv, fpp_regression,
-                       good_density_curve)
+from .geometry import (check_block_scales, check_fpp_request, density_rows_to_csv,
+                       fpp_regression, good_density_curve)
 from .lattice import BoxSpec
 from .percolation import largest_cluster, sample_bond_config
 
@@ -196,6 +196,7 @@ def _cmd_scaling(args) -> int:
 def _cmd_renorm(args) -> int:
     n = _single_n(args)
     blocks = _int_list(args.N)
+    check_block_scales(blocks)
     rows = good_density_curve(args.d, n, args.p, blocks, _seed_list(args))
     out = Path(args.out) if args.out else Path(f"renorm_d{args.d}_n{n}.csv")
     density_rows_to_csv(rows, out)

@@ -26,7 +26,7 @@ from .caps import DENSE_CAP
 from .chain import Chain, build_chain, mixing_time
 from .errors import DomainError, InequalityViolationError, PercmixError
 from .fitting import fit_loglog
-from .geometry import (MIN_BLOCK_SCALE, check_fpp_request, classify_good_vertices,
+from .geometry import (check_block_scales, check_fpp_request, classify_good_vertices,
                        fpp_regression)
 from .lattice import BoxSpec
 from .percolation import cluster_census, largest_cluster, sample_bond_config
@@ -103,9 +103,7 @@ class ExperimentConfig:
         if not 0.0 < self.resolution_factor < math.inf:
             raise DomainError(
                 f"resolution_factor must be positive and finite, got {self.resolution_factor}")
-        if any(block < MIN_BLOCK_SCALE for block in self.renorm_blocks):
-            raise DomainError(f"renorm_blocks must be at least {MIN_BLOCK_SCALE}, "
-                              f"got {list(self.renorm_blocks)}")
+        check_block_scales(self.renorm_blocks)
         check_fpp_request(self.fpp_pairs, (self.fpp_l1_lo, self.fpp_l1_hi))
 
     def to_file(self, path) -> None:
@@ -277,7 +275,8 @@ def _quantity_rows(inst: _Instance) -> list:
             if quantity == "tau2":
                 s = inst.spectral
                 add("tau2", s.tau2, "exact",
-                    f"gap={s.gap!r} method={s.method} residual={s.residual:.2e}")
+                    f"gap={s.gap!r} method={s.method} residual={s.residual:.2e} "
+                    f"inertia={s.inertia} dense={int(s.dense)}")
             elif quantity == "tau1":
                 mix = inst.mixing
                 detail = (f"t_lo={mix.t_lo!r} t_hi={mix.t_hi!r} mode={mix.mode} "

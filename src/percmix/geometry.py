@@ -178,6 +178,21 @@ def check_fpp_request(n_pairs: int, l1_range) -> None:
         raise DomainError(f"need at least one FPP pair, got {n_pairs}")
 
 
+def check_block_scales(blocks) -> None:
+    """Reject an empty or repeating list of renorm block scales, or a scale too small.
+
+    A repeated scale would write its density rows twice per instance, and a
+    sweep's resume reads a repeated row as a torn rerun.
+    """
+    if not blocks:
+        raise DomainError("renorm_blocks must be nonempty")
+    if len(set(blocks)) != len(blocks):
+        raise DomainError(f"renorm_blocks repeats: {list(blocks)}")
+    if any(block < MIN_BLOCK_SCALE for block in blocks):
+        raise DomainError(f"renorm_blocks must be at least {MIN_BLOCK_SCALE}, "
+                          f"got {list(blocks)}")
+
+
 def fpp_regression(config: BondConfig, n_pairs: int = 300,
                    l1_range: tuple = (10, 60), margin: int = 5,
                    rng_seed: int = 0, n_targets: int = 11) -> FppRegression:

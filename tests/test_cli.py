@@ -162,6 +162,16 @@ def test_repeated_seed_exits_1_before_writing(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("blocks", ["8,8", "8,16,8", ",", "4"])
+def test_renorm_bad_block_scales_exit_1_before_writing(tmp_path, capsys, blocks):
+    # a repeated --N printed "over 2 seeds" for one seed and wrote every row twice
+    out = tmp_path / "r.csv"
+    assert main(["renorm", "--n", "40", "--N", blocks, "--seeds", "0",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: renorm_blocks ")
+    assert not out.exists()
+
+
 def test_malformed_numbers_exit_1(tmp_path, capsys):
     out = str(tmp_path / "out")
     cases = [
@@ -198,7 +208,8 @@ def test_bad_fpp_request_exits_1_before_writing(tmp_path, capsys, args):
 @pytest.mark.parametrize("line", ["n_list = 4,six", "d = 2.5", "poisson_tol = 0",
                                   "resolution_factor = -1", "renorm_blocks = 4",
                                   "rtol = 1e-10", "poisson_tol = inf",
-                                  "resolution_factor = inf", "seed_list = 1,1"])
+                                  "resolution_factor = inf", "seed_list = 1,1",
+                                  "renorm_blocks = 8,8", "renorm_blocks = "])
 def test_bad_config_file_exits_1(tmp_path, capsys, line):
     cfg = tmp_path / "sweep.cfg"
     # the bad line replaces its key's valid value rather than repeating the key

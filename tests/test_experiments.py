@@ -99,6 +99,25 @@ def test_config_rejects_repeated_instances_and_non_finite_tolerances():
     assert ExperimentConfig(n_list=(6, 9), seed_list=(3, 1)).seed_list == (3, 1)
 
 
+@pytest.mark.parametrize("blocks", [(8, 8), (8, 16, 8), ()])
+def test_config_rejects_repeated_or_empty_renorm_blocks(blocks):
+    # a repeated scale writes its density row twice per instance, which a
+    # resume reads as a torn rerun; an empty list writes no renorm row at all
+    with pytest.raises(DomainError, match="renorm_blocks"):
+        ExperimentConfig(renorm_blocks=blocks)
+
+
+def test_tau2_detail_names_the_inertia_and_route():
+    cfg = ExperimentConfig(n_list=(3, 10), seed_list=(0,), quantities=("tau2",))
+    small = run_instance(cfg, 3, 0)[0]
+    assert small.detail.endswith(" dense=1")  # at most SPARSE_EIGEN_MIN vertices
+    large = run_instance(cfg, 10, 0)[0]
+    assert large.detail.endswith(" dense=0")  # the certified sparse solve
+    for row in (small, large):
+        inertia = [t for t in row.detail.split() if t.startswith("inertia=")]
+        assert len(inertia) == 1 and int(inertia[0].split("=")[1]) >= 2
+
+
 def test_default_preset_is_desk_scale():
     cfg = default_preset()
     assert cfg.d == 2 and cfg.p == 0.7

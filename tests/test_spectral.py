@@ -14,6 +14,7 @@ from percmix.chain import count_above, top_eigenpairs
 from percmix.errors import DomainError, EmptyClusterError, InequalityViolationError
 from percmix.spectral import (
     _gap_floor,
+    _RootedCopies,
     distance_variance_lower_bound,
     spectral_gap,
     sweep_ordering,
@@ -229,6 +230,52 @@ def test_certificate_mismatch_falls_back_to_dense(tamper):
     assert spec.gap == -w[-2] and spec.method == "dense"
     assert abs(spec.gap - reference.gap) < 1e-12
     assert np.abs(spec.vector - reference.vector).max() < 1e-9
+
+
+def test_gap_reports_inertia_and_route():
+    ch = cluster_chain(10)
+    floor = _gap_floor(ch)
+    certified = spectral_gap(ch)  # above SPARSE_EIGEN_MIN: the sparse solve
+    assert not certified.dense
+    assert certified.inertia == count_above(ch.symmetrized, floor)
+    with patched("SPARSE_EIGEN_MIN", ch.m):
+        dense = spectral_gap(cluster_chain(10))
+    assert dense.dense
+    assert dense.inertia == np.count_nonzero(ch.eigensystem[0] > floor) == certified.inertia
+    assert dense.inertia >= 2
+
+
+def dijkstra_rows(graph, sources):
+    return csgraph.dijkstra(graph.adjacency, indices=sources, unweighted=True)
+
+
+@given(BOXES, PS, SEEDS, st.integers(1, 5), st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_rooted_copies_rows_equal_dijkstra(box, p, seed, copies, count):
+    graph = drawn_chain(box, p, seed, min_vertices=10).graph
+    sources = np.random.default_rng(seed).permutation(graph.num_vertices)[:count]
+    search = _RootedCopies(graph.adjacency, copies)
+    assert np.array_equal(search.rows(sources), dijkstra_rows(graph, sources))
+    # a reused search with fewer sources than copies reads a prefix of them
+    assert np.array_equal(search.rows(sources[:1]), dijkstra_rows(graph, sources[:1]))
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_rooted_copies_on_the_single_edge(copies):
+    graph = single_edge()
+    search = _RootedCopies(graph.adjacency, copies)
+    assert search.rows(np.array([1])).tolist() == [[1.0, 0.0]]
+    assert search.rows(np.array([0, 1])).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+def test_variance_bound_refuses_a_depth_first_traversal(monkeypatch):
+    ch = cluster_chain(6)
+    monkeypatch.setattr(spectral_module.csgraph, "breadth_first_order",
+                        csgraph.depth_first_order)
+    with pytest.raises(RuntimeError, match="not a breadth-first search"):
+        distance_variance_lower_bound(ch)  # many copies per search
+    with pytest.raises(RuntimeError, match="not a breadth-first search"):
+        _gap_floor(ch)  # one copy
 
 
 @given(BOXES, PS, SEEDS)
