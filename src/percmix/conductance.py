@@ -44,6 +44,7 @@ from scipy.sparse import csgraph
 
 from .chain import Chain
 from .errors import CapacityError, DomainError
+from .lattice import concat_ranges
 from .spectral import SpectralResult, spectral_gap, sweep_ordering
 
 EXHAUSTIVE_CAP = 22
@@ -479,11 +480,6 @@ def _components(u: np.ndarray, v: np.ndarray, n: int) -> tuple:
     return K, labels, low
 
 
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The concatenated ranges [s, s + l) over paired ``starts`` and ``lens``."""
-    return np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-
-
 @dataclass(frozen=True)
 class _Cells:
     """Cell pieces of one or more copies of the cluster and the edges between them.
@@ -554,7 +550,7 @@ def _tiling_edges(cells: _Cells, copy: np.ndarray, head: np.ndarray) -> tuple:
     onwards, so its edges keep their order and stay sorted by their first end.
     """
     n_edges = cells.edge_start[copy + 1] - cells.edge_start[copy]
-    edge = _ranges(cells.edge_start[copy], n_edges)
+    edge = concat_ranges(cells.edge_start[copy], n_edges)
     shift = np.repeat(head - cells.start[copy], n_edges)
     return cells.eu[edge] + shift, cells.ev[edge] + shift, cells.mult[edge]
 
@@ -576,7 +572,7 @@ def _quotient(cells: _Cells, copy: np.ndarray, wid: np.ndarray) -> tuple:
     # cells follow the lowest vertex within a tiling, so piece labels and
     # lowest nodes follow (tiling, lowest vertex)
     K, labels, low = _components(eu[intra], ev[intra], wid.size)
-    cell = _ranges(cells.start[copy], n_cells)
+    cell = concat_ranges(cells.start[copy], n_cells)
     size = np.bincount(labels, weights=cells.size[cell], minlength=K).astype(np.int64)
     degsum = np.bincount(labels, weights=cells.deg[cell], minlength=K).astype(np.int64)
     inner = (np.bincount(labels, weights=cells.inner[cell], minlength=K)
@@ -673,7 +669,7 @@ def _piece_cuts(chain: Chain, cells: _Cells, copy: np.ndarray, wid: np.ndarray) 
     slot[sc] = J + np.arange(sc.size)
     P = chosen[split]
     lens = q.indptr[P + 1] - q.indptr[P]
-    pos = _ranges(q.indptr[P], lens)
+    pos = concat_ranges(q.indptr[P], lens)
     near, far, mult = np.repeat(P, lens), q.indices[pos], q.data[pos]
     real = far != R
     near, far, mult = near[real], far[real], mult[real]

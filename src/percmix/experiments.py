@@ -26,8 +26,8 @@ from .caps import DENSE_CAP
 from .chain import Chain, build_chain, mixing_time
 from .errors import DomainError, InequalityViolationError, PercmixError
 from .fitting import fit_loglog
-from .geometry import (check_block_scales, check_fpp_request, classify_good_vertices,
-                       fpp_regression)
+from .geometry import (check_block_scales, check_fpp_request, check_windows_fit,
+                       classify_good_vertices, fpp_regression)
 from .lattice import BoxSpec
 from .percolation import cluster_census, largest_cluster, sample_bond_config
 
@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise DomainError(
                 f"resolution_factor must be positive and finite, got {self.resolution_factor}")
         check_block_scales(self.renorm_blocks)
+        if "renorm" in self.quantities:
+            check_windows_fit(self.n_list[0], self.renorm_blocks)
         check_fpp_request(self.fpp_pairs, (self.fpp_l1_lo, self.fpp_l1_hi))
 
     def to_file(self, path) -> None:

@@ -13,11 +13,16 @@ Two instruments, both pure functions of a bond configuration:
 Both run as whole-array passes. Dual distances contract the weight-0 dual
 edges (one ``connected_components`` call) and then run one bidirectional
 level BFS over the quotient graph that serves every pair at once and stops
-each pair where its two searches meet. Good-site windows are slices of one
-grid of forward-edge flags; a batch of them is one gather, one padded CSR
-graph and one ``connected_components`` call, and only the few pieces large
-enough to be stray get their diameters measured. Batches stay within
-``_BATCH_ENTRIES`` entries.
+each pair where its two searches meet. The good-site windows of one block
+scale share one contraction of the box: cuts at every x = -r or r+1 (mod
+block), with r the window radius, split the covered range into cells, so
+each window is a product of whole cells. One padded CSR
+``connected_components`` pass per slab of cell rows labels the pieces of
+every cell, and the open edges between cells become pairs of pieces. Each
+window is then the small graph of its cells' pieces and the pairs among
+them, a batch of windows one ``connected_components`` call, and crossing,
+goodness and witness are reductions over its components. Slabs and batches
+stay within ``_BATCH_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .errors import DomainError, UnsupportedDimensionError
-from .lattice import BoxSpec, build_box, dual_lattice
+from .lattice import BoxSpec, build_box, concat_ranges, dual_lattice
 from .percolation import BondConfig, bernoulli_site_field, sample_bond_config
 
 # Entries one batched call may allocate: dual search keys (pairs x
-# _FRONTIER_PER_PAIR) or block-diagonal window graphs (windows x window size).
+# _FRONTIER_PER_PAIR), the vertices of a slab of cell rows (unless one row is
+# larger), or the window graphs of a batch (their cells' pieces and pairs).
 _BATCH_ENTRIES = 2**16
 # Keys a pair's dual search gathers in its widest layer, with room to spare:
 # at most 1279 over 1188 pairs at L1 10..60, p=0.7, n=80 and 160.
@@ -193,6 +199,19 @@ def check_block_scales(blocks) -> None:
                           f"got {list(blocks)}")
 
 
+def check_windows_fit(n: int, blocks) -> None:
+    """Reject renorm block scales whose window does not fit in the box of radius n.
+
+    A window has radius floor(5*block/4), and the site at the origin is the
+    last to keep its whole window: a wider window classifies no site, so the
+    scale has no density.
+    """
+    wide = [block for block in blocks if _window_radius(block) > n]
+    if wide:
+        raise DomainError(f"renorm_blocks {wide} have windows of radius "
+                          f"floor(5*block/4) wider than the box radius {n}")
+
+
 def fpp_regression(config: BondConfig, n_pairs: int = 300,
                    l1_range: tuple = (10, 60), margin: int = 5,
                    rng_seed: int = 0, n_targets: int = 11) -> FppRegression:
@@ -294,66 +313,182 @@ class GoodSiteField:
         return float(self.good[self.classified].sum()) / k
 
 
-def _classify_windows(flags, bases, offsets, block: int):
-    """Condition 1, goodness and witness for one batch of full windows.
+@dataclass(frozen=True)
+class _Pieces:
+    """Open pieces of one block scale's cells and the open edges between them.
 
-    ``flags[a, j]`` holds the open flags of the forward axis-``a`` edges of
-    window j's vertices, on the window grid (a copy, whose last layer along
-    each axis is cleared in place); ``bases[j]`` is the VertexId of its
-    lowest corner, and ``offsets`` maps row-major local order to VertexId
-    offsets, so local order is VertexId order. The windows form one padded
-    CSR graph (window j owns nodes j*size .. (j+1)*size - 1): every node has
-    d slots, the forward neighbour along each axis when that edge is open and
-    the node itself otherwise, so one ``connected_components`` call labels
-    every window with no edge list to compact or sort.
+    Coordinates are offsets into the covered cube, and cells are numbered
+    row-major over their per-axis indices. A piece is open when an open edge
+    joins it to a piece of a neighbouring cell. Open pieces are numbered
+    cell by cell: cell c holds pieces ``start[c]`` to ``start[c + 1] - 1``.
+    Each pair (pu, pv) joins a piece to one in the next cell along ``axis``;
+    pairs run in (pu, axis, pv) order, so the pairs of cell c's pieces start
+    at ``pair_start[c]``.
     """
-    d, b, side = flags.shape[0], flags.shape[1], flags.shape[2]
-    size = side**d
-    total = b * size
-    node = np.arange(total, dtype=np.int32)  # a batch holds far below 2**31 slots
-    indices = np.empty((total, d), dtype=np.int32)
-    for a in range(d):
-        # cut the edges that leave the window first: scipy does not range-check
-        # CSR indices, and a column past the last node is out of bounds
-        flags[(a, slice(None)) + (slice(None),) * a + (-1,)] = False
-        indices[:, a] = np.where(flags[a].ravel(), node + side ** (d - 1 - a), node)
-    graph = sparse.csr_matrix(
-        (np.ones(total * d), indices.ravel(), np.arange(0, total * d + 1, d, dtype=np.int32)),
-        shape=(total, total))
+
+    start: np.ndarray
+    lo: np.ndarray  # (d, P) bounding box of each piece
+    hi: np.ndarray
+    low: np.ndarray  # lowest vertex of each piece, as a row-major offset in the cube
+    pair_start: np.ndarray
+    pu: np.ndarray
+    pv: np.ndarray
+    axis: np.ndarray
+    stray: np.ndarray  # per cell: a closed piece of L-infinity diameter above block / 10
+
+
+def _contract(forward, first, block: int) -> _Pieces:
+    """Pieces of every cell of the covered cube, with the pairs of open pieces.
+
+    ``forward[a]`` holds the open flags of the cube's forward axis-``a``
+    edges, and ``first[x]`` tells whether offset x starts a cell
+    (``first[side]`` is set: the cube ends there). Cells share no edge, so
+    the cube is contracted in slabs of whole cell rows along axis 0, each
+    within ``_BATCH_ENTRIES`` vertices unless one row is larger. A slab is
+    one padded CSR graph, whose node slots keep the open edges inside a
+    cell, and one ``connected_components`` call. The open edges between
+    cells, those from a slab's last layer into the next slab included,
+    become piece pairs.
+    A closed piece is its own component in every window, so it only marks
+    its cell when it is large enough to be stray.
+    """
+    d, side = forward.shape[0], forward.shape[1]
+    layer = side ** (d - 1)
+    leaves = first[1:]  # the forward edge at offset x leaves its cell
+    cell_of = np.cumsum(first[:side]) - 1
+    num_cells = int(cell_of[-1]) + 1
+    cell_stride = num_cells ** np.arange(d - 1, -1, -1)
+    bounds = np.flatnonzero(first)
+    rows = max(1, _BATCH_ENTRIES // layer)
+    los, his, lows, us, vs, axes = [], [], [], [], [], []
+    offset = 0
+    x = 0
+    while x < side:
+        ends = bounds[bounds > x]
+        end = int(ends[max(0, np.searchsorted(ends, x + rows, side="right") - 1)])
+        flags = forward[:, x:end]
+        shape = flags.shape[1:]
+        num = flags[0].size
+        node = np.arange(num, dtype=np.int32)  # a slab holds far below 2**31 slots
+        indices = np.empty((num, d), dtype=np.int32)
+        cuts = []
+        for a in range(d):
+            cut = (leaves[x:end] if a == 0 else leaves).reshape((-1,) + (1,) * (d - 1 - a))
+            cuts.append(cut)
+            indices[:, a] = np.where((flags[a] & ~cut).ravel(), node + side ** (d - 1 - a), node)
+        graph = sparse.csr_matrix(
+            (np.ones(num * d), indices.ravel(), np.arange(0, num * d + 1, d, dtype=np.int32)),
+            shape=(num, num))
+        ncomp, labels = csgraph.connected_components(graph, directed=False)
+        coords = np.indices(shape, dtype=np.int32).reshape(d, num)
+        coords[0] += x
+        lo = np.full((d, ncomp), side, dtype=np.int32)
+        hi = np.zeros((d, ncomp), dtype=np.int32)
+        for a in range(d):
+            np.minimum.at(lo[a], labels, coords[a])
+            np.maximum.at(hi[a], labels, coords[a])
+        low = np.full(ncomp, num, dtype=np.int32)  # ufunc.at is fast on matching dtypes only
+        np.minimum.at(low, labels, node)
+        los.append(lo)
+        his.append(hi)
+        lows.append(low.astype(np.int64) + x * layer)
+
+        raw = labels.reshape(shape).astype(np.int64) + offset
+        if x > 0:  # edges from the previous slab's last layer cross a cell face
+            crossing = forward[0, x - 1]
+            us.append(prev[crossing])
+            vs.append(raw[0][crossing])
+            axes.append(np.zeros(vs[-1].size, dtype=np.int64))
+        for a in range(d):
+            tail = (slice(None),) * a + (slice(None, -1),)
+            head = (slice(None),) * a + (slice(1, None),)
+            crossing = flags[a][tail] & cuts[a][:-1]
+            us.append(raw[tail][crossing])
+            vs.append(raw[head][crossing])
+            axes.append(np.full(vs[-1].size, a, dtype=np.int64))
+        prev = raw[-1]
+        offset += ncomp
+        x = end
+
+    lo, hi, low = np.concatenate(los, axis=1), np.concatenate(his, axis=1), np.concatenate(lows)
+    u, v, axis = np.concatenate(us), np.concatenate(vs), np.concatenate(axes)
+    opened = np.zeros(offset, dtype=bool)
+    opened[u] = True
+    opened[v] = True
+    cell = (cell_of[lo] * cell_stride[:, None]).sum(axis=0)
+    stray = np.zeros(num_cells**d, dtype=bool)
+    stray[cell[~opened & (10 * (hi - lo).max(axis=0) > block)]] = True
+    keep = np.flatnonzero(opened)
+    keep = keep[np.argsort(cell[keep], kind="stable")]
+    num_open = keep.size
+    renumber = np.empty(offset, dtype=np.int64)
+    renumber[keep] = np.arange(num_open)
+    start = np.searchsorted(cell[keep], np.arange(num_cells**d + 1))
+    key = np.sort((renumber[u] * d + axis) * num_open + renumber[v])
+    key = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0; np.unique hashes, far slower
+    pu, axis = np.divmod(key // num_open, d)
+    return _Pieces(start=start, lo=lo[:, keep], hi=hi[:, keep], low=low[keep],
+                   pair_start=np.searchsorted(pu, start), pu=pu, pv=key % num_open,
+                   axis=axis, stray=stray)
+
+
+def _classify_windows(pieces: _Pieces, cells, corners, q: int, side: int, block: int):
+    """Condition 1, goodness and witness offset for one batch of full windows.
+
+    Window j covers the cells ``cells[j]`` (row-major over its q^d cells)
+    and has lowest corner ``corners[j]`` in the cube. Its graph holds the
+    open pieces of those cells and the pairs among them: window j owns a
+    run of nodes, one run per cell, and the pairs of each cell, minus those
+    leading out of the window, give CSR rows in node order. One
+    ``connected_components`` call labels the batch; each component's face
+    contact and diameter follow from the union of its pieces' boxes.
+    """
+    num, q_cells = cells.shape
+    d = corners.shape[1]
+    slot = np.indices((q,) * d).reshape(d, -1)
+    outward = slot == q - 1  # (d, q^d): the slot's next cell along each axis leaves the window
+    step = q ** np.arange(d - 1, -1, -1)
+    cell = cells.ravel()
+    count = pieces.start[cell + 1] - pieces.start[cell]
+    head = np.cumsum(count) - count
+    nodes = concat_ranges(pieces.start[cell], count)
+    n_pairs = pieces.pair_start[cell + 1] - pieces.pair_start[cell]
+    pair = concat_ranges(pieces.pair_start[cell], n_pairs)
+    at = np.repeat(np.arange(cell.size), n_pairs)
+    axis = pieces.axis[pair]
+    inside = ~outward[axis, at % q_cells]
+    pair, at, axis = pair[inside], at[inside], axis[inside]
+    to = at + step[axis]
+    u = pieces.pu[pair] - pieces.start[cell[at]] + head[at]
+    v = pieces.pv[pair] - pieces.start[cell[to]] + head[to]
+    total = nodes.size
+    indptr = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=total), out=indptr[1:])
+    graph = sparse.csr_matrix((np.ones(u.size), v, indptr), shape=(total, total))
     ncomp, labels = csgraph.connected_components(graph, directed=False)
-    by_window = labels.reshape((b,) + (side,) * d)
 
-    spanning = np.ones(ncomp, dtype=bool)
-    for a in range(d):
-        for end in (0, side - 1):
-            hit = np.zeros(ncomp, dtype=bool)
-            hit[by_window[(slice(None),) * (1 + a) + (end,)]] = True
-            spanning &= hit
-    # every spanning piece touches the low axis-0 face, which names its window
     owner = np.zeros(ncomp, dtype=np.int64)
-    owner[by_window[:, 0]] = np.arange(b).reshape((b,) + (1,) * (d - 1))
-    n_spanning = np.bincount(owner[spanning], minlength=b)
-
-    # a piece of L-infinity diameter D has at least D + 1 nodes, so only the
-    # non-spanning pieces above block // 10 + 1 nodes can be stray
-    candidate = ~spanning & (np.bincount(labels, minlength=ncomp) > block // 10 + 1)
-    nodes = np.flatnonzero(candidate[labels])
-    nodes = nodes[np.argsort(labels[nodes])]  # each candidate piece one segment
-    starts = np.flatnonzero(np.diff(labels[nodes], prepend=-1))
-    diam = np.zeros(starts.size, dtype=np.int64)
+    owner[labels] = np.repeat(np.arange(num), count.reshape(num, q_cells).sum(axis=1))
+    spanning = np.ones(ncomp, dtype=bool)
+    diam = np.zeros(ncomp, dtype=np.int64)
     for a in range(d):
-        coord = nodes // side ** (d - 1 - a) % side
-        diam = np.maximum(diam, np.maximum.reduceat(coord, starts)
-                          - np.minimum.reduceat(coord, starts))
-    stray = np.zeros(b, dtype=bool)
-    stray[nodes[starts[10 * diam > block]] // size] = True
+        lo = np.full(ncomp, np.iinfo(np.int32).max, dtype=np.int32)
+        hi = np.zeros(ncomp, dtype=np.int32)
+        np.minimum.at(lo, labels, pieces.lo[a, nodes])
+        np.maximum.at(hi, labels, pieces.hi[a, nodes])
+        spanning &= (lo == corners[owner, a]) & (hi == corners[owner, a] + side - 1)
+        diam = np.maximum(diam, hi - lo)
+    n_spanning = np.bincount(owner[spanning], minlength=num)
+    stray = pieces.stray[cells].any(axis=1)
+    stray[owner[~spanning & (10 * diam > block)]] = True
 
     crossing = n_spanning >= 1
     good = (n_spanning == 1) & ~stray
-    # witness: the first node, in VertexId order, of the one spanning piece
-    first = spanning[labels.reshape(b, size)[good]].argmax(axis=1)
-    witness = np.full(b, -1, dtype=np.int64)
-    witness[good] = bases[good] + offsets[first]
+    low = np.full(ncomp, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(low, labels, pieces.low[nodes])
+    witness = np.full(num, -1, dtype=np.int64)
+    chosen = spanning & good[owner]
+    witness[owner[chosen]] = low[chosen]
     return crossing, good, witness
 
 
@@ -387,22 +522,41 @@ def classify_good_vertices(config: BondConfig, block: int) -> GoodSiteField:
     )
     if todo.size == 0:  # the box is smaller than one window
         return field
+    # the windows cover the cube [start, start + span)^d; cells start at every
+    # offset congruent to a window's low face or to one past its high face
     corners = sites[todo] - radius
-    bases = box.coord_to_vertex(corners)
-    offsets = box.window_vertex_ids([-n] * d, [-n + side - 1] * d).ravel()
-    # open flags of every vertex's forward edges as a (d, box side, ...) grid,
-    # read by each batch as one gather of its window slices
+    start = int(corners.min())
+    corners -= start
+    span = int(corners.max()) + side
+    offset = np.arange(span + 1)
+    first = (offset % block == 0) | ((offset - side) % block == 0)
+    first[span] = True
     lookup = box.edge_lookup.T.reshape((d,) + (config.box.side,) * d)
-    forward = config.open_mask[lookup] & (lookup >= 0)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        forward, (side,) * d, axis=tuple(range(1, d + 1)))
-    per_batch = max(1, _BATCH_ENTRIES // side**d)
-    for start in range(0, todo.size, per_batch):
-        batch = slice(start, start + per_batch)
-        idx = todo[batch]
-        flags = windows[(slice(None),) + tuple((corners[batch] + n).T)]
-        crossing[idx], good[idx], witness[idx] = _classify_windows(
-            flags, bases[batch], offsets, block)
+    cube = (slice(None),) + (slice(start + n, start + n + span),) * d
+    forward = config.open_mask[lookup[cube]] & (lookup[cube] >= 0)
+    pieces = _contract(forward, first, block)
+
+    cell_of = np.cumsum(first[:span]) - 1
+    num_cells = int(cell_of[-1]) + 1
+    q = int(cell_of[side - 1]) + 1  # cells per window and axis, the same for every window
+    slot = np.indices((q,) * d).reshape(d, 1, -1)
+    cells = ((cell_of[corners].T[:, :, None] + slot)
+             * (num_cells ** np.arange(d - 1, -1, -1))[:, None, None]).sum(axis=0)
+    # a window's entries: the open pieces and the pairs of its cells
+    entries = (pieces.start[cells + 1] - pieces.start[cells]
+               + pieces.pair_start[cells + 1] - pieces.pair_start[cells]).sum(axis=1).cumsum()
+    found = np.full(todo.size, -1, dtype=np.int64)
+    done = 0
+    while done < todo.size:
+        before = entries[done - 1] if done else 0
+        stop = max(done + 1, int(np.searchsorted(entries, before + _BATCH_ENTRIES, side="right")))
+        batch = slice(done, stop)
+        crossing[todo[batch]], good[todo[batch]], found[batch] = _classify_windows(
+            pieces, cells[batch], corners[batch], q, side, block)
+        done = stop
+    hit = found >= 0
+    coords = np.stack(np.unravel_index(found[hit], (span,) * d), axis=-1) + start
+    witness[todo[hit]] = box.coord_to_vertex(coords)
     return field
 
 
@@ -423,8 +577,10 @@ def good_density_curve(d: int, n: int, p: float, blocks, seeds) -> list:
     For each block scale the reference column carries the empirical density of
     a Bernoulli site field drawn on the same block grid with parameter equal
     to the mean measured good density, for side-by-side comparison with the
-    dominating site-percolation picture.
+    dominating site-percolation picture. A block scale whose window is wider
+    than the box is refused: it would classify no site.
     """
+    check_windows_fit(n, blocks)
     box = BoxSpec(d, n)
     configs = [(seed, sample_bond_config(box, p, seed)) for seed in seeds]
     out = []
@@ -439,10 +595,10 @@ def good_density_curve(d: int, n: int, p: float, blocks, seeds) -> list:
             sum(g for _, k, g in per_seed) / max(1, sum(k for _, k, _ in per_seed))
         )
         for seed, k, g in per_seed:
-            ref = float(bernoulli_site_field(seed, k, mean_density).mean()) if k else 0.0
+            ref = float(bernoulli_site_field(seed, k, mean_density).mean())
             out.append(DensityRow(
                 p=p, block=block, seed=seed, n_classified=k, n_good=g,
-                density=g / k if k else 0.0, site_reference_density=ref,
+                density=g / k, site_reference_density=ref,
             ))
     return out
 

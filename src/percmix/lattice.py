@@ -129,6 +129,11 @@ class BoxGraph:
         return grid
 
 
+def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [s, s + l) over paired ``starts`` and ``lens``."""
+    return np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+
+
 @lru_cache(maxsize=16)
 def _cached_box(spec: BoxSpec) -> BoxGraph:
     return BoxGraph(spec)

@@ -115,14 +115,24 @@ def test_renorm_csv(tmp_path):
     assert out.read_text().count("\n") == 3  # header + 2 rows
 
 
-def test_renorm_default_scales_beyond_the_box(tmp_path):
-    # the default --n 8 is smaller than every window at --N 8,16: no site is
-    # classified, and each row says so
+# the default --n 8 is smaller than every window at the default --N 8,16; a
+# scale that classifies no site wrote n_classified=0 and density=0.0 and exited 0
+@pytest.mark.parametrize("args", [[], ["--n", "6", "--seeds", "0", "--N", "8"],
+                                  ["--n", "12", "--N", "8,16"]])
+def test_renorm_window_wider_than_box_exits_1_before_writing(tmp_path, capsys, args):
     out = tmp_path / "renorm.csv"
-    assert main(["renorm", "--out", str(out)]) == 0
-    rows = out.read_text().splitlines()[1:]
-    assert len(rows) == 2
-    assert all(row.split(",")[3] == "0" for row in rows)
+    assert main(["renorm", *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: renorm_blocks ")
+    assert not out.exists()
+
+
+def test_scaling_renorm_window_wider_than_box_exits_1_before_writing(tmp_path, capsys):
+    # it wrote one error row per instance and exited 3
+    out = tmp_path / "out"
+    assert main(["scaling", "--n", "6,9", "--seeds", "0", "--quantities", "renorm",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: renorm_blocks ")
+    assert not out.exists()
 
 
 def test_fpp_csv(tmp_path):

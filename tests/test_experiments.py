@@ -127,6 +127,18 @@ def test_default_preset_is_desk_scale():
     assert (2 * max(cfg.n_list) + 1) ** 2 <= 5000
 
 
+def test_config_refuses_renorm_windows_wider_than_the_smallest_box():
+    # floor(5*block/4) > min(n_list): the smallest boxes classify no site
+    with pytest.raises(DomainError, match="renorm_blocks"):
+        ExperimentConfig(n_list=(6, 9), quantities=("renorm",))
+    with pytest.raises(DomainError, match=r"renorm_blocks \[16\]"):
+        ExperimentConfig(n_list=(10, 40), quantities=("census", "renorm"))
+    assert ExperimentConfig(n_list=(10, 40), quantities=("renorm",),
+                            renorm_blocks=(8,)).renorm_blocks == (8,)
+    # without renorm the block scales are never used: the desk preset loads
+    assert default_preset().renorm_blocks == (8, 16)
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = ExperimentConfig(n_list=(4, 6), seed_list=(1, 2, 3),
                            quantities=("tau2", "census"), out="somewhere",

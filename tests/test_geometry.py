@@ -181,6 +181,106 @@ def reference_classify_good_vertices(config, block):
     )
 
 
+def _batched_windows(flags, bases, offsets, block):
+    """Condition 1, goodness and witness for one batch of full windows.
+
+    ``flags[a, j]`` holds the open flags of the forward axis-``a`` edges of
+    window j's vertices, on the window grid (a copy, whose last layer along
+    each axis is cleared in place); ``bases[j]`` is the VertexId of its
+    lowest corner, and ``offsets`` maps row-major local order to VertexId
+    offsets, so local order is VertexId order. The windows form one padded
+    CSR graph (window j owns nodes j*size .. (j+1)*size - 1): every node has
+    d slots, the forward neighbour along each axis when that edge is open and
+    the node itself otherwise, so one ``connected_components`` call labels
+    every window with no edge list to compact or sort.
+    """
+    d, b, side = flags.shape[0], flags.shape[1], flags.shape[2]
+    size = side**d
+    total = b * size
+    node = np.arange(total, dtype=np.int32)  # a batch holds far below 2**31 slots
+    indices = np.empty((total, d), dtype=np.int32)
+    for a in range(d):
+        # cut the edges that leave the window first: scipy does not range-check
+        # CSR indices, and a column past the last node is out of bounds
+        flags[(a, slice(None)) + (slice(None),) * a + (-1,)] = False
+        indices[:, a] = np.where(flags[a].ravel(), node + side ** (d - 1 - a), node)
+    graph = sparse.csr_matrix(
+        (np.ones(total * d), indices.ravel(), np.arange(0, total * d + 1, d, dtype=np.int32)),
+        shape=(total, total))
+    ncomp, labels = csgraph.connected_components(graph, directed=False)
+    by_window = labels.reshape((b,) + (side,) * d)
+
+    spanning = np.ones(ncomp, dtype=bool)
+    for a in range(d):
+        for end in (0, side - 1):
+            hit = np.zeros(ncomp, dtype=bool)
+            hit[by_window[(slice(None),) * (1 + a) + (end,)]] = True
+            spanning &= hit
+    # every spanning piece touches the low axis-0 face, which names its window
+    owner = np.zeros(ncomp, dtype=np.int64)
+    owner[by_window[:, 0]] = np.arange(b).reshape((b,) + (1,) * (d - 1))
+    n_spanning = np.bincount(owner[spanning], minlength=b)
+
+    # a piece of L-infinity diameter D has at least D + 1 nodes, so only the
+    # non-spanning pieces above block // 10 + 1 nodes can be stray
+    candidate = ~spanning & (np.bincount(labels, minlength=ncomp) > block // 10 + 1)
+    nodes = np.flatnonzero(candidate[labels])
+    nodes = nodes[np.argsort(labels[nodes])]  # each candidate piece one segment
+    starts = np.flatnonzero(np.diff(labels[nodes], prepend=-1))
+    diam = np.zeros(starts.size, dtype=np.int64)
+    for a in range(d):
+        coord = nodes // side ** (d - 1 - a) % side
+        diam = np.maximum(diam, np.maximum.reduceat(coord, starts)
+                          - np.minimum.reduceat(coord, starts))
+    stray = np.zeros(b, dtype=bool)
+    stray[nodes[starts[10 * diam > block]] // size] = True
+
+    crossing = n_spanning >= 1
+    good = (n_spanning == 1) & ~stray
+    # witness: the first node, in VertexId order, of the one spanning piece
+    first = spanning[labels.reshape(b, size)[good]].argmax(axis=1)
+    witness = np.full(b, -1, dtype=np.int64)
+    witness[good] = bases[good] + offsets[first]
+    return crossing, good, witness
+
+
+def batched_classify_good_vertices(config, block):
+    """The window-batch route: every window labelled from its own vertices.
+
+    Windows are slices of one grid of forward-edge flags; a batch of them is
+    one gather, one padded CSR graph and one ``connected_components`` call.
+    """
+    box = build_box(config.box)
+    n, d = config.box.n, config.box.d
+    radius = (5 * block) // 4
+    side = 2 * radius + 1
+    sites = block_sites(config.box, block)
+    classified = (np.abs(sites) + radius <= n).all(axis=1)
+    crossing = np.zeros(sites.shape[0], dtype=bool)
+    good = np.zeros(sites.shape[0], dtype=bool)
+    witness = np.full(sites.shape[0], -1, dtype=np.int64)
+    todo = np.nonzero(classified)[0]
+    if todo.size:
+        corners = sites[todo] - radius
+        bases = box.coord_to_vertex(corners)
+        offsets = box.window_vertex_ids([-n] * d, [-n + side - 1] * d).ravel()
+        lookup = box.edge_lookup.T.reshape((d,) + (config.box.side,) * d)
+        forward = config.open_mask[lookup] & (lookup >= 0)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            forward, (side,) * d, axis=tuple(range(1, d + 1)))
+        per_batch = max(1, geometry_module._BATCH_ENTRIES // side**d)
+        for start in range(0, todo.size, per_batch):
+            batch = slice(start, start + per_batch)
+            idx = todo[batch]
+            flags = windows[(slice(None),) + tuple((corners[batch] + n).T)]
+            crossing[idx], good[idx], witness[idx] = _batched_windows(
+                flags, bases[batch], offsets, block)
+    return GoodSiteField(
+        block=block, box=config.box, p=config.p, seed=config.seed, sites=sites,
+        classified=classified, crossing_cluster=crossing, good=good, witness=witness,
+    )
+
+
 def coarse_grain(box, vertex_ids, block):
     """Block-lattice image of a vertex set by window-occupancy thresholding.
 
@@ -458,19 +558,20 @@ def test_good_density_grows_with_block_scale():
     assert wins >= 5
 
 
-@settings(max_examples=30, deadline=None)
+# blocks on both sides of the steps of block // 10, and n from the window
+# radius r to r + 2 * block, so the covered range ends anywhere in the period
+# of the cell cuts (cuts taken from the windows' own faces alone fail here)
+@settings(max_examples=40, deadline=None)
 @given(d=st.sampled_from([2, 3]), p=probabilities, seed=st.integers(0, 2**32 - 1),
        data=st.data())
 def test_good_sites_match_per_site_loop(d, p, seed, data):
-    if d == 2:
-        block = data.draw(st.integers(8, 16), label="block")
-        n = data.draw(st.integers((5 * block) // 4, 40), label="n")
-    else:
-        block = data.draw(st.integers(8, 9), label="block")
-        n = data.draw(st.integers((5 * block) // 4, 18), label="n")
+    block = data.draw(st.integers(8, 21 if d == 2 else 11), label="block")
+    radius = (5 * block) // 4
+    n = data.draw(st.integers(radius, radius + 2 * block), label="n")
     config = pm.sample_bond_config(BoxSpec(d, n), p, seed)
     fast = classify_good_vertices(config, block)
     assert fast.num_classified > 0
+    assert_fields_equal(fast, batched_classify_good_vertices(config, block))
     assert_fields_equal(fast, reference_classify_good_vertices(config, block))
 
 
@@ -487,6 +588,14 @@ def test_good_sites_match_per_site_loop_at_criterion_size():
     for block in (8, 16, 24):
         assert_fields_equal(classify_good_vertices(config, block),
                             reference_classify_good_vertices(config, block))
+
+
+def test_good_sites_match_window_batches_at_benchmark_scale():
+    for seed in (0, 1):
+        config = pm.sample_bond_config(BoxSpec(2, 160), 0.7, seed)
+        for block in (8, 16, 24):
+            assert_fields_equal(classify_good_vertices(config, block),
+                                batched_classify_good_vertices(config, block))
 
 
 # blocks on both sides of the steps of block // 10, where the piece-size
@@ -512,26 +621,97 @@ def test_good_sites_full_lattice_witness_is_lowest_corner(d, n, block):
     assert (field.witness[~inner] == -1).all()
 
 
+def _cell_pieces(config, block):
+    """The cube the windows cover, its cell starts, and its pieces, by a plain route.
+
+    Returns the cube side, the offsets that start a cell, each window's
+    lowest corner in the cube, the piece of every cube vertex (row-major),
+    the open pieces (those an open edge joins to another cell) and the
+    distinct pairs of pieces such edges join.
+    """
+    d, n = config.box.d, config.box.n
+    box = build_box(config.box)
+    radius = (5 * block) // 4
+    side = 2 * radius + 1
+    sites = block_sites(config.box, block)
+    corners = sites[(np.abs(sites) + radius <= n).all(axis=1)] - radius
+    start = corners.min()
+    span = corners.max() - start + side
+    offset = np.arange(span)
+    starts = np.flatnonzero((offset % block == 0) | ((offset - side) % block == 0))
+    ids = box.window_vertex_ids([start] * d, [start + span - 1] * d).ravel()
+    local = np.full(box.num_vertices, -1, dtype=np.int64)
+    local[ids] = np.arange(ids.size)
+    cell = (np.searchsorted(starts, box.vertex_coords(ids) - start, side="right") - 1) @ (
+        starts.size ** np.arange(d - 1, -1, -1))
+    tail, head = local[box.edge_tail], local[box.edge_head]
+    edge = config.open_mask & (tail >= 0) & (head >= 0)
+    tail, head = tail[edge], head[edge]
+    inner = cell[tail] == cell[head]
+    graph = sparse.coo_matrix((np.ones(int(inner.sum())), (tail[inner], head[inner])),
+                              shape=(ids.size, ids.size))
+    piece = csgraph.connected_components(graph, directed=False)[1]
+    pairs = np.unique(np.stack([piece[tail[~inner]], piece[head[~inner]]], axis=1), axis=0)
+    return span, starts, corners - start, piece, np.unique(pairs), pairs
+
+
 @pytest.mark.parametrize("d,n,block", [(2, 80, 8), (3, 18, 8)])
 def test_good_sites_one_label_call_per_batch(monkeypatch, d, n, block):
     config = pm.sample_bond_config(BoxSpec(d, n), 0.7, 0)
+    span, starts, corners, piece, opened, pairs = _cell_pieces(config, block)
+    side = 2 * ((5 * block) // 4) + 1
+    grid = piece.reshape((span,) * d)
+    nodes, edges, entries = [], [], []
+    for corner in corners:
+        inside = np.unique(grid[tuple(slice(c, c + side) for c in corner)])
+        inside = inside[np.isin(inside, opened)]
+        nodes.append(inside.size)
+        lower = np.isin(pairs[:, 0], inside)
+        edges.append(int((lower & np.isin(pairs[:, 1], inside)).sum()))
+        entries.append(inside.size + int(lower.sum()))
+
     calls = []
     label = csgraph.connected_components
 
     def counting_label(graph, *args, **kwargs):
-        calls.append(graph.shape[0])
+        calls.append((graph.shape[0], graph.nnz))
         return label(graph, *args, **kwargs)
 
     def no_coo(*args, **kwargs):
-        raise AssertionError("window graphs are built as CSR directly")
+        raise AssertionError("cell and window graphs are built as CSR directly")
 
     monkeypatch.setattr(geometry_module.csgraph, "connected_components", counting_label)
     monkeypatch.setattr(geometry_module.sparse, "coo_matrix", no_coo)
-    field = classify_good_vertices(config, block)
-    size = (2 * ((5 * block) // 4) + 1) ** d
-    per_batch = max(1, geometry_module._BATCH_ENTRIES // size)
-    assert len(calls) == -(-field.num_classified // per_batch)
-    assert sum(calls) == field.num_classified * size
+    layer = span ** (d - 1)
+    rows = np.append(starts, span)
+    # the default budget makes one slab here; the small one makes several
+    for budget in (geometry_module._BATCH_ENTRIES, 2**12):
+        monkeypatch.setattr(geometry_module, "_BATCH_ENTRIES", budget)
+        calls.clear()
+        classify_good_vertices(config, block)
+        # first the contraction: slabs of whole cell rows, each as many rows
+        # as fit in the budget (at least one), then one call per window batch
+        ends = np.cumsum([size for size, _ in calls]) // layer
+        num_slabs = int(np.searchsorted(ends, span)) + 1
+        assert ends[num_slabs - 1] == span
+        lo = 0
+        for hi in ends[:num_slabs]:
+            assert hi in rows
+            assert (hi - lo) * layer <= budget or rows[rows > lo][0] == hi
+            assert hi == span or (rows[rows > hi][0] - lo) * layer > budget
+            lo = hi
+        assert [nnz for _, nnz in calls[:num_slabs]] == [size * d for size, _ in calls[:num_slabs]]
+        # then the windows, in order, as many per batch as fit in the budget
+        batches, done = 0, 0
+        while done < len(entries):
+            stop = done + 1
+            while stop < len(entries) and sum(entries[done:stop + 1]) <= budget:
+                stop += 1
+            batches, done = batches + 1, stop
+        windows = calls[num_slabs:]
+        assert len(windows) == batches
+        assert sum(size for size, _ in windows) == sum(nodes)
+        assert sum(nnz for _, nnz in windows) == sum(edges)
 
 
 def test_good_density_curve_samples_each_seed_once(monkeypatch):
