@@ -23,7 +23,6 @@ from .errors import (
     DomainError,
     EmptyClusterError,
     InequalityViolationError,
-    MembershipError,
     NonConvergenceError,
     PercmixError,
     UnsupportedDimensionError,

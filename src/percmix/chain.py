@@ -14,7 +14,8 @@ kernel is the rank-k product D^{-1/2} A A^T D^{1/2}; a probe makes its rows
 in blocks, one matrix product each, and never holds it whole. Row x lies
 within chi_x / 2 of pi in TV, chi_x its chi-square distance from the
 k-vectors, so a probe makes rows in decreasing order of chi_x and stops once
-no row left can change its answer (`_row_pass`). Bisection only asks whether
+no row left can change its answer (`_row_pass`); one routine, `_probe`, reads
+either profile off those rows. Bisection only asks whether
 d(t) > e^{-1}, so a probe stops as soon as that is proven against the kernel
 error bound, and its value is then a bound on d(t), not d(t) itself: the
 mixing trace holds bounds, and `mixing_time(..., exact=True)` the exact
@@ -219,12 +220,6 @@ def _probe_modes(chain: Chain, t: float, tol: float) -> tuple:
     return v[:, w.size - k:] * np.sqrt(decay[w.size - k:]), decay[w.size - k:]
 
 
-def _row_blocks(m: int, rows: int):
-    """(lo, hi) bounds of row blocks of about _BLOCK_ENTRIES entries, rows of length m."""
-    step = max(1, _BLOCK_ENTRIES // m)
-    return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
-
-
 def _tv_to(rows: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """Half the L1 distance from each row to each reference row, in one C pass."""
     # imported here: scipy.spatial adds about 4 MB and 60 ms to the import
@@ -248,7 +243,8 @@ class _KernelRows:
     The weighted deviation (K(x, .) - pi) / sqrt(pi) of a row is
     sum_j coords[x, j] v_j over the k orthonormal modes v_j; the stationary
     mode's coordinate is shifted by its sign, which leaves every difference
-    unchanged. ``made`` counts the rows made.
+    unchanged. ``made`` counts the rows made, and ``step`` is the rows of
+    one product, about _BLOCK_ENTRIES entries.
     """
 
     def __init__(self, chain: Chain, t: float, tol: float):
@@ -259,12 +255,13 @@ class _KernelRows:
         self.left[:, :k] = a / (a @ self.right[:k].sum(axis=1))[:, None]
         self.coords = self.left[:, :k] * np.sqrt(decay)
         self.coords[:, -1] -= math.copysign(1.0, self.coords[0, -1])
+        self.step = max(1, _BLOCK_ENTRIES // m)
         self.made = 0
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
-        m = self.right.shape[1]
-        out = np.empty((idx.size, m))
-        for lo, hi in _row_blocks(m, idx.size):
+        out = np.empty((idx.size, self.right.shape[1]))
+        for lo in range(0, idx.size, self.step):
+            hi = lo + self.step
             np.matmul(self.left[idx[lo:hi]], self.right, out=out[lo:hi])
         self.made += idx.size
         return out
@@ -322,22 +319,6 @@ def _row_pass(dev_rows, coords: np.ndarray, pairwise: bool, step: int,
         break
     c = np.argsort(order[:done], kind="stable")
     return order[:done][c], r[c], None if tv_pivot is None else tv_pivot[c]
-
-
-def _distance_to_stationarity(chain: Chain, t: float, tol: float,
-                              rows: _KernelRows | None = None,
-                              levels: tuple = _EXACT) -> float:
-    """Worst TV distance of a start's time-t law from pi: one ordered row pass.
-
-    With ``levels`` = (floor, ceil) the value is a row's distance above
-    ceil (a lower bound), floor when no row beats it (an upper bound), and
-    the exact maximum in between.
-    """
-    if rows is None:
-        rows = _KernelRows(chain, t, tol)
-    step = max(1, _BLOCK_ENTRIES // chain.m)
-    r = _row_pass(rows, rows.coords, False, step, levels)[1]
-    return min(1.0, max(float(r.max()), levels[0]))
 
 
 def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarray,
@@ -417,36 +398,27 @@ def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarr
     return min(1.0, max(best, floor)), (keep[i[:done]], keep[j[:done]], tv[:done])
 
 
-def _pairwise_sup(dev_rows, coords: np.ndarray, chunk: int, levels: tuple = _EXACT) -> tuple:
-    """Sup over start pairs of the TV distance between kernel rows, up to ``levels``.
+def _probe(dev_rows, coords: np.ndarray, pairwise: bool, step: int,
+           levels: tuple = _EXACT) -> tuple:
+    """d(t) of one probe kernel, up to ``levels``, and the pairs it evaluated.
 
-    `_row_pass` makes the rows that can matter, C, and `_pair_search` finds
-    the sup over pairs in C; no pair with a row outside C can beat it. Both
-    stop as ``levels`` allow (see `_pair_search` for what the value is).
-    Returns the value with the evaluated pairs (i, j, TV_ij), i < j, in
-    global indices.
+    `_row_pass` makes the rows that can matter, C, ``step`` at a time. For
+    the distance to stationarity the value is the largest distance R of a
+    row to pi; for the pairwise sup, `_pair_search` finds it over the pairs
+    in C, since no pair with a row outside C can beat it. With ``levels`` =
+    (floor, ceil) the value is a distance above ceil (a lower bound on
+    d(t)), floor itself when nothing beats it (an upper bound), and the
+    exact d(t) in between; the levels (0, inf) give the exact value. Returns
+    it, capped at 1, with the exactly evaluated pairs (i, j, TV_ij), i < j,
+    in global indices (none for the distance to stationarity).
     """
-    made, r, tv_pivot = _row_pass(dev_rows, coords, True, chunk, levels)
+    made, r, tv_pivot = _row_pass(dev_rows, coords, pairwise, step, levels)
+    if not pairwise:
+        none = np.empty(0, dtype=np.intp)
+        return min(1.0, max(float(r.max()), levels[0])), (none, none, np.empty(0))
     best, (i, j, tv) = _pair_search(lambda idx: dev_rows(made[idx]), coords[made], r,
-                                    tv_pivot, chunk, levels)
+                                    tv_pivot, step, levels)
     return best, (made[i], made[j], tv)
-
-
-def _pairwise_distance(chain: Chain, t: float, tol: float,
-                       rows: _KernelRows | None = None,
-                       levels: tuple = _EXACT) -> tuple:
-    """Worst TV distance between two starts at time t, and the pairs evaluated.
-
-    The rows come from one `_KernelRows` maker: an ordered pass makes those
-    whose chi-square bound can still reach the incumbent, its first row (the
-    largest chi-square distance to pi) is the pivot, and the k-vectors
-    ``coords`` give the chi-square pair bounds. Only the rows kept by
-    `_pair_search` are made again, and held (keep x m). ``levels`` as in
-    `_pair_search`.
-    """
-    if rows is None:
-        rows = _KernelRows(chain, t, tol)
-    return _pairwise_sup(rows, rows.coords, max(1, _BLOCK_ENTRIES // chain.m), levels)
 
 
 def _eigen_residual(s: sparse.spmatrix, w: np.ndarray, v: np.ndarray,
@@ -486,7 +458,6 @@ class MixingResult:
     d_hi: float
     mode: str
     resolution: float
-    poisson_tol: float
     trace: list = field(default_factory=list)  # (t, d) pairs in time order
     error_bound: float = math.nan
     pairs_evaluated: int = 0
@@ -539,11 +510,13 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
 
     Each probe kernel is made directly at its time from the modes with
     e^{t lambda} > tol/m, so ``tol`` bounds the truncation as the Poisson
-    tolerance does. A probe makes the kernel rows in blocks, in decreasing
-    order of their chi-square bound, until no row left can matter
-    (`_row_pass`): stationarity mode is that one pass, and pairwise mode then
-    searches the pairs of the rows made (`_pair_search`), holding only the
-    rows it keeps. ``rows_made`` counts every row made and
+    tolerance does. Each probe is one `_probe` call on its own kernel rows:
+    it makes them in blocks, in decreasing order of their chi-square bound,
+    until no row left can matter (`_row_pass`); stationarity mode reads its
+    value off that pass, and pairwise mode then searches the pairs of the
+    rows made (`_pair_search`), holding only the rows it keeps. The mode
+    sets only the probe's value, its levels, its error bound and the start
+    of the search. ``rows_made`` counts every row made and
     ``pairs_evaluated`` every pair evaluated exactly, each summed over the
     probes; no probe reads another's distances.
 
@@ -601,48 +574,37 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         t_max = 100.0 * chain.m**2
 
     thr = TV_THRESHOLD
-    pairs_evaluated = 0
-    if mode == "pairwise":
-        ratio = float(chain.degrees.max()) / float(chain.degrees.min())
+    pairwise = mode == "pairwise"
+    ratio = float(chain.degrees.max()) / float(chain.degrees.min())
 
-        @lru_cache(maxsize=None)
-        def error_bound(t):
-            # truncation, plus roughly m eps rounding and t times the eigen-residual
-            # of the computed modes, each moved to a row's L1 by pi(x)^{-1/2};
-            # renormalisation doubles it
-            residual = _eigen_residual(
-                chain.symmetrized, *chain.eigenpairs_above(_mode_floor(chain.m, t, tol)))
-            eps = np.finfo(float).eps
-            rounding = math.sqrt(chain.m * ratio) * (chain.m * eps + t * residual)
-            return 2.0 * (math.sqrt(ratio) * tol + rounding)
+    @lru_cache(maxsize=None)
+    def error_bound(t):
+        if not pairwise:
+            return math.nan
+        # truncation, plus roughly m eps rounding and t times the eigen-residual
+        # of the computed modes, each moved to a row's L1 by pi(x)^{-1/2};
+        # renormalisation doubles it
+        residual = _eigen_residual(
+            chain.symmetrized, *chain.eigenpairs_above(_mode_floor(chain.m, t, tol)))
+        eps = np.finfo(float).eps
+        rounding = math.sqrt(chain.m * ratio) * (chain.m * eps + t * residual)
+        return 2.0 * (math.sqrt(ratio) * tol + rounding)
 
-        def levels(t):
-            err = error_bound(t)
-            return thr - 2.0 * err, thr + err
-
-        def distance(t, rows, lv):
-            nonlocal pairs_evaluated
-            d, (_, _, tv) = _pairwise_distance(chain, t, tol, rows=rows, levels=lv)
-            pairs_evaluated += tv.size
-            return d
-
-        t_lo = float(tau2_hint)
-    else:
-        distance = lambda t, rows, lv: _distance_to_stationarity(chain, t, tol, rows, lv)
-        error_bound = lambda t: math.nan
-        levels = lambda t: (thr, thr)
-        t_lo = (1.0 - math.log(2.0)) * tau2_hint
+    def levels(t):
+        err = error_bound(t) if pairwise else 0.0
+        return thr - 2.0 * err, thr + err
 
     trace = {}
     decided = set()
-    rows_made = 0
+    rows_made = pairs_evaluated = 0
 
     def evaluate(t, settle=not exact):
-        nonlocal rows_made
+        nonlocal rows_made, pairs_evaluated
         floor, ceil = levels(t) if settle else _EXACT
         rows = _KernelRows(chain, t, tol)
-        d = distance(t, rows, (floor, ceil))
+        d, (_, _, tv) = _probe(rows, rows.coords, pairwise, rows.step, (floor, ceil))
         rows_made += rows.made
+        pairs_evaluated += tv.size
         trace[t] = d
         if settle and not floor < d <= ceil:
             decided.add(t)
@@ -653,6 +615,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     def solve_at(t):  # no probe goes below t
         return chain.eigenpairs_above(_mode_floor(chain.m, t, tol))[0].size
 
+    t_lo = float(tau2_hint) if pairwise else (1.0 - math.log(2.0)) * tau2_hint
     d_lo = None  # d(t_lo) is evaluated only when the bracket needs it
     modes = solve_at(t_lo)
     while True:
@@ -690,12 +653,12 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         t_lo, d_lo = t_lo / 2.0, None
         modes = solve_at(t_lo)
 
-    if mode == "pairwise" and t_lo in decided and not d_lo - thr > error_bound(t_hi):
+    if pairwise and t_lo in decided and not d_lo - thr > error_bound(t_hi):
         # d(t_lo) was decided against E(t_lo); certification reads E(t_hi)
         d_lo = evaluate(t_lo, settle=False)
     result = MixingResult(
         tau1=(t_lo + t_hi) / 2.0, t_lo=t_lo, t_hi=t_hi, d_lo=d_lo, d_hi=d_hi,
-        mode=mode, resolution=resolution, poisson_tol=tol,
+        mode=mode, resolution=resolution,
         trace=sorted(trace.items()), error_bound=error_bound(t_hi),
         pairs_evaluated=pairs_evaluated, rows_made=rows_made,
         decided=sorted(decided), modes=modes,

@@ -77,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("profile", help="conductance profile for one instance")
     common(pr)
-    pr.add_argument("--exact-cap", type=int, default=cond.EXHAUSTIVE_CAP)
 
     sc = sub.add_parser("scaling", help="full (n, seed) sweep with fits")
     common(sc, seeds=True)
@@ -92,11 +91,13 @@ def _build_parser() -> argparse.ArgumentParser:
     rn = sub.add_parser("renorm", help="good-site density curves")
     common(rn, seeds=True)
     rn.add_argument("--N", type=str, default="8,16", help="comma list of block scales")
+    rn.set_defaults(n="80")  # the windows of --N 16 need a box radius of at least 20
 
     fp = sub.add_parser("fpp", help="dual first-passage distance regression")
     common(fp, seeds=True)
     fp.add_argument("--pairs", type=int, default=300)
     fp.add_argument("--l1", type=str, default="10,60", help="L1 separation range lo,hi")
+    fp.set_defaults(n="32")  # the default --l1 needs a box radius of at least 21
     return parser
 
 
@@ -153,8 +154,8 @@ def _cmd_profile(args) -> int:
     n = _single_n(args)
     config = sample_bond_config(BoxSpec(args.d, n), args.p, args.seed)
     chain = build_chain(largest_cluster(config))
-    if chain.m <= args.exact_cap:
-        profile = cond.profile_exact(chain, cap=args.exact_cap)
+    if chain.m <= cond.EXHAUSTIVE_CAP:
+        profile = cond.profile_exact(chain)
     else:
         profile = cond.profile_upper_box(chain, config)
     out = Path(args.out) if args.out else Path(f"profile_d{args.d}_n{n}_s{args.seed}.csv")

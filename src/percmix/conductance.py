@@ -65,8 +65,6 @@ class CutValue:
     crossing: int
     deg_a: int
     deg_total: int
-    a_connected: bool
-    ac_connected: bool
 
     @property
     def phi(self) -> float:
@@ -76,14 +74,6 @@ class CutValue:
     def phi_fraction(self) -> Fraction:
         return Fraction(self.crossing * self.deg_total,
                         self.deg_a * (self.deg_total - self.deg_a))
-
-
-def _induced_connected(chain: Chain, idx: np.ndarray) -> bool:
-    if idx.size <= 1:
-        return idx.size == 1
-    sub = chain.graph.adjacency[idx][:, idx]
-    ncomp, _ = csgraph.connected_components(sub, directed=False)
-    return ncomp == 1
 
 
 def set_conductance(chain: Chain, members) -> CutValue:
@@ -98,15 +88,11 @@ def set_conductance(chain: Chain, members) -> CutValue:
     sub = chain.graph.adjacency[idx]
     deg_a = int(sub.sum())
     inner2 = int(sub[:, idx].sum())
-    crossing = deg_a - inner2
-    comp_idx = np.setdiff1d(np.arange(chain.m), idx, assume_unique=True)
     return CutValue(
         members=frozenset(int(v) for v in idx),
-        crossing=crossing,
+        crossing=deg_a - inner2,
         deg_a=deg_a,
         deg_total=chain.total_degree,
-        a_connected=_induced_connected(chain, idx),
-        ac_connected=_induced_connected(chain, comp_idx),
     )
 
 
@@ -196,16 +182,16 @@ class CheegerResult:
     cut: CutValue
 
 
-def cheeger_exact(chain: Chain, cap: int = EXHAUSTIVE_CAP) -> CheegerResult:
+def cheeger_exact(chain: Chain) -> CheegerResult:
     """Exact Cheeger constant by enumeration over connected subsets.
 
     The search is restricted to connected sets with connected complement
     (mass at most 1/2); the minimum over all subsets is always attained there,
     so the restriction loses nothing while shrinking the search space.
     """
-    if chain.m > cap:
+    if chain.m > EXHAUSTIVE_CAP:
         raise CapacityError(
-            f"{chain.m} vertices exceed the exhaustive cap {cap}; use "
+            f"{chain.m} vertices exceed the exhaustive cap {EXHAUSTIVE_CAP}; use "
             "profile_upper_box or sweep_cut for certified upper bounds"
         )
     adj = _adjacency_bitmasks(chain)
@@ -306,16 +292,14 @@ class ConductanceProfile:
         return cls(points)
 
 
-def profile_exact(chain: Chain, cap: int = EXHAUSTIVE_CAP) -> ConductanceProfile:
+def profile_exact(chain: Chain) -> ConductanceProfile:
     """Exact conductance profile at every achievable mass breakpoint.
 
     Minimizers over sets of mass <= x are always attained by connected sets,
     so enumeration over connected subsets suffices.
     """
-    if chain.m > cap:
-        raise CapacityError(
-            f"{chain.m} vertices exceed the exhaustive cap {cap}"
-        )
+    if chain.m > EXHAUSTIVE_CAP:
+        raise CapacityError(f"{chain.m} vertices exceed the exhaustive cap {EXHAUSTIVE_CAP}")
     total = chain.total_degree
     full = (1 << chain.m) - 1
     best = {}  # degsum -> (crossing, degsum, size) of the first least crossing
@@ -528,19 +512,6 @@ def _cell_pieces(chain: Chain, keep: np.ndarray) -> _Cells:
         start=start, eu=cell_u, ev=cell_v, mult=mult,
         edge_start=np.searchsorted(cell_u, start),
     )
-
-
-def _tiling_cuts(chain: Chain, wid: np.ndarray) -> np.ndarray:
-    """(crossing, degree sum, size) rows of the tilings' cuts, in tiling and window order.
-
-    ``wid`` holds one row of window ids per tiling; the tilings run on the
-    cell pieces of their common refinement.
-    """
-    wid = np.atleast_2d(wid)
-    eu, ev = chain.graph.edges_local.T
-    cells = _cell_pieces(chain, (wid[:, eu] == wid[:, ev]).all(axis=0)[None])
-    return _piece_cuts(chain, cells, np.zeros(wid.shape[0], dtype=np.int64),
-                       wid[:, cells.vertex].ravel())
 
 
 def _tiling_edges(cells: _Cells, copy: np.ndarray, head: np.ndarray) -> tuple:
@@ -779,8 +750,8 @@ def sweep_cut(chain: Chain, spectral: SpectralResult | None = None) -> CutValue:
 
     Prefix crossing counts come from a difference array over edge rank spans,
     so the full sweep is linear in edges. The winning prefix is re-evaluated
-    exactly; a disconnected complement triggers reattachment surgery and the
-    tighter of the two cuts is returned.
+    exactly, then through reattachment surgery, which improves it only when
+    its complement is disconnected; the tighter of the two cuts is returned.
     """
     spec = spectral if spectral is not None else spectral_gap(chain)
     order = sweep_ordering(chain, spec)
@@ -796,12 +767,10 @@ def sweep_cut(chain: Chain, spectral: SpectralResult | None = None) -> CutValue:
     total = chain.total_degree
     phi = crossing * total / (degsum * (total - degsum))
     j = int(np.argmin(phi))
-    cut = set_conductance(chain, order[: j + 1])
-    best = cut
-    if not cut.ac_connected:
-        for other in reattach_complement(chain, cut):
-            if other.phi_fraction < best.phi_fraction:
-                best = other
+    best = cut = set_conductance(chain, order[: j + 1])
+    for other in reattach_complement(chain, cut):
+        if other.phi_fraction < best.phi_fraction:
+            best = other
     return best
 
 

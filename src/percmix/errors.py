@@ -25,10 +25,6 @@ class EmptyClusterError(PercmixError):
     """A percolation configuration has no open edges to build a cluster from."""
 
 
-class MembershipError(DomainError):
-    """A vertex is not part of the graph or cluster it was looked up in."""
-
-
 class NonConvergenceError(PercmixError):
     """An iterative computation did not reach its target tolerance.
 

@@ -24,7 +24,7 @@ from . import conductance as cond
 from . import spectral as spec
 from .caps import DENSE_CAP
 from .chain import Chain, build_chain, mixing_time
-from .errors import DomainError, InequalityViolationError, PercmixError
+from .errors import DomainError, InequalityViolationError
 from .fitting import fit_loglog
 from .geometry import (check_block_scales, check_fpp_request, check_windows_fit,
                        classify_good_vertices, fpp_regression)
@@ -54,10 +54,6 @@ def check_seed_list(seeds) -> None:
         raise DomainError("seed_list must be nonempty")
     if len(set(seeds)) != len(seeds):
         raise DomainError(f"seed_list repeats: {list(seeds)}")
-
-
-class SweepInterrupted(PercmixError):
-    """Raised by the testing hook that simulates an interrupted sweep."""
 
 
 @dataclass(frozen=True)
@@ -107,17 +103,6 @@ class ExperimentConfig:
         if "renorm" in self.quantities:
             check_windows_fit(self.n_list[0], self.renorm_blocks)
         check_fpp_request(self.fpp_pairs, (self.fpp_l1_lo, self.fpp_l1_hi))
-
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# percmix experiment config (schema={SCHEMA_VERSION})\n")
-            for f in fields(self):
-                v = getattr(self, f.name)
-                if v is None:
-                    continue
-                if isinstance(v, tuple):
-                    v = ",".join(str(x) for x in v)
-                fh.write(f"{f.name} = {v}\n")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -534,16 +519,13 @@ def _lost_instance_rows(cfg: ExperimentConfig, n: int, seed: int, exc) -> list:
             for q in cfg.quantities]
 
 
-def run_scaling(cfg: ExperimentConfig, resume: bool = False,
-                stop_after: int | None = None) -> ScalingReport:
+def run_scaling(cfg: ExperimentConfig, resume: bool = False) -> ScalingReport:
     """Run the sweep, appending per-instance rows for resumability.
 
     ``resume`` reuses completed instances from a previous partial file,
-    after cutting it back to its last completed instance; ``stop_after``
-    aborts after that many fresh instances (testing hook for the
-    interruption/resume contract). When a worker process dies, every
-    instance the pool lost gets one ``error`` row per quantity and the sweep
-    goes on.
+    after cutting it back to its last completed instance. When a worker
+    process dies, every instance the pool lost gets one ``error`` row per
+    quantity and the sweep goes on.
     """
     partial = _partial_path(cfg)
     done = {}
@@ -571,16 +553,10 @@ def run_scaling(cfg: ExperimentConfig, resume: bool = False,
             if (n, seed) not in done]
     all_rows = [r for rows in done.values() for r in rows]
 
-    fresh = 0
-
     def record(n, seed, rows, finished=True):
-        nonlocal fresh
         all_rows.extend(rows)
         if finished and partial is not None:
             _append_instance(partial, cfg, n, seed, rows)
-        fresh += 1
-        if stop_after is not None and fresh >= stop_after and (n, seed) != jobs[-1]:
-            raise SweepInterrupted(f"stopped after {fresh} instances")
 
     if cfg.workers > 1 and jobs:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:

@@ -99,35 +99,6 @@ class BoxGraph:
             raise DomainError("coordinate outside the box")
         return ((coords + n) * self.strides).sum(axis=-1)
 
-    def edge_id(self, u, v) -> int:
-        """EdgeId of the edge between two adjacent vertex ids."""
-        lo, hi = (u, v) if u < v else (v, u)
-        diff = hi - lo
-        axes = np.nonzero(self.strides == diff)[0]
-        if axes.size != 1:
-            raise DomainError(f"vertices {u} and {v} are not lattice neighbours")
-        eid = self.edge_lookup[lo, axes[0]]
-        if eid < 0 or self.edge_head[eid] != hi:
-            raise DomainError(f"vertices {u} and {v} are not lattice neighbours")
-        return int(eid)
-
-    def window_vertex_ids(self, lo, hi) -> np.ndarray:
-        """Vertex ids of the sub-box [lo, hi]^d, shaped like the window grid.
-
-        ``lo`` and ``hi`` are per-axis inclusive coordinate bounds; both must
-        lie inside the box.
-        """
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        n = self.spec.n
-        if np.any(lo < -n) or np.any(hi > n) or np.any(lo > hi):
-            raise DomainError("window not contained in the box")
-        axes = [np.arange(a, b + 1, dtype=np.int64) + n for a, b in zip(lo, hi)]
-        grid = axes[0] * self.strides[0]
-        for a in range(1, self.spec.d):
-            grid = grid[..., None] + axes[a] * self.strides[a]
-        return grid
-
 
 def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The concatenated ranges [s, s + l) over paired ``starts`` and ``lens``."""

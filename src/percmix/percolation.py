@@ -19,11 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .errors import (
-    DomainError,
-    EmptyClusterError,
-    MembershipError,
-)
+from .errors import DomainError, EmptyClusterError
 from .lattice import BoxGraph, BoxSpec, build_box
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -215,12 +211,6 @@ class ClusterGraph:
     @property
     def total_degree(self) -> int:
         return 2 * self.num_edges
-
-    def local_index(self, vertex_id: int) -> int:
-        i = int(np.searchsorted(self.vertex_ids, vertex_id))
-        if i >= self.num_vertices or self.vertex_ids[i] != vertex_id:
-            raise MembershipError(f"vertex {vertex_id} is not in the cluster")
-        return i
 
 
 def largest_cluster(config: BondConfig) -> ClusterGraph:

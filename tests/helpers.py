@@ -5,6 +5,7 @@ against; nothing in ``percmix`` calls them.
 """
 
 import math
+from dataclasses import fields
 from functools import lru_cache
 
 import numpy as np
@@ -15,8 +16,9 @@ from scipy.special import pdtr, pdtrc
 from percmix.chain import DEFAULT_POISSON_TOL, Chain
 from percmix.conductance import ConductanceProfile, ProfilePoint
 from percmix.errors import DomainError, NonConvergenceError
+from percmix.experiments import SCHEMA_VERSION, ExperimentConfig
 from percmix.fitting import FitResult
-from percmix.lattice import BoxSpec
+from percmix.lattice import BoxGraph, BoxSpec
 from percmix.percolation import ClusterGraph, largest_cluster, sample_bond_config
 
 
@@ -88,9 +90,17 @@ def tv_distance(mu: np.ndarray, nu: np.ndarray) -> float:
     return min(1.0, 0.5 * float(np.abs(mu - nu).sum()))
 
 
+def local_index(cluster: ClusterGraph, vertex_id: int) -> int:
+    """Local index of a global VertexId in the cluster."""
+    i = int(np.searchsorted(cluster.vertex_ids, vertex_id))
+    if i >= cluster.num_vertices or cluster.vertex_ids[i] != vertex_id:
+        raise DomainError(f"vertex {vertex_id} is not in the cluster")
+    return i
+
+
 def chemical_distance(cluster: ClusterGraph, x: int, y: int) -> int:
     """Graph distance between two global VertexIds inside the cluster."""
-    lx, ly = cluster.local_index(x), cluster.local_index(y)
+    lx, ly = local_index(cluster, x), local_index(cluster, y)
     if lx == ly:
         return 0
     dist = csgraph.dijkstra(cluster.adjacency, indices=lx, unweighted=True, directed=False)
@@ -219,6 +229,36 @@ def profile_scaled(profile: ConductanceProfile, c: float) -> ConductanceProfile:
 # lattice graphs as sparse matrices
 
 
+def edge_id(box: BoxGraph, u: int, v: int) -> int:
+    """EdgeId of the edge between two adjacent vertex ids."""
+    lo, hi = (u, v) if u < v else (v, u)
+    axes = np.nonzero(box.strides == hi - lo)[0]
+    if axes.size != 1:
+        raise DomainError(f"vertices {u} and {v} are not lattice neighbours")
+    eid = box.edge_lookup[lo, axes[0]]
+    if eid < 0 or box.edge_head[eid] != hi:
+        raise DomainError(f"vertices {u} and {v} are not lattice neighbours")
+    return int(eid)
+
+
+def window_vertex_ids(box: BoxGraph, lo, hi) -> np.ndarray:
+    """Vertex ids of the sub-box [lo, hi]^d, shaped like the window grid.
+
+    ``lo`` and ``hi`` are per-axis inclusive coordinate bounds; both must
+    lie inside the box.
+    """
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    n = box.spec.n
+    if np.any(lo < -n) or np.any(hi > n) or np.any(lo > hi):
+        raise DomainError("window not contained in the box")
+    axes = [np.arange(a, b + 1, dtype=np.int64) + n for a, b in zip(lo, hi)]
+    grid = axes[0] * box.strides[0]
+    for a in range(1, box.spec.d):
+        grid = grid[..., None] + axes[a] * box.strides[a]
+    return grid
+
+
 def box_degrees(box) -> np.ndarray:
     deg = np.bincount(box.edge_tail, minlength=box.num_vertices)
     deg += np.bincount(box.edge_head, minlength=box.num_vertices)
@@ -244,3 +284,16 @@ def dual_adjacency(dual, include_outer: bool = True) -> sparse.csr_matrix:
         u, v = u[keep], v[keep]
     a = sparse.coo_matrix((np.ones(u.size, dtype=np.int8), (u, v)), shape=(size, size))
     return (a + a.T).tocsr()
+
+
+def config_to_file(cfg: ExperimentConfig, path) -> None:
+    """Write a config as the ``key = value`` text that `ExperimentConfig.from_file` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# percmix experiment config (schema={SCHEMA_VERSION})\n")
+        for f in fields(cfg):
+            v = getattr(cfg, f.name)
+            if v is None:
+                continue
+            if isinstance(v, tuple):
+                v = ",".join(str(x) for x in v)
+            fh.write(f"{f.name} = {v}\n")

@@ -13,14 +13,11 @@ from percmix import chain as chain_module
 from percmix.chain import (
     DEFAULT_POISSON_TOL,
     MixingResult,
-    _distance_to_stationarity,
     _KernelRows,
     _mode_floor,
     _pair_search,
-    _pairwise_distance,
-    _pairwise_sup,
+    _probe,
     _probe_modes,
-    _row_blocks,
     _row_pass,
 )
 from percmix.errors import (
@@ -105,13 +102,20 @@ def _kernel_pass(a, pi, pivot=None):
     if pivot is not None:
         pivot_dev = dev_rows([pivot])[0]
         tv_pivot = np.empty(m)
-    for lo, hi in _row_blocks(m, m):
+    for lo in range(0, m, 256):
+        hi = min(lo + 256, m)
         dev = dev_rows(slice(lo, hi))
         if tv_pivot is not None:
             tv_pivot[lo:hi] = 0.5 * np.abs(dev - pivot_dev).sum(axis=1)
         np.abs(dev, out=dev)
         r[lo:hi] = 0.5 * dev.sum(axis=1)
     return r, tv_pivot
+
+
+def probe_at(chain, t, tol, pairwise=True):
+    """One exact probe of d(t) through `_probe`, on the kernel rows a search makes."""
+    rows = _KernelRows(chain, t, tol)
+    return _probe(rows, rows.coords, pairwise, rows.step)
 
 
 def _row_bounds(coords):
@@ -217,14 +221,14 @@ def test_cycle_chain_measures():
 
 def test_grid_chain_measures():
     ch = pm.build_chain(full_box_cluster(2, 1))
-    center = ch.graph.local_index(
-        int(pm.build_box(pm.BoxSpec(2, 1)).coord_to_vertex(np.array([0, 0])))
+    center = helpers.local_index(
+        ch.graph, int(pm.build_box(pm.BoxSpec(2, 1)).coord_to_vertex(np.array([0, 0])))
     )
-    corner = ch.graph.local_index(
-        int(pm.build_box(pm.BoxSpec(2, 1)).coord_to_vertex(np.array([-1, -1])))
+    corner = helpers.local_index(
+        ch.graph, int(pm.build_box(pm.BoxSpec(2, 1)).coord_to_vertex(np.array([-1, -1])))
     )
-    mid = ch.graph.local_index(
-        int(pm.build_box(pm.BoxSpec(2, 1)).coord_to_vertex(np.array([-1, 0])))
+    mid = helpers.local_index(
+        ch.graph, int(pm.build_box(pm.BoxSpec(2, 1)).coord_to_vertex(np.array([-1, 0])))
     )
     assert ch.pi[center] == pytest.approx(4 / 24)
     assert ch.pi[corner] == pytest.approx(2 / 24)
@@ -397,10 +401,7 @@ def doubling_mixing_time(chain, resolution, mode, tol=DEFAULT_POISSON_TOL):
     up until the profile crosses e^{-1}; dyadic bisection then closes the
     bracket to the resolution, whose midpoint is returned.
     """
-    if mode == "pairwise":
-        distance = lambda t: _pairwise_distance(chain, t, tol)[0]
-    else:
-        distance = lambda t: _distance_to_stationarity(chain, t, tol)
+    distance = lambda t: probe_at(chain, t, tol, mode == "pairwise")[0]
     thr = math.exp(-1.0)
     t_lo = max(resolution / 2.0, 0.5)
     while distance(t_lo) <= thr:
@@ -519,7 +520,7 @@ def test_check_monotone_orders_decisions_not_lower_bounds():
 
     def result(trace, decided):
         return MixingResult(tau1=1.5, t_lo=1.0, t_hi=2.0, d_lo=thr + 0.1, d_hi=thr - 0.1,
-                            mode="pairwise", resolution=1.0, poisson_tol=1e-10,
+                            mode="pairwise", resolution=1.0,
                             trace=trace, decided=decided)
 
     # lower bounds from different probes need not be ordered
@@ -617,7 +618,7 @@ def test_stationarity_distance_definition():
     mat = _kernel_matrix(ch, 2.0, 1e-10)
     expect = max(tv_distance(mat[i], ch.pi) for i in range(ch.m))
     assert _stationarity_distance(mat, ch.pi) == pytest.approx(expect)
-    assert _distance_to_stationarity(ch, 2.0, 1e-10) == pytest.approx(expect)
+    assert probe_at(ch, 2.0, 1e-10, pairwise=False)[0] == pytest.approx(expect)
 
 
 @given(st.integers(0, 10_000), st.integers(2, 5), st.floats(0.5, 1.0),
@@ -707,7 +708,7 @@ def test_ordered_row_pass_keeps_the_sup_on_random_kernels(m):
         coords = dev / np.sqrt(pi)
         brute = brute_pairwise(mat, pi)
         for chunk in (16, 1024):
-            best, (i, j, tv) = _pairwise_sup(lambda idx: dev[idx], coords, chunk)
+            best, (i, j, tv) = _probe(lambda idx: dev[idx], coords, True, chunk)
             assert abs(best - brute) < 1e-12
             assert np.all(i < j)
             exact = 0.5 * np.abs(dev[i] - dev[j]).sum(axis=1)
@@ -723,14 +724,13 @@ def test_ordered_row_pass_matches_the_all_rows_oracle(seed):
     ch = pm.build_chain(small_cluster(n=16, seed=seed))
     tau2 = pm.spectral_gap(ch).tau2
     tol = DEFAULT_POISSON_TOL
-    step = max(1, chain_module._BLOCK_ENTRIES // ch.m)
     for t in (1.2 * tau2, 1.8 * tau2):  # inside the first pairwise bracket [tau2, 2 tau2]
         rows = _KernelRows(ch, t, tol)
         ub = _row_bounds(rows.coords)
         pivot = int(np.argmax(ub))
         r_all, tv_all = _kernel_pass(_probe_modes(ch, t, tol)[0], ch.pi, pivot)
         for pairwise in (True, False):
-            made, r, tv_pivot = _row_pass(rows, rows.coords, pairwise, step)
+            made, r, tv_pivot = _row_pass(rows, rows.coords, pairwise, rows.step)
             assert np.all(np.diff(made) > 0) and made.size < ch.m
             assert np.abs(r - r_all[made]).max() < 1e-12
             # every skipped row is within its bound, and no bound reaches
@@ -774,7 +774,7 @@ def test_certified_needs_margins_above_error_bound():
 
     def bracket(d_lo, d_hi, err):
         return MixingResult(tau1=1.5, t_lo=1.0, t_hi=2.0, d_lo=d_lo, d_hi=d_hi,
-                            mode="pairwise", resolution=1.0, poisson_tol=1e-10,
+                            mode="pairwise", resolution=1.0,
                             error_bound=err)
 
     assert bracket(thr + 1e-4, thr - 1e-4, 1e-10).certified
@@ -824,9 +824,10 @@ def test_probe_distances_match_dense_kernel_oracle(box, p, seed, f):
     ch = pm.build_chain(cluster)
     t = f * pm.spectral_gap(ch).tau2
     mat = _spectral_kernel(ch, t, DEFAULT_POISSON_TOL)
-    pairwise, (i, j, tv) = _pairwise_distance(ch, t, DEFAULT_POISSON_TOL)
+    pairwise, (i, j, tv) = probe_at(ch, t, DEFAULT_POISSON_TOL)
     assert abs(pairwise - _pairwise_sup_distance(mat, ch.pi)) < 1e-12
-    stationarity = _distance_to_stationarity(ch, t, DEFAULT_POISSON_TOL)
+    stationarity, (none, _, _) = probe_at(ch, t, DEFAULT_POISSON_TOL, pairwise=False)
+    assert none.size == 0
     assert abs(stationarity - _stationarity_distance(mat, ch.pi)) < 1e-12
     # the evaluated pairs carry their exact distances
     assert np.all(i < j)

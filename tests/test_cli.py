@@ -115,9 +115,9 @@ def test_renorm_csv(tmp_path):
     assert out.read_text().count("\n") == 3  # header + 2 rows
 
 
-# the default --n 8 is smaller than every window at the default --N 8,16; a
-# scale that classifies no site wrote n_classified=0 and density=0.0 and exited 0
-@pytest.mark.parametrize("args", [[], ["--n", "6", "--seeds", "0", "--N", "8"],
+# --n 8 is smaller than every window at the default --N 8,16; a scale that
+# classifies no site wrote n_classified=0 and density=0.0 and exited 0
+@pytest.mark.parametrize("args", [["--n", "8"], ["--n", "6", "--seeds", "0", "--N", "8"],
                                   ["--n", "12", "--N", "8,16"]])
 def test_renorm_window_wider_than_box_exits_1_before_writing(tmp_path, capsys, args):
     out = tmp_path / "renorm.csv"
@@ -133,6 +133,16 @@ def test_scaling_renorm_window_wider_than_box_exits_1_before_writing(tmp_path, c
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: renorm_blocks ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, out", [("renorm", "renorm_d2_n80.csv"),
+                                          ("fpp", "fpp_d2_n32.csv")])
+def test_defaults_describe_a_valid_run(tmp_path, monkeypatch, command, out):
+    # the --n 8 shared by every subcommand was too small for either one's defaults
+    monkeypatch.chdir(tmp_path)
+    assert main([command]) == 0
+    lines = (tmp_path / out).read_text().splitlines()
+    assert len(lines) == 1 + (2 if command == "renorm" else 1)  # header + rows
 
 
 def test_fpp_csv(tmp_path):

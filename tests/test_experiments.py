@@ -1,5 +1,6 @@
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from percmix.experiments import (
     SCHEMA_VERSION,
     ExperimentConfig,
     Row,
-    SweepInterrupted,
     compute_fits,
     default_preset,
     emit_report,
@@ -22,7 +22,27 @@ from percmix.experiments import (
     write_rows,
 )
 from percmix.fitting import fit_linear, fit_loglog
-from helpers import fit_through_origin
+from helpers import config_to_file, fit_through_origin
+
+
+class Interrupted(Exception):
+    """A crash in the middle of a sweep."""
+
+
+def run_interrupted(cfg):
+    """Run a serial sweep whose third instance raises, after two were recorded."""
+    calls = []
+    real = experiments.run_instance
+
+    def run_instance_until_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise Interrupted
+        return real(*args)
+
+    with mock.patch.object(experiments, "run_instance", run_instance_until_third):
+        with pytest.raises(Interrupted):
+            run_scaling(cfg)
 
 
 def test_fit_loglog_exact_square():
@@ -144,7 +164,7 @@ def test_config_file_roundtrip(tmp_path):
                            quantities=("tau2", "census"), out="somewhere",
                            renorm_blocks=(8,))
     path = tmp_path / "sweep.cfg"
-    cfg.to_file(path)
+    config_to_file(cfg, path)
     assert ExperimentConfig.from_file(path) == cfg
 
 
@@ -215,8 +235,7 @@ def test_resume_matches_uninterrupted(tmp_path):
     full = run_scaling(cfg_full)
 
     cfg_resume = small_config(tmp_path, out=str(tmp_path / "resume"))
-    with pytest.raises(SweepInterrupted):
-        run_scaling(cfg_resume, stop_after=2)
+    run_interrupted(cfg_resume)
     resumed = run_scaling(cfg_resume, resume=True)
     assert resumed.rows == full.rows
     assert (tmp_path / "full" / "rows.csv").read_bytes() == \
@@ -396,7 +415,7 @@ def test_tau1_exact_needs_margin_above_kernel_error(monkeypatch, margin, cert):
         assert mode == "auto"
         return MixingResult(tau1=10.5, t_lo=10.0, t_hi=11.0, d_lo=thr + margin,
                             d_hi=thr - 1e-3, mode="pairwise", resolution=resolution,
-                            poisson_tol=tol, error_bound=1e-10)
+                            error_bound=1e-10)
 
     monkeypatch.setattr(experiments, "mixing_time", near_threshold)
     rows = run_instance(small_config(quantities=("tau1",)), 4, 0)
@@ -410,8 +429,7 @@ def test_tau1_detail_counts_probes_and_pairs(tmp_path):
     serial = run_scaling(small_config(tmp_path, out=str(tmp_path / "s"), **small))
     pool = run_scaling(small_config(tmp_path, out=str(tmp_path / "p"), workers=2, **small))
     cfg = small_config(tmp_path, out=str(tmp_path / "r"), **small)
-    with pytest.raises(SweepInterrupted):
-        run_scaling(cfg, stop_after=2)
+    run_interrupted(cfg)
     resumed = run_scaling(cfg, resume=True)
     expected = (tmp_path / "s" / "rows.csv").read_bytes()
     assert (tmp_path / "p" / "rows.csv").read_bytes() == expected
@@ -438,8 +456,7 @@ def test_var_lower_detail_counts_sources(tmp_path):
     serial = run_scaling(small_config(tmp_path, out=str(tmp_path / "s"), **small))
     pool = run_scaling(small_config(tmp_path, out=str(tmp_path / "p"), workers=2, **small))
     cfg = small_config(tmp_path, out=str(tmp_path / "r"), **small)
-    with pytest.raises(SweepInterrupted):
-        run_scaling(cfg, stop_after=2)
+    run_interrupted(cfg)
     resumed = run_scaling(cfg, resume=True)
     expected = (tmp_path / "s" / "rows.csv").read_bytes()
     assert (tmp_path / "p" / "rows.csv").read_bytes() == expected

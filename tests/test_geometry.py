@@ -21,7 +21,7 @@ from percmix.geometry import (
     good_density_curve,
 )
 from percmix.lattice import BoxSpec, build_box, dual_lattice
-from helpers import box_adjacency
+from helpers import box_adjacency, window_vertex_ids
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def reference_classify_good_vertices(config, block):
     witness = np.full(sites.shape[0], -1, dtype=np.int64)
     side = 2 * radius + 1
     for si in np.nonzero(classified)[0]:
-        grid = box.window_vertex_ids(sites[si] - radius, sites[si] + radius)
+        grid = window_vertex_ids(box, sites[si] - radius, sites[si] + radius)
         flat = grid.ravel()
         local = np.arange(flat.size, dtype=np.int64).reshape(grid.shape)
         rows, cols = [], []
@@ -263,7 +263,7 @@ def batched_classify_good_vertices(config, block):
     if todo.size:
         corners = sites[todo] - radius
         bases = box.coord_to_vertex(corners)
-        offsets = box.window_vertex_ids([-n] * d, [-n + side - 1] * d).ravel()
+        offsets = window_vertex_ids(box, [-n] * d, [-n + side - 1] * d).ravel()
         lookup = box.edge_lookup.T.reshape((d,) + (config.box.side,) * d)
         forward = config.open_mask[lookup] & (lookup >= 0)
         windows = np.lib.stride_tricks.sliding_window_view(
@@ -639,7 +639,7 @@ def _cell_pieces(config, block):
     span = corners.max() - start + side
     offset = np.arange(span)
     starts = np.flatnonzero((offset % block == 0) | ((offset - side) % block == 0))
-    ids = box.window_vertex_ids([start] * d, [start + span - 1] * d).ravel()
+    ids = window_vertex_ids(box, [start] * d, [start + span - 1] * d).ravel()
     local = np.full(box.num_vertices, -1, dtype=np.int64)
     local[ids] = np.arange(ids.size)
     cell = (np.searchsorted(starts, box.vertex_coords(ids) - start, side="right") - 1) @ (

@@ -6,7 +6,8 @@ from scipy.sparse import csgraph
 
 from percmix.errors import CapacityError, DomainError, UnsupportedDimensionError
 from percmix.lattice import BoxSpec, DualGraph, build_box, dual_lattice
-from helpers import box_adjacency, box_degrees, dual_adjacency, l1_diameter
+from helpers import (box_adjacency, box_degrees, dual_adjacency, edge_id, l1_diameter,
+                     window_vertex_ids)
 
 
 def brute_edge_count(d, n):
@@ -69,8 +70,8 @@ def test_edge_roundtrip_all():
     box = build_box(BoxSpec(2, 3))
     for eid in range(box.num_edges):
         u, v = int(box.edge_tail[eid]), int(box.edge_head[eid])
-        assert box.edge_id(u, v) == eid
-        assert box.edge_id(v, u) == eid
+        assert edge_id(box, u, v) == eid
+        assert edge_id(box, v, u) == eid
 
 
 @given(st.integers(1, 4), st.integers(0, 5), st.data())
@@ -225,10 +226,10 @@ def test_diameter_bound_exhaustive_connected_b2_2():
 
 def test_window_vertex_ids():
     box = build_box(BoxSpec(2, 3))
-    grid = box.window_vertex_ids([-1, 0], [1, 2])
+    grid = window_vertex_ids(box, [-1, 0], [1, 2])
     assert grid.shape == (3, 3)
     assert np.array_equal(
         box.vertex_coords(grid[0, 0]), np.array([-1, 0])
     )
     with pytest.raises(DomainError):
-        box.window_vertex_ids([-5, 0], [0, 0])
+        window_vertex_ids(box, [-5, 0], [0, 0])

@@ -20,20 +20,46 @@ def _exported_names():
                   for alias in node.names)
 
 
-def test_every_export_has_a_caller_outside_tests():
-    # an export that only tests call belongs in the tests
+def _defined_names():
+    """Every module-level function and class of the package, and every method but dunders."""
+    names = set()
+    for f in SRC.glob("*.py"):
+        for node in ast.parse(f.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.update(m.name for m in node.body if isinstance(m, ast.FunctionDef)
+                             and not m.name.startswith("__"))
+    return sorted(names)
+
+
+def _uncalled(names):
+    """The names that no line outside tests/ mentions, other than their own def or class."""
     files = [f for f in SRC.glob("*.py") if f.name != "__init__.py"]
     files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     lines = [line for f in files for line in f.read_text(encoding="utf-8").splitlines()]
-    names = _exported_names()
-    assert len(names) > 40  # the parse found the import lists
     unused = []
     for name in names:
         word = re.compile(rf"\b{re.escape(name)}\b")
         own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
         if not any(word.search(line) and not own.match(line) for line in lines):
             unused.append(name)
-    assert unused == [], unused
+    return unused
+
+
+def test_every_export_has_a_caller_outside_tests():
+    # an export that only tests call belongs in the tests
+    names = _exported_names()
+    assert len(names) > 40  # the parse found the import lists
+    assert _uncalled(names) == []
+
+
+def test_every_function_class_and_method_has_a_caller_outside_tests():
+    # so does a function, class or method, exported or not, that only tests
+    # call; the BondConfig readers read the `generate` formats from outside
+    names = _defined_names()
+    assert len(names) > 150  # the parse found the modules and their classes
+    assert _uncalled(names) == ["from_bytes", "from_text"]
 
 
 def _loaded_by_import(module: str) -> bool:
