@@ -22,7 +22,7 @@ def main():
     cfg = default_preset(out=args.out, workers=args.workers)
     t0 = time.time()
     report = run_scaling(cfg, resume=args.resume)
-    print(f"finished in {(time.time() - t0) / 60:.1f} min: "
+    print(f"finished in {time.time() - t0:.1f} s: "
           f"{len(report.rows)} rows, {report.error_rows} errors, "
           f"{report.violations} inequality violations -> {args.out}")
     for quantity in ("tau1", "tau2", "phi_upper", "var_lower"):

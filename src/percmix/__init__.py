@@ -7,10 +7,8 @@ from .chain import (
     mixing_time,
 )
 from .conductance import (
-    CheegerResult,
     ConductanceProfile,
     CutValue,
-    cheeger_exact,
     lk_bound,
     profile_exact,
     profile_upper_box,

@@ -5,7 +5,7 @@ the diagonal. It is similar to the symmetric matrix S = D^{1/2} Q D^{-1/2}
 (D the diagonal of the stationary law), so with S = V diag(lambda) V^T the
 transient kernel is e^{tQ} = D^{-1/2} V e^{t lambda} V^T D^{1/2}
 (Levin-Peres-Wilmer, Markov Chains and Mixing Times, Lemma 12.2). Every
-mixing probe reads the modes with e^{t lambda} > tol/m only, as the m x k
+mixing probe reads the modes with e^{t lambda} > MODE_TOL/m only, as the m x k
 matrix A = V e^{t lambda / 2}, and those are all the eigenpairs it computes:
 above SPARSE_EIGEN_MIN vertices one sparse shift-invert Lanczos solve,
 certified complete by Sylvester's law of inertia (`Chain.eigenpairs_above`),
@@ -44,7 +44,7 @@ from .percolation import ClusterGraph
 
 TV_THRESHOLD = math.exp(-1.0)
 
-DEFAULT_POISSON_TOL = 1e-10
+MODE_TOL = 1e-10  # a probe keeps the modes with e^{t lambda} > MODE_TOL/m
 
 _MAX_MODE_FRACTION = 0.25  # asking for more of the spectrum goes dense
 _SHIFT = 1e-6  # shift-invert pole just above the top eigenvalue 0 of S
@@ -499,8 +499,8 @@ class MixingResult:
 
 
 def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pairwise",
-                tol: float = DEFAULT_POISSON_TOL, tau2_hint: float | None = None,
-                t_max: float | None = None, exact: bool = False) -> MixingResult:
+                tau2_hint: float | None = None, t_max: float | None = None,
+                exact: bool = False) -> MixingResult:
     """Mixing time of the walk by bisection on the monotone distance profile.
 
     ``pairwise`` mode uses the worst-case distance over start pairs (the
@@ -509,8 +509,8 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     of two. ``auto`` selects pairwise up to its memory cap.
 
     Each probe kernel is made directly at its time from the modes with
-    e^{t lambda} > tol/m, so ``tol`` bounds the truncation as the Poisson
-    tolerance does. Each probe is one `_probe` call on its own kernel rows:
+    e^{t lambda} > MODE_TOL/m, which bounds its truncation error (see
+    `_KernelRows`). Each probe is one `_probe` call on its own kernel rows:
     it makes them in blocks, in decreasing order of their chi-square bound,
     until no row left can matter (`_row_pass`); stationarity mode reads its
     value off that pass, and pairwise mode then searches the pairs of the
@@ -558,8 +558,6 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         )
     if mode not in ("pairwise", "stationarity"):
         raise DomainError(f"unknown mixing mode {mode!r}")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if tau2_hint is None:
         from .spectral import spectral_gap  # spectral builds on this module
 
@@ -585,10 +583,11 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         # of the computed modes, each moved to a row's L1 by pi(x)^{-1/2};
         # renormalisation doubles it
         residual = _eigen_residual(
-            chain.symmetrized, *chain.eigenpairs_above(_mode_floor(chain.m, t, tol)))
+            chain.symmetrized,
+            *chain.eigenpairs_above(_mode_floor(chain.m, t, MODE_TOL)))
         eps = np.finfo(float).eps
         rounding = math.sqrt(chain.m * ratio) * (chain.m * eps + t * residual)
-        return 2.0 * (math.sqrt(ratio) * tol + rounding)
+        return 2.0 * (math.sqrt(ratio) * MODE_TOL + rounding)
 
     def levels(t):
         err = error_bound(t) if pairwise else 0.0
@@ -601,7 +600,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     def evaluate(t, settle=not exact):
         nonlocal rows_made, pairs_evaluated
         floor, ceil = levels(t) if settle else _EXACT
-        rows = _KernelRows(chain, t, tol)
+        rows = _KernelRows(chain, t, MODE_TOL)
         d, (_, _, tv) = _probe(rows, rows.coords, pairwise, rows.step, (floor, ceil))
         rows_made += rows.made
         pairs_evaluated += tv.size
@@ -613,7 +612,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         return d
 
     def solve_at(t):  # no probe goes below t
-        return chain.eigenpairs_above(_mode_floor(chain.m, t, tol))[0].size
+        return chain.eigenpairs_above(_mode_floor(chain.m, t, MODE_TOL))[0].size
 
     t_lo = float(tau2_hint) if pairwise else (1.0 - math.log(2.0)) * tau2_hint
     d_lo = None  # d(t_lo) is evaluated only when the bracket needs it

@@ -1,14 +1,16 @@
-"""Set conductance, Cheeger constant, and conductance profiles.
+"""Set conductance and conductance profiles.
 
 Tiny instances are handled exactly: cut values are integer triples
 (crossing edges, degree sum of A, total degree), so inequality checks reduce
-to integer cross-multiplication, and minimizers are found by enumerating
-connected vertex subsets via canonical neighbour expansion (each connected
-induced subgraph is generated exactly once). On percolation-scale instances
-the exact oracle gives way to certified upper bounds: translated sub-box
-windows and a spectral sweep cut, both optionally improved by reattaching all
-but the largest complement component when a witness has a disconnected
-complement (that surgery preserves the cut edge set while growing the mass).
+to integer cross-multiplication, and the exact profile comes from one
+enumeration of the connected vertex subsets by canonical neighbour
+expansion (each connected induced subgraph is generated exactly once). Its
+last running minimum, over every set of mass at most 1/2, is the Cheeger
+constant. On percolation-scale instances the exact profile gives way to
+certified upper bounds: translated sub-box windows and a spectral sweep
+cut, both optionally improved by reattaching all but the largest complement
+component when a witness has a disconnected complement (that surgery
+preserves the cut edge set while growing the mass).
 
 The window bound tiles the box at a few axis offsets per window radius.
 All tilings of one radius cut the cluster along a common grid, so one
@@ -112,24 +114,6 @@ def _adjacency_bitmasks(chain: Chain) -> list[int]:
     return masks
 
 
-def _mask_is_connected(mask: int, adj: list[int]) -> bool:
-    if mask == 0:
-        return False
-    start = mask & -mask
-    seen = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            bit = f & -f
-            f ^= bit
-            nxt |= adj[bit.bit_length() - 1]
-        frontier = nxt & mask & ~seen
-        seen |= frontier
-    return seen == mask
-
-
 def connected_subsets(chain: Chain):
     """Yield (bitmask, degree sum, inner edge count) for every connected subset.
 
@@ -163,59 +147,6 @@ def connected_subsets(chain: Chain):
     for s in range(m):
         allowed = ~((1 << (s + 1)) - 1)
         yield from rec(1 << s, deg[s], 0, adj[s] & allowed, 0, allowed)
-
-
-def _mask_to_indices(mask: int) -> np.ndarray:
-    out = []
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        out.append(bit.bit_length() - 1)
-    return np.asarray(out, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class CheegerResult:
-    phi: float
-    phi_fraction: Fraction
-    witness: frozenset
-    cut: CutValue
-
-
-def cheeger_exact(chain: Chain) -> CheegerResult:
-    """Exact Cheeger constant by enumeration over connected subsets.
-
-    The search is restricted to connected sets with connected complement
-    (mass at most 1/2); the minimum over all subsets is always attained there,
-    so the restriction loses nothing while shrinking the search space.
-    """
-    if chain.m > EXHAUSTIVE_CAP:
-        raise CapacityError(
-            f"{chain.m} vertices exceed the exhaustive cap {EXHAUSTIVE_CAP}; use "
-            "profile_upper_box or sweep_cut for certified upper bounds"
-        )
-    adj = _adjacency_bitmasks(chain)
-    total = chain.total_degree
-    full = (1 << chain.m) - 1
-    best = None  # (crossing, deg_a, deg_ac, mask)
-    for mask, degsum, inner in connected_subsets(chain):
-        if mask == full or 2 * degsum > total:
-            continue
-        crossing = degsum - 2 * inner
-        deg_ac = total - degsum
-        if best is not None and crossing * best[1] * best[2] >= best[0] * degsum * deg_ac:
-            continue
-        if not _mask_is_connected(full & ~mask, adj):
-            continue
-        best = (crossing, degsum, deg_ac, mask)
-    if best is None:
-        raise DomainError("no admissible cut found")
-    crossing, deg_a, deg_ac, mask = best
-    cut = set_conductance(chain, _mask_to_indices(mask))
-    return CheegerResult(
-        phi=cut.phi, phi_fraction=cut.phi_fraction,
-        witness=cut.members, cut=cut,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +227,9 @@ def profile_exact(chain: Chain) -> ConductanceProfile:
     """Exact conductance profile at every achievable mass breakpoint.
 
     Minimizers over sets of mass <= x are always attained by connected sets,
-    so enumeration over connected subsets suffices.
+    so enumeration over connected subsets suffices. The last point's phi, the
+    minimum over all sets of mass at most 1/2, is the Cheeger constant; the
+    list is never empty, since a vertex of least degree has mass <= 1/2.
     """
     if chain.m > EXHAUSTIVE_CAP:
         raise CapacityError(f"{chain.m} vertices exceed the exhaustive cap {EXHAUSTIVE_CAP}")

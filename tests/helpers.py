@@ -13,9 +13,10 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.special import pdtr, pdtrc
 
-from percmix.chain import DEFAULT_POISSON_TOL, Chain
-from percmix.conductance import ConductanceProfile, ProfilePoint
-from percmix.errors import DomainError, NonConvergenceError
+from percmix.chain import MODE_TOL, Chain
+from percmix.conductance import (EXHAUSTIVE_CAP, ConductanceProfile, CutValue, ProfilePoint,
+                                 connected_subsets, set_conductance)
+from percmix.errors import CapacityError, DomainError, NonConvergenceError
 from percmix.experiments import SCHEMA_VERSION, ExperimentConfig
 from percmix.fitting import FitResult
 from percmix.lattice import BoxGraph, BoxSpec
@@ -174,7 +175,7 @@ def poisson_weights(t: float, tol: float) -> np.ndarray:
 
 
 def transient_distribution(chain: Chain, start: np.ndarray, t: float,
-                           tol: float = DEFAULT_POISSON_TOL) -> np.ndarray:
+                           tol: float = MODE_TOL) -> np.ndarray:
     """Distribution of the walk at time t from a start distribution.
 
     Truncated Poisson mixture of kernel powers, renormalized to sum to one.
@@ -197,6 +198,37 @@ def transient_distribution(chain: Chain, start: np.ndarray, t: float,
 
 # ---------------------------------------------------------------------------
 # conductance profiles
+
+
+def cheeger_exact(chain: Chain) -> CutValue:
+    """The Cheeger constant's minimizing cut, by enumeration: the oracle.
+
+    The search runs over connected sets of mass at most 1/2 whose complement
+    is connected too; the minimum over all subsets is attained there, so the
+    restriction must agree with an all-subsets brute force and with the last
+    point of `profile_exact`, which drops the complement condition. Among
+    cuts of equal conductance the first enumerated is kept.
+    """
+    if chain.m > EXHAUSTIVE_CAP:
+        raise CapacityError(f"{chain.m} vertices exceed the exhaustive cap {EXHAUSTIVE_CAP}")
+    total = chain.total_degree
+    full = (1 << chain.m) - 1
+    best = None
+    for mask, degsum, inner in connected_subsets(chain):
+        if mask == full or 2 * degsum > total:
+            continue
+        crossing = degsum - 2 * inner
+        if best is not None and (crossing * best.deg_a * (total - best.deg_a)
+                                 >= best.crossing * degsum * (total - degsum)):
+            continue
+        members = [v for v in range(chain.m) if mask >> v & 1]
+        rest = np.setdiff1d(np.arange(chain.m), members)
+        sub = chain.graph.adjacency[rest][:, rest]
+        if csgraph.connected_components(sub, directed=False)[0] == 1:
+            best = set_conductance(chain, members)
+    if best is None:
+        raise DomainError("no admissible cut found")
+    return best
 
 
 def profile_value_at(profile: ConductanceProfile, x: float) -> float:

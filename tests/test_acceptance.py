@@ -26,7 +26,7 @@ from percmix.errors import EmptyClusterError
 from percmix.experiments import ExperimentConfig, default_preset, run_instance, run_scaling
 from percmix.fitting import fit_loglog, fit_loglog_geomean
 from percmix.geometry import classify_good_vertices
-from helpers import cycle_graph, single_edge
+from helpers import cheeger_exact, cycle_graph, single_edge
 from test_conductance import cheeger_unrestricted
 
 E_INV = math.exp(-1.0)
@@ -124,7 +124,7 @@ def test_criterion_4_exact_inequality_suite(preset_run):
         except pm.InequalityViolationError as exc:
             failures.append(f"sandwich: {exc}")
 
-        cheeger = pm.cheeger_exact(chain)
+        cheeger = cheeger_exact(chain)
         if spec.tau2 > 8.0 / cheeger.phi**2 * (1 + 1e-9):
             failures.append(f"cheeger: tau2={spec.tau2} phi={cheeger.phi}")
         checked["cheeger"] += 1
@@ -134,7 +134,7 @@ def test_criterion_4_exact_inequality_suite(preset_run):
             failures.append(f"var: {var.value} vs tau2={spec.tau2}")
         checked["var"] += 1
 
-        cuts = [cheeger.cut.phi, pm.sweep_cut(chain, spec).phi]
+        cuts = [cheeger.phi, pm.sweep_cut(chain, spec).phi]
         cuts += [p.phi for p in pm.profile_upper_box(chain, config).points]
         if spec.gap > min(cuts) * (1 + 1e-9):
             failures.append(f"gap: {spec.gap} vs min cut {min(cuts)}")
@@ -180,12 +180,12 @@ def test_criterion_5_oracle_equivalences():
         if not 2 <= cluster.num_vertices <= 14:
             continue
         chain = pm.build_chain(cluster)
-        if pm.cheeger_exact(chain).phi_fraction != cheeger_unrestricted(chain):
+        if cheeger_exact(chain).phi_fraction != cheeger_unrestricted(chain):
             enum_bad += 1
         enum_checked += 1
     for fixture in (single_edge(), cycle_graph(4), cycle_graph(6), cycle_graph(8)):
         chain = pm.build_chain(fixture)
-        if pm.cheeger_exact(chain).phi_fraction != cheeger_unrestricted(chain):
+        if cheeger_exact(chain).phi_fraction != cheeger_unrestricted(chain):
             enum_bad += 1
 
     two = pm.build_chain(single_edge())
@@ -193,7 +193,7 @@ def test_criterion_5_oracle_equivalences():
     tau1_two = pm.mixing_time(two, resolution=1e-4).tau1
     tau1_four = pm.mixing_time(four, resolution=1e-4).tau1
     gap_four = pm.spectral_gap(four).gap
-    phi_four = pm.cheeger_exact(four).phi_fraction
+    phi_four = cheeger_exact(four).phi_fraction
 
     ok = (mismatches == 0 and enum_checked == 200 and enum_bad == 0
           and abs(tau1_two - 0.5) <= 1e-3 and abs(tau1_four - 1.0) <= 1e-3

@@ -6,6 +6,7 @@ import pytest
 import percmix as pm
 from percmix import experiments
 from percmix.cli import main
+from helpers import cheeger_exact
 
 
 def test_generate_binary_roundtrip(tmp_path):
@@ -74,6 +75,20 @@ def test_scaling_with_config_file(tmp_path):
     assert code == 0
     assert (tmp_path / "out" / "rows.csv").exists()
     assert (tmp_path / "out" / "summary.txt").exists()
+
+
+def test_scaling_checks_cheeger_on_every_tiny_instance(tmp_path):
+    out = tmp_path / "out"
+    assert main(["scaling", "--d", "2", "--n", "1,2", "--seeds", "0,1,2,3,4,5,6,7",
+                 "--quantities", "tau1,tau2,phi_upper,lk,var_lower", "--out", str(out)]) == 0
+    rows = [r for r in experiments.read_rows(out / "rows.csv")
+            if r.quantity == "ineq_cheeger"]
+    assert len(rows) == 11  # one per instance within the exhaustive cap
+    for r in rows:
+        config = pm.sample_bond_config(pm.BoxSpec(2, r.n), 0.7, r.seed)
+        phi = cheeger_exact(pm.build_chain(pm.largest_cluster(config))).phi
+        assert r.value == 1.0
+        assert r.detail.split()[-1] == f"bound={8.0 / (phi * phi)!r}"
 
 
 def test_scaling_resume_flag(tmp_path):
@@ -225,10 +240,8 @@ def test_bad_fpp_request_exits_1_before_writing(tmp_path, capsys, args):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["n_list = 4,six", "d = 2.5", "poisson_tol = 0",
-                                  "resolution_factor = -1", "renorm_blocks = 4",
-                                  "rtol = 1e-10", "poisson_tol = inf",
-                                  "resolution_factor = inf", "seed_list = 1,1",
+@pytest.mark.parametrize("line", ["n_list = 4,six", "d = 2.5", "renorm_blocks = 4",
+                                  "rtol = 1e-10", "seed_list = 1,1",
                                   "renorm_blocks = 8,8", "renorm_blocks = "])
 def test_bad_config_file_exits_1(tmp_path, capsys, line):
     cfg = tmp_path / "sweep.cfg"

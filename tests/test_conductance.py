@@ -26,6 +26,7 @@ from percmix.errors import CapacityError, DomainError
 from percmix.experiments import ExperimentConfig, _Instance
 from percmix.spectral import SpectralResult
 from helpers import (
+    cheeger_exact,
     complete_graph,
     cycle_graph,
     edge_id,
@@ -141,21 +142,21 @@ def test_connected_subset_enumeration_counts():
 
 def test_cheeger_exact_fixtures():
     ch4 = pm.build_chain(cycle_graph(4))
-    res4 = pm.cheeger_exact(ch4)
+    res4 = cheeger_exact(ch4)
     assert res4.phi_fraction == Fraction(1)
-    assert len(res4.witness) == 2
-    assert cut_sides_connected(ch4, res4.cut) == (True, True)
+    assert len(res4.members) == 2
+    assert cut_sides_connected(ch4, res4) == (True, True)
 
-    assert pm.cheeger_exact(pm.build_chain(single_edge())).phi_fraction == Fraction(2)
+    assert cheeger_exact(pm.build_chain(single_edge())).phi_fraction == Fraction(2)
     # frozen value from the brute-force oracle run on the 3-path
-    assert pm.cheeger_exact(pm.build_chain(path_graph(3))).phi_fraction == Fraction(4, 3)
+    assert cheeger_exact(pm.build_chain(path_graph(3))).phi_fraction == Fraction(4, 3)
 
 
 def test_cheeger_capacity_error():
     ch = cluster_chain(6)
     assert ch.m > EXHAUSTIVE_CAP
     with pytest.raises(CapacityError):
-        pm.cheeger_exact(ch)
+        cheeger_exact(ch)
     with pytest.raises(CapacityError):
         pm.profile_exact(ch)
 
@@ -167,7 +168,10 @@ def test_cheeger_restricted_equals_unrestricted():
     fixtures += [full_box_cluster(2, 1)]
     chains = [pm.build_chain(g) for g in fixtures] + tiny_random_chains(40)
     for ch in chains:
-        assert pm.cheeger_exact(ch).phi_fraction == cheeger_unrestricted(ch)
+        oracle = cheeger_exact(ch).phi_fraction
+        assert oracle == cheeger_unrestricted(ch)
+        # the exact profile's last running minimum is the Cheeger constant
+        assert pm.profile_exact(ch).points[-1].phi_fraction == oracle
 
 
 def test_profile_restricted_equals_unrestricted():
@@ -319,7 +323,7 @@ def test_sweep_cut_four_cycle():
 def test_sweep_cut_upper_bounds_cheeger():
     for ch in tiny_random_chains(20, start_seed=2100):
         sweep = pm.sweep_cut(ch)
-        exact = pm.cheeger_exact(ch)
+        exact = cheeger_exact(ch)
         assert sweep.phi_fraction >= exact.phi_fraction
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import percmix as pm
-from percmix import experiments
+from percmix import conductance, experiments, spectral
 from percmix.chain import MixingResult
 from percmix.errors import DomainError
 from percmix.experiments import (
@@ -102,18 +102,12 @@ def test_config_validation():
                 dict(fpp_pairs=0), dict(fpp_pairs=-3)):
         with pytest.raises(DomainError):
             ExperimentConfig(**bad)
-    for bad in (0.0, -1e-10, float("nan")):
-        with pytest.raises(DomainError):
-            ExperimentConfig(poisson_tol=bad)
-        with pytest.raises(DomainError):
-            ExperimentConfig(resolution_factor=bad)
 
 
 def test_config_rejects_repeated_instances_and_non_finite_tolerances():
     # a repeated n or seed would run its instances twice and count them twice in the fits
     for bad in (dict(n_list=(6, 6)), dict(n_list=(6, 9, 9)), dict(seed_list=(1, 1)),
-                dict(seed_list=(0, 2, 0)), dict(poisson_tol=math.inf),
-                dict(resolution_factor=math.inf)):
+                dict(seed_list=(0, 2, 0))):
         with pytest.raises(DomainError):
             ExperimentConfig(**bad)
     assert ExperimentConfig(n_list=(6, 9), seed_list=(3, 1)).seed_list == (3, 1)
@@ -184,11 +178,12 @@ def test_config_file_rejects_a_repeated_key(tmp_path, text):
         ExperimentConfig.from_file(path)
 
 
-@pytest.mark.parametrize("line", ["d = two", "n_list = 6,x", "workers = 1.5",
-                                  "poisson_tol = tiny"])
+@pytest.mark.parametrize("line", ["d = two", "n_list = 6,x", "workers = 1.5", "p = tiny"])
 def test_config_file_rejects_malformed_values(tmp_path, line):
     path = tmp_path / "bad.cfg"
-    path.write_text(f"p = 0.7\n{line}\n")
+    # the bad line replaces the base line of its key rather than repeating it
+    base = "" if line.startswith("p ") else "p = 0.7\n"
+    path.write_text(f"{base}{line}\n")
     with pytest.raises(DomainError):
         ExperimentConfig.from_file(path)
 
@@ -323,6 +318,30 @@ def test_inequality_suite_present_and_clean():
     assert ineq.get("ineq_gap_cuts") == 1.0
 
 
+def test_inequality_suite_computes_only_what_was_asked(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("window profile failed")
+
+    # a failed phi_upper is an error row; the gap-cut check needs it and is skipped
+    monkeypatch.setattr(conductance, "profile_upper_box", broken)
+    rows = {r.quantity: r for r in run_instance(
+        small_config(quantities=("tau2", "phi_upper")), 6, 0)}
+    assert rows["phi_upper"].certification == "error"
+    assert "window profile failed" in rows["phi_upper"].detail
+    assert rows["tau2"].certification == "exact"
+    assert "ineq_gap_cuts" not in rows
+
+    # tau2 alone starts neither the window profile, the sweep cut nor the
+    # distance-variance bound
+    calls = []
+    for module, name in ((conductance, "profile_upper_box"), (conductance, "sweep_cut"),
+                         (spectral, "distance_variance_lower_bound")):
+        monkeypatch.setattr(module, name, lambda *a, _name=name, **k: calls.append(_name))
+    rows = run_instance(small_config(quantities=("tau2",)), 6, 0)
+    assert [(r.quantity, r.certification) for r in rows] == [("tau2", "exact")]
+    assert calls == []
+
+
 def test_tau2_exact_above_dense_cap():
     # dense_cap only labels the eigensolve by size; the gap is certified either way
     cfg = ExperimentConfig(n_list=(10,), seed_list=(0,), dense_cap=10,
@@ -410,11 +429,11 @@ def test_resume_survives_torn_partial_file(tmp_path):
 def test_tau1_exact_needs_margin_above_kernel_error(monkeypatch, margin, cert):
     thr = math.exp(-1.0)
 
-    def near_threshold(chain, resolution, mode, tol, tau2_hint):
+    def near_threshold(chain, mode, tau2_hint):
         # like mixing_time, report the mode that "auto" resolves to at this size
         assert mode == "auto"
         return MixingResult(tau1=10.5, t_lo=10.0, t_hi=11.0, d_lo=thr + margin,
-                            d_hi=thr - 1e-3, mode="pairwise", resolution=resolution,
+                            d_hi=thr - 1e-3, mode="pairwise", resolution=1e-3,
                             error_bound=1e-10)
 
     monkeypatch.setattr(experiments, "mixing_time", near_threshold)
