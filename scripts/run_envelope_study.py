@@ -27,7 +27,7 @@ def main():
 
     config = pm.sample_bond_config(pm.BoxSpec(2, args.n), args.p, args.seed)
     chain = pm.build_chain(pm.largest_cluster(config))
-    profile = pm.profile_upper_box(chain, config)
+    profile = pm.profile_upper_box(chain)
     profile.to_csv(args.out)
 
     xs = np.array([pt.x for pt in profile.points])

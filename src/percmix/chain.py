@@ -421,10 +421,9 @@ def _probe(dev_rows, coords: np.ndarray, pairwise: bool, step: int,
     return best, (made[i], made[j], tv)
 
 
-def _eigen_residual(s: sparse.spmatrix, w: np.ndarray, v: np.ndarray,
-                    block: int = 512) -> float:
+def _eigen_residual(s: sparse.spmatrix, w: np.ndarray, v: np.ndarray) -> float:
     """max_k ||S v_k - lambda_k v_k||_2 over the given eigenpairs."""
-    worst = 0.0
+    worst, block = 0.0, 512  # eigenpairs per product
     for lo in range(0, w.size, block):
         cols = v[:, lo:lo + block]
         res = s @ cols - cols * w[lo:lo + block]
@@ -471,12 +470,12 @@ class MixingResult:
         return (self.d_lo - TV_THRESHOLD > self.error_bound
                 and TV_THRESHOLD - self.d_hi > self.error_bound)
 
-    def check_monotone(self, slack: float = 1e-8) -> None:
+    def check_monotone(self) -> None:
         """Raise unless the trace fits a non-increasing distance profile.
 
         No probe may be decided above e^{-1} after one decided at or below
         it, and no exact value or lower bound may exceed an earlier exact
-        value or upper bound by more than ``slack``. Lower bounds are not
+        value or upper bound by more than 1e-8. Lower bounds are not
         compared with each other, since their order says nothing.
         """
         decided = set(self.decided)
@@ -488,7 +487,7 @@ class MixingResult:
                     f"distance trace is not non-increasing: d({t})={d} is above e^-1 "
                     f"after d({below[0]})={below[1]}"
                 )
-            if (above or t not in decided) and cap is not None and d > cap[1] + slack:
+            if (above or t not in decided) and cap is not None and d > cap[1] + 1e-8:
                 raise PercmixError(
                     f"distance trace is not non-increasing: d({cap[0]})={cap[1]} vs d({t})={d}"
                 )

@@ -33,9 +33,11 @@ from .geometry import (check_block_scales, check_fpp_request, density_rows_to_cs
 from .lattice import BoxSpec
 from .percolation import largest_cluster, sample_bond_config
 
-# Instance flags and their defaults. `scaling` leaves its sweep flags unset,
-# so that it can refuse them next to --config, which sets the sweep itself.
-_DEFAULTS = {"d": 2, "n": "8", "p": 0.7, "seed": 0, "mode": "auto", "workers": 1}
+# The defaults of the instance flags that ExperimentConfig has no field for;
+# --d, --p, --mode and --workers default to its fields. `scaling` leaves its
+# sweep flags unset, so that it can refuse them next to --config, which sets
+# the sweep itself.
+_DEFAULTS = {"n": "8", "seed": 0}
 _SWEEP_FLAGS = ("d", "n", "p", "seed", "seeds", "quantities", "mode", "workers")
 
 
@@ -54,10 +56,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seeds=False):
-        p.add_argument("--d", type=int, default=_DEFAULTS["d"], help="lattice dimension")
+        p.add_argument("--d", type=int, default=ExperimentConfig.d, help="lattice dimension")
         p.add_argument("--n", type=str, default=_DEFAULTS["n"],
                        help="box radius (comma list allowed where a sweep makes sense)")
-        p.add_argument("--p", type=float, default=_DEFAULTS["p"], help="open-edge probability")
+        p.add_argument("--p", type=float, default=ExperimentConfig.p, help="open-edge probability")
         p.add_argument("--seed", type=int, default=_DEFAULTS["seed"], help="configuration seed")
         if seeds:
             p.add_argument("--seeds", type=str, default=None,
@@ -73,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--quantities", type=str, default=None,
                    help="comma list (default: all desk-scale quantities)")
     a.add_argument("--mode", choices=("pairwise", "stationarity", "auto"),
-                   default=_DEFAULTS["mode"])
+                   default=ExperimentConfig.mode)
 
     pr = sub.add_parser("profile", help="conductance profile for one instance")
     common(pr)
@@ -157,7 +159,7 @@ def _cmd_profile(args) -> int:
     if chain.m <= cond.EXHAUSTIVE_CAP:
         profile = cond.profile_exact(chain)
     else:
-        profile = cond.profile_upper_box(chain, config)
+        profile = cond.profile_upper_box(chain)
     out = Path(args.out) if args.out else Path(f"profile_d{args.d}_n{n}_s{args.seed}.csv")
     profile.to_csv(out)
     kind = profile.points[0].certification if profile.points else "empty"
@@ -174,13 +176,14 @@ def _cmd_scaling(args) -> int:
         if args.out:
             cfg = replace(cfg, out=args.out)
     else:
-        for k in _SWEEP_FLAGS:
+        for k, default in _DEFAULTS.items():
             if getattr(args, k) is None:
-                setattr(args, k, _DEFAULTS.get(k))
+                setattr(args, k, default)
+        given = {k: getattr(args, k) for k in ("d", "p", "mode", "workers")
+                 if getattr(args, k) is not None}
         cfg = ExperimentConfig(
-            d=args.d, p=args.p, n_list=_int_list(args.n), seed_list=_seed_list(args),
-            quantities=_quantities(args), mode=args.mode, out=args.out,
-            workers=args.workers,
+            n_list=_int_list(args.n), seed_list=_seed_list(args),
+            quantities=_quantities(args), out=args.out, **given,
         )
     if cfg.out is None:
         cfg = replace(cfg, out="percmix_out")

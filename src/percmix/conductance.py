@@ -631,7 +631,7 @@ def _radius_cuts(chain: Chain, radii: list) -> list:
     return cuts
 
 
-def profile_upper_box(chain: Chain, config=None, k_values=None) -> ConductanceProfile:
+def profile_upper_box(chain: Chain, k_values=None) -> ConductanceProfile:
     """Upper-bound conductance profile from translated sub-box windows.
 
     For each window radius k < n the box is tiled by disjoint translates
@@ -662,8 +662,6 @@ def profile_upper_box(chain: Chain, config=None, k_values=None) -> ConductancePr
     graph = chain.graph
     if graph.box is None or graph.coords is None:
         raise DomainError("chain was not built from a lattice cluster")
-    if config is not None and config.box != graph.box:
-        raise DomainError("configuration does not match the cluster's box")
     n = graph.box.n
     ks = list(k_values) if k_values is not None else list(range(1, n))
     for k in ks:

@@ -197,7 +197,7 @@ class _Instance:
 
     @cached_property
     def box_profile(self) -> cond.ConductanceProfile:
-        return cond.profile_upper_box(self.chain, self.config)
+        return cond.profile_upper_box(self.chain)
 
     @cached_property
     def exact_profile(self):

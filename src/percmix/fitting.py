@@ -14,7 +14,6 @@ class FitResult:
     slope: float
     intercept: float
     r_squared: float
-    n_points: int
 
 
 def fit_linear(x, y) -> FitResult:
@@ -38,7 +37,7 @@ def fit_linear(x, y) -> FitResult:
         r2 = 1.0 if ss_res <= 1e-24 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return FitResult(slope=slope, intercept=intercept, r_squared=r2, n_points=x.size)
+    return FitResult(slope=slope, intercept=intercept, r_squared=r2)
 
 
 def fit_loglog(points) -> FitResult:

@@ -17,12 +17,12 @@ each pair where its two searches meet. The good-site windows of one block
 scale share one contraction of the box: cuts at every x = -r or r+1 (mod
 block), with r the window radius, split the covered range into cells, so
 each window is a product of whole cells. One padded CSR
-``connected_components`` pass per slab of cell rows labels the pieces of
+``connected_components`` call over the whole cube labels the pieces of
 every cell, and the open edges between cells become pairs of pieces. Each
 window is then the small graph of its cells' pieces and the pairs among
-them, a batch of windows one ``connected_components`` call, and crossing,
-goodness and witness are reductions over its components. Slabs and batches
-stay within ``_BATCH_ENTRIES`` entries.
+them, a batch of windows one ``connected_components`` call, and crossing
+and goodness are reductions over its components. Batches stay within
+``_BATCH_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ from .lattice import BoxSpec, build_box, concat_ranges, dual_lattice
 from .percolation import BondConfig, bernoulli_site_field, sample_bond_config
 
 # Entries one batched call may allocate: dual search keys (pairs x
-# _FRONTIER_PER_PAIR), the vertices of a slab of cell rows (unless one row is
-# larger), or the window graphs of a batch (their cells' pieces and pairs).
+# _FRONTIER_PER_PAIR) or the window graphs of a batch (their cells' pieces
+# and pairs; a cell lies in about 2.5^d windows, so one graph of all windows
+# would be that many times the contracted cube).
 _BATCH_ENTRIES = 2**16
 # Keys a pair's dual search gathers in its widest layer, with room to spare:
 # at most 1279 over 1188 pairs at L1 10..60, p=0.7, n=80 and 160.
@@ -80,10 +81,6 @@ class DualFppField:
             (np.ones(2 * cu.size), (np.concatenate([cu, cv]), np.concatenate([cv, cu]))),
             shape=(num_classes, num_classes),
         ).tocsr()
-
-    def distance(self, x_face, y_face) -> int:
-        """0-1 weighted distance between two dual vertices (face coordinates)."""
-        return int(self.distances([x_face], [y_face])[0])
 
     def distances(self, x_faces, y_faces) -> np.ndarray:
         """0-1 distances between paired faces, given as (P, 2) face coordinates.
@@ -214,11 +211,11 @@ def check_windows_fit(n: int, blocks) -> None:
 
 def fpp_regression(config: BondConfig, n_pairs: int = 300,
                    l1_range: tuple = (10, 60), margin: int = 5,
-                   rng_seed: int = 0, n_targets: int = 11) -> FppRegression:
+                   rng_seed: int = 0) -> FppRegression:
     """Linear growth fit of dual FPP distance against L1 separation.
 
     Pairs are drawn from faces at least ``margin`` steps from the boundary,
-    stratified over ``n_targets`` L1 separations spanning ``l1_range``. The
+    stratified over 11 L1 separations spanning ``l1_range``. The
     line is fitted to the per-separation mean distances: single-pair
     distances fluctuate on the scale of a few edges independently of the
     separation, so averaging within each separation isolates the growth rate.
@@ -235,7 +232,7 @@ def fpp_regression(config: BondConfig, n_pairs: int = 300,
     if l1_range[1] > (hi - lo) * 2:
         raise DomainError("L1 range exceeds the interior span")
     rng = np.random.default_rng(rng_seed)
-    targets = np.unique(np.linspace(l1_range[0], l1_range[1], n_targets).round()
+    targets = np.unique(np.linspace(l1_range[0], l1_range[1], 11).round()
                         .astype(np.int64))
     per = max(1, n_pairs // len(targets))
     faces = []  # (a, b) for every admissible pair, stratum by stratum
@@ -288,8 +285,7 @@ class GoodSiteField:
     """Good/bad classification of interior block sites for one configuration.
 
     ``classified`` marks sites whose full window fits in the box; boundary
-    sites stay unclassified. ``witness`` holds the smallest global VertexId of
-    the face-crossing cluster for good sites, -1 otherwise.
+    sites stay unclassified.
     """
 
     block: int
@@ -300,7 +296,6 @@ class GoodSiteField:
     classified: np.ndarray
     crossing_cluster: np.ndarray  # condition 1 per classified site
     good: np.ndarray
-    witness: np.ndarray
 
     @property
     def num_classified(self) -> int:
@@ -329,7 +324,6 @@ class _Pieces:
     start: np.ndarray
     lo: np.ndarray  # (d, P) bounding box of each piece
     hi: np.ndarray
-    low: np.ndarray  # lowest vertex of each piece, as a row-major offset in the cube
     pair_start: np.ndarray
     pu: np.ndarray
     pv: np.ndarray
@@ -343,76 +337,47 @@ def _contract(forward, first, block: int) -> _Pieces:
     ``forward[a]`` holds the open flags of the cube's forward axis-``a``
     edges, and ``first[x]`` tells whether offset x starts a cell
     (``first[side]`` is set: the cube ends there). Cells share no edge, so
-    the cube is contracted in slabs of whole cell rows along axis 0, each
-    within ``_BATCH_ENTRIES`` vertices unless one row is larger. A slab is
-    one padded CSR graph, whose node slots keep the open edges inside a
-    cell, and one ``connected_components`` call. The open edges between
-    cells, those from a slab's last layer into the next slab included,
-    become piece pairs.
+    the whole cube is one padded CSR graph, whose node slots keep the open
+    edges inside a cell, and one ``connected_components`` call. The open
+    edges between cells become piece pairs.
     A closed piece is its own component in every window, so it only marks
     its cell when it is large enough to be stray.
     """
     d, side = forward.shape[0], forward.shape[1]
-    layer = side ** (d - 1)
     leaves = first[1:]  # the forward edge at offset x leaves its cell
     cell_of = np.cumsum(first[:side]) - 1
     num_cells = int(cell_of[-1]) + 1
     cell_stride = num_cells ** np.arange(d - 1, -1, -1)
-    bounds = np.flatnonzero(first)
-    rows = max(1, _BATCH_ENTRIES // layer)
-    los, his, lows, us, vs, axes = [], [], [], [], [], []
-    offset = 0
-    x = 0
-    while x < side:
-        ends = bounds[bounds > x]
-        end = int(ends[max(0, np.searchsorted(ends, x + rows, side="right") - 1)])
-        flags = forward[:, x:end]
-        shape = flags.shape[1:]
-        num = flags[0].size
-        node = np.arange(num, dtype=np.int32)  # a slab holds far below 2**31 slots
-        indices = np.empty((num, d), dtype=np.int32)
-        cuts = []
-        for a in range(d):
-            cut = (leaves[x:end] if a == 0 else leaves).reshape((-1,) + (1,) * (d - 1 - a))
-            cuts.append(cut)
-            indices[:, a] = np.where((flags[a] & ~cut).ravel(), node + side ** (d - 1 - a), node)
-        graph = sparse.csr_matrix(
-            (np.ones(num * d), indices.ravel(), np.arange(0, num * d + 1, d, dtype=np.int32)),
-            shape=(num, num))
-        ncomp, labels = csgraph.connected_components(graph, directed=False)
-        coords = np.indices(shape, dtype=np.int32).reshape(d, num)
-        coords[0] += x
-        lo = np.full((d, ncomp), side, dtype=np.int32)
-        hi = np.zeros((d, ncomp), dtype=np.int32)
-        for a in range(d):
-            np.minimum.at(lo[a], labels, coords[a])
-            np.maximum.at(hi[a], labels, coords[a])
-        low = np.full(ncomp, num, dtype=np.int32)  # ufunc.at is fast on matching dtypes only
-        np.minimum.at(low, labels, node)
-        los.append(lo)
-        his.append(hi)
-        lows.append(low.astype(np.int64) + x * layer)
+    num = side**d
+    node = np.arange(num, dtype=np.int32)  # BoxSpec caps the box below 2**31 vertices
+    indices = np.empty((num, d), dtype=np.int32)
+    cuts = [leaves.reshape((-1,) + (1,) * (d - 1 - a)) for a in range(d)]
+    for a in range(d):
+        indices[:, a] = np.where((forward[a] & ~cuts[a]).ravel(), node + side ** (d - 1 - a), node)
+    # the labelling reads no weights: one broadcast 1.0 stands for every entry
+    ones = np.broadcast_to(np.float64(1.0), indices.size)
+    graph = sparse.csr_matrix(
+        (ones, indices.ravel(), np.arange(0, num * d + 1, d, dtype=np.int32)), shape=(num, num))
+    ncomp, labels = csgraph.connected_components(graph, directed=False)
+    coords = np.indices((side,) * d, dtype=np.int32).reshape(d, num)
+    lo = np.full((d, ncomp), side, dtype=np.int32)  # ufunc.at is fast on matching dtypes only
+    hi = np.zeros((d, ncomp), dtype=np.int32)
+    for a in range(d):
+        np.minimum.at(lo[a], labels, coords[a])
+        np.maximum.at(hi[a], labels, coords[a])
 
-        raw = labels.reshape(shape).astype(np.int64) + offset
-        if x > 0:  # edges from the previous slab's last layer cross a cell face
-            crossing = forward[0, x - 1]
-            us.append(prev[crossing])
-            vs.append(raw[0][crossing])
-            axes.append(np.zeros(vs[-1].size, dtype=np.int64))
-        for a in range(d):
-            tail = (slice(None),) * a + (slice(None, -1),)
-            head = (slice(None),) * a + (slice(1, None),)
-            crossing = flags[a][tail] & cuts[a][:-1]
-            us.append(raw[tail][crossing])
-            vs.append(raw[head][crossing])
-            axes.append(np.full(vs[-1].size, a, dtype=np.int64))
-        prev = raw[-1]
-        offset += ncomp
-        x = end
+    raw = labels.reshape((side,) * d)
+    us, vs, axes = [], [], []
+    for a in range(d):
+        tail = (slice(None),) * a + (slice(None, -1),)
+        head = (slice(None),) * a + (slice(1, None),)
+        crossing = forward[a][tail] & cuts[a][:-1]
+        us.append(raw[tail][crossing])
+        vs.append(raw[head][crossing])
+        axes.append(np.full(vs[-1].size, a, dtype=np.int64))
 
-    lo, hi, low = np.concatenate(los, axis=1), np.concatenate(his, axis=1), np.concatenate(lows)
     u, v, axis = np.concatenate(us), np.concatenate(vs), np.concatenate(axes)
-    opened = np.zeros(offset, dtype=bool)
+    opened = np.zeros(ncomp, dtype=bool)
     opened[u] = True
     opened[v] = True
     cell = (cell_of[lo] * cell_stride[:, None]).sum(axis=0)
@@ -421,19 +386,19 @@ def _contract(forward, first, block: int) -> _Pieces:
     keep = np.flatnonzero(opened)
     keep = keep[np.argsort(cell[keep], kind="stable")]
     num_open = keep.size
-    renumber = np.empty(offset, dtype=np.int64)
+    renumber = np.empty(ncomp, dtype=np.int64)
     renumber[keep] = np.arange(num_open)
     start = np.searchsorted(cell[keep], np.arange(num_cells**d + 1))
     key = np.sort((renumber[u] * d + axis) * num_open + renumber[v])
     key = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0; np.unique hashes, far slower
     pu, axis = np.divmod(key // num_open, d)
-    return _Pieces(start=start, lo=lo[:, keep], hi=hi[:, keep], low=low[keep],
+    return _Pieces(start=start, lo=lo[:, keep], hi=hi[:, keep],
                    pair_start=np.searchsorted(pu, start), pu=pu, pv=key % num_open,
                    axis=axis, stray=stray)
 
 
 def _classify_windows(pieces: _Pieces, cells, corners, q: int, side: int, block: int):
-    """Condition 1, goodness and witness offset for one batch of full windows.
+    """Condition 1 and goodness for one batch of full windows.
 
     Window j covers the cells ``cells[j]`` (row-major over its q^d cells)
     and has lowest corner ``corners[j]`` in the cube. Its graph holds the
@@ -484,12 +449,7 @@ def _classify_windows(pieces: _Pieces, cells, corners, q: int, side: int, block:
 
     crossing = n_spanning >= 1
     good = (n_spanning == 1) & ~stray
-    low = np.full(ncomp, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(low, labels, pieces.low[nodes])
-    witness = np.full(num, -1, dtype=np.int64)
-    chosen = spanning & good[owner]
-    witness[owner[chosen]] = low[chosen]
-    return crossing, good, witness
+    return crossing, good
 
 
 def classify_good_vertices(config: BondConfig, block: int) -> GoodSiteField:
@@ -512,13 +472,11 @@ def classify_good_vertices(config: BondConfig, block: int) -> GoodSiteField:
     classified = (np.abs(sites) + radius <= n).all(axis=1)
     crossing = np.zeros(num_sites, dtype=bool)
     good = np.zeros(num_sites, dtype=bool)
-    witness = np.full(num_sites, -1, dtype=np.int64)
 
     todo = np.nonzero(classified)[0]
     field = GoodSiteField(
         block=block, box=config.box, p=config.p, seed=config.seed,
-        sites=sites, classified=classified, crossing_cluster=crossing,
-        good=good, witness=witness,
+        sites=sites, classified=classified, crossing_cluster=crossing, good=good,
     )
     if todo.size == 0:  # the box is smaller than one window
         return field
@@ -545,18 +503,14 @@ def classify_good_vertices(config: BondConfig, block: int) -> GoodSiteField:
     # a window's entries: the open pieces and the pairs of its cells
     entries = (pieces.start[cells + 1] - pieces.start[cells]
                + pieces.pair_start[cells + 1] - pieces.pair_start[cells]).sum(axis=1).cumsum()
-    found = np.full(todo.size, -1, dtype=np.int64)
     done = 0
     while done < todo.size:
         before = entries[done - 1] if done else 0
         stop = max(done + 1, int(np.searchsorted(entries, before + _BATCH_ENTRIES, side="right")))
         batch = slice(done, stop)
-        crossing[todo[batch]], good[todo[batch]], found[batch] = _classify_windows(
+        crossing[todo[batch]], good[todo[batch]] = _classify_windows(
             pieces, cells[batch], corners[batch], q, side, block)
         done = stop
-    hit = found >= 0
-    coords = np.stack(np.unravel_index(found[hit], (span,) * d), axis=-1) + start
-    witness[todo[hit]] = box.coord_to_vertex(coords)
     return field
 
 

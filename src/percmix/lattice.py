@@ -91,14 +91,6 @@ class BoxGraph:
         side, n = self.spec.side, self.spec.n
         return (vids[..., None] // self.strides) % side - n
 
-    def coord_to_vertex(self, coords) -> np.ndarray:
-        """Vertex ids for an array of coordinates, shape (..., d)."""
-        coords = np.asarray(coords, dtype=np.int64)
-        n = self.spec.n
-        if np.any(np.abs(coords) > n):
-            raise DomainError("coordinate outside the box")
-        return ((coords + n) * self.strides).sum(axis=-1)
-
 
 def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The concatenated ranges [s, s + l) over paired ``starts`` and ``lens``."""

@@ -253,10 +253,11 @@ class SandwichReport:
 
 
 def sandwich_check(tau1: float, spec: SpectralResult, pi_min: float,
-                   atol: float = 0.0, rtol: float = 1e-9) -> SandwichReport:
+                   atol: float = 0.0) -> SandwichReport:
     """Verify the two-sided relation between mixing and relaxation times.
 
-    ``atol`` should cover the bracket resolution of the mixing time estimate.
+    ``atol`` should cover the bracket resolution of the mixing time estimate;
+    each side also forgives a relative 1e-9.
     Raises on violation, naming the failing side.
     """
     if not 0.0 < pi_min <= 1.0:
@@ -265,9 +266,9 @@ def sandwich_check(tau1: float, spec: SpectralResult, pi_min: float,
     upper = tau2 * (1.0 + 0.5 * np.log(1.0 / pi_min))
     lower_slack = tau1 - tau2
     upper_slack = upper - tau1
-    if tau1 < tau2 * (1.0 - rtol) - atol:
+    if tau1 < tau2 * (1.0 - 1e-9) - atol:
         raise InequalityViolationError("lower", tau1, tau2, lower_slack)
-    if tau1 > upper * (1.0 + rtol) + atol:
+    if tau1 > upper * (1.0 + 1e-9) + atol:
         raise InequalityViolationError("upper", tau1, upper, upper_slack)
     return SandwichReport(tau1=tau1, tau2=tau2, upper=upper,
                           lower_slack=lower_slack, upper_slack=upper_slack)

@@ -19,6 +19,7 @@ from percmix.conductance import (EXHAUSTIVE_CAP, ConductanceProfile, CutValue, P
 from percmix.errors import CapacityError, DomainError, NonConvergenceError
 from percmix.experiments import SCHEMA_VERSION, ExperimentConfig
 from percmix.fitting import FitResult
+from percmix.geometry import DualFppField
 from percmix.lattice import BoxGraph, BoxSpec
 from percmix.percolation import ClusterGraph, largest_cluster, sample_bond_config
 
@@ -41,7 +42,7 @@ def fit_through_origin(x, y) -> FitResult:
     ss_res = float((resid**2).sum())
     ss_tot = float((y * y).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return FitResult(slope=slope, intercept=0.0, r_squared=r2, n_points=x.size)
+    return FitResult(slope=slope, intercept=0.0, r_squared=r2)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,11 @@ def chemical_distance(cluster: ClusterGraph, x: int, y: int) -> int:
         return 0
     dist = csgraph.dijkstra(cluster.adjacency, indices=lx, unweighted=True, directed=False)
     return int(dist[ly])
+
+
+def dual_distance(field: DualFppField, x_face, y_face) -> int:
+    """0-1 weighted distance between two dual vertices (face coordinates)."""
+    return int(field.distances([x_face], [y_face])[0])
 
 
 def l1_diameter(points) -> int:
@@ -259,6 +265,15 @@ def profile_scaled(profile: ConductanceProfile, c: float) -> ConductanceProfile:
 
 # ---------------------------------------------------------------------------
 # lattice graphs as sparse matrices
+
+
+def coord_to_vertex(box: BoxGraph, coords) -> np.ndarray:
+    """Vertex ids for an array of coordinates, shape (..., d)."""
+    coords = np.asarray(coords, dtype=np.int64)
+    n = box.spec.n
+    if np.any(np.abs(coords) > n):
+        raise DomainError("coordinate outside the box")
+    return ((coords + n) * box.strides).sum(axis=-1)
 
 
 def edge_id(box: BoxGraph, u: int, v: int) -> int:

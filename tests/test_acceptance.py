@@ -90,7 +90,7 @@ def test_criterion_3_cheeger_upper_envelope():
 
 
 def _tiny_instances(count=25):
-    """Deterministic stream of percolation instances with 2..22 vertices."""
+    """Deterministic stream of percolation clusters with 2..22 vertices."""
     picked = []
     seed = 0
     while len(picked) < count and seed < 4000:
@@ -101,7 +101,7 @@ def _tiny_instances(count=25):
         except EmptyClusterError:
             continue
         if 2 <= cluster.num_vertices <= 22:
-            picked.append((config, cluster))
+            picked.append(cluster)
     return picked
 
 
@@ -114,7 +114,7 @@ def test_criterion_4_exact_inequality_suite(preset_run):
 
     checked = {"sandwich": 0, "cheeger": 0, "var": 0, "gap": 0, "lk": 0}
     failures = []
-    for config, cluster in _tiny_instances():
+    for cluster in _tiny_instances():
         chain = pm.build_chain(cluster)
         spec = pm.spectral_gap(chain)
         mix = pm.mixing_time(chain, resolution=1e-3, tau2_hint=spec.tau2)
@@ -135,7 +135,7 @@ def test_criterion_4_exact_inequality_suite(preset_run):
         checked["var"] += 1
 
         cuts = [cheeger.phi, pm.sweep_cut(chain, spec).phi]
-        cuts += [p.phi for p in pm.profile_upper_box(chain, config).points]
+        cuts += [p.phi for p in pm.profile_upper_box(chain).points]
         if spec.gap > min(cuts) * (1 + 1e-9):
             failures.append(f"gap: {spec.gap} vs min cut {min(cuts)}")
         checked["gap"] += 1

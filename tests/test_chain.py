@@ -31,6 +31,7 @@ from percmix.percolation import ClusterGraph
 import helpers
 from helpers import (
     complete_graph,
+    coord_to_vertex,
     cycle_graph,
     full_box_cluster,
     jump_kernel,
@@ -222,13 +223,13 @@ def test_cycle_chain_measures():
 def test_grid_chain_measures():
     ch = pm.build_chain(full_box_cluster(2, 1))
     center = helpers.local_index(
-        ch.graph, int(pm.build_box(pm.BoxSpec(2, 1)).coord_to_vertex(np.array([0, 0])))
+        ch.graph, int(coord_to_vertex(pm.build_box(pm.BoxSpec(2, 1)), np.array([0, 0])))
     )
     corner = helpers.local_index(
-        ch.graph, int(pm.build_box(pm.BoxSpec(2, 1)).coord_to_vertex(np.array([-1, -1])))
+        ch.graph, int(coord_to_vertex(pm.build_box(pm.BoxSpec(2, 1)), np.array([-1, -1])))
     )
     mid = helpers.local_index(
-        ch.graph, int(pm.build_box(pm.BoxSpec(2, 1)).coord_to_vertex(np.array([-1, 0])))
+        ch.graph, int(coord_to_vertex(pm.build_box(pm.BoxSpec(2, 1)), np.array([-1, 0])))
     )
     assert ch.pi[center] == pytest.approx(4 / 24)
     assert ch.pi[corner] == pytest.approx(2 / 24)

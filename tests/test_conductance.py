@@ -28,6 +28,7 @@ from percmix.spectral import SpectralResult
 from helpers import (
     cheeger_exact,
     complete_graph,
+    coord_to_vertex,
     cycle_graph,
     edge_id,
     full_box_cluster,
@@ -395,8 +396,7 @@ def test_small_set_floor_below_exact_profile():
 
 def test_profile_upper_box_self_consistent_on_full_grid():
     ch = pm.build_chain(full_box_cluster(2, 3))
-    config = pm.sample_bond_config(pm.BoxSpec(2, 3), 1.0, 0)
-    prof = pm.profile_upper_box(ch, config)
+    prof = pm.profile_upper_box(ch)
     assert prof.points
     assert profile_is_non_increasing(prof)
     # emitted values are genuine cut values: re-evaluate a window directly
@@ -654,7 +654,7 @@ def polyline_chain(n, polylines, mirror=False):
     mask = np.zeros(box.edge_count, dtype=bool)
     sign = -1 if mirror else 1
     for line in polylines:
-        ids = graph.coord_to_vertex([(sign * x, y) for x, y in line])
+        ids = coord_to_vertex(graph, [(sign * x, y) for x, y in line])
         for u, v in zip(ids[:-1], ids[1:]):
             mask[edge_id(graph, int(u), int(v))] = True
     return pm.build_chain(pm.largest_cluster(pm.BondConfig(box, 0.5, 0, mask)))

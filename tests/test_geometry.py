@@ -21,7 +21,7 @@ from percmix.geometry import (
     good_density_curve,
 )
 from percmix.lattice import BoxSpec, build_box, dual_lattice
-from helpers import box_adjacency, window_vertex_ids
+from helpers import box_adjacency, dual_distance, window_vertex_ids
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +88,13 @@ def batched_dijkstra_distances(field, x_faces, y_faces):
 
 
 def reference_fpp_regression(config, n_pairs=300, l1_range=(10, 60), margin=5,
-                             rng_seed=0, n_targets=11):
+                             rng_seed=0):
     """The per-pair sampling-and-solving loop, one BFS per drawn pair."""
     field = ReferenceDualFpp(config)
     n = config.box.n
     lo, hi = -n + margin, n - 1 - margin
     rng = np.random.default_rng(rng_seed)
-    targets = np.unique(np.linspace(l1_range[0], l1_range[1], n_targets).round()
+    targets = np.unique(np.linspace(l1_range[0], l1_range[1], 11).round()
                         .astype(np.int64))
     per = max(1, n_pairs // len(targets))
     pairs, means = [], []
@@ -128,7 +128,6 @@ def reference_classify_good_vertices(config, block):
     classified = (np.abs(sites) + radius <= n).all(axis=1)
     crossing = np.zeros(sites.shape[0], dtype=bool)
     good = np.zeros(sites.shape[0], dtype=bool)
-    witness = np.full(sites.shape[0], -1, dtype=np.int64)
     side = 2 * radius + 1
     for si in np.nonzero(classified)[0]:
         grid = window_vertex_ids(box, sites[si] - radius, sites[si] + radius)
@@ -174,21 +173,18 @@ def reference_classify_good_vertices(config, block):
                 star = crossing_labels[0]
                 if np.all(np.isin(big, [star])):
                     good[si] = True
-                    witness[si] = int(flat[labels == star].min())
     return GoodSiteField(
         block=block, box=config.box, p=config.p, seed=config.seed, sites=sites,
-        classified=classified, crossing_cluster=crossing, good=good, witness=witness,
+        classified=classified, crossing_cluster=crossing, good=good,
     )
 
 
-def _batched_windows(flags, bases, offsets, block):
-    """Condition 1, goodness and witness for one batch of full windows.
+def _batched_windows(flags, block):
+    """Condition 1 and goodness for one batch of full windows.
 
     ``flags[a, j]`` holds the open flags of the forward axis-``a`` edges of
     window j's vertices, on the window grid (a copy, whose last layer along
-    each axis is cleared in place); ``bases[j]`` is the VertexId of its
-    lowest corner, and ``offsets`` maps row-major local order to VertexId
-    offsets, so local order is VertexId order. The windows form one padded
+    each axis is cleared in place). The windows form one padded
     CSR graph (window j owns nodes j*size .. (j+1)*size - 1): every node has
     d slots, the forward neighbour along each axis when that edge is open and
     the node itself otherwise, so one ``connected_components`` call labels
@@ -237,11 +233,7 @@ def _batched_windows(flags, bases, offsets, block):
 
     crossing = n_spanning >= 1
     good = (n_spanning == 1) & ~stray
-    # witness: the first node, in VertexId order, of the one spanning piece
-    first = spanning[labels.reshape(b, size)[good]].argmax(axis=1)
-    witness = np.full(b, -1, dtype=np.int64)
-    witness[good] = bases[good] + offsets[first]
-    return crossing, good, witness
+    return crossing, good
 
 
 def batched_classify_good_vertices(config, block):
@@ -258,12 +250,9 @@ def batched_classify_good_vertices(config, block):
     classified = (np.abs(sites) + radius <= n).all(axis=1)
     crossing = np.zeros(sites.shape[0], dtype=bool)
     good = np.zeros(sites.shape[0], dtype=bool)
-    witness = np.full(sites.shape[0], -1, dtype=np.int64)
     todo = np.nonzero(classified)[0]
     if todo.size:
         corners = sites[todo] - radius
-        bases = box.coord_to_vertex(corners)
-        offsets = window_vertex_ids(box, [-n] * d, [-n + side - 1] * d).ravel()
         lookup = box.edge_lookup.T.reshape((d,) + (config.box.side,) * d)
         forward = config.open_mask[lookup] & (lookup >= 0)
         windows = np.lib.stride_tricks.sliding_window_view(
@@ -273,11 +262,10 @@ def batched_classify_good_vertices(config, block):
             batch = slice(start, start + per_batch)
             idx = todo[batch]
             flags = windows[(slice(None),) + tuple((corners[batch] + n).T)]
-            crossing[idx], good[idx], witness[idx] = _batched_windows(
-                flags, bases[batch], offsets, block)
+            crossing[idx], good[idx] = _batched_windows(flags, block)
     return GoodSiteField(
         block=block, box=config.box, p=config.p, seed=config.seed, sites=sites,
-        classified=classified, crossing_cluster=crossing, good=good, witness=witness,
+        classified=classified, crossing_cluster=crossing, good=good,
     )
 
 
@@ -330,7 +318,7 @@ def sites_connected(site_coords, block):
 
 def assert_fields_equal(fast, slow):
     np.testing.assert_array_equal(fast.sites, slow.sites)
-    for name in ("classified", "crossing_cluster", "good", "witness"):
+    for name in ("classified", "crossing_cluster", "good"):
         np.testing.assert_array_equal(getattr(fast, name), getattr(slow, name), err_msg=name)
 
 
@@ -340,8 +328,8 @@ probabilities = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 
 def test_fpp_all_closed_is_free():
     field = DualFppField(pm.sample_bond_config(BoxSpec(2, 6), 0.0, 0))
-    assert field.distance((-4, -4), (5, 5)) == 0
-    assert field.distance((0, 0), (0, 0)) == 0
+    assert dual_distance(field, (-4, -4), (5, 5)) == 0
+    assert dual_distance(field, (0, 0), (0, 0)) == 0
 
 
 def test_fpp_full_lattice_is_l1():
@@ -350,7 +338,7 @@ def test_fpp_full_lattice_is_l1():
     for _ in range(25):
         a = rng.integers(-5, 5, size=2)
         b = rng.integers(-5, 5, size=2)
-        assert field.distance(a, b) == int(np.abs(a - b).sum())
+        assert dual_distance(field, a, b) == int(np.abs(a - b).sum())
 
 
 def test_fpp_requires_dimension_two():
@@ -363,9 +351,9 @@ def test_fpp_pseudometric_on_triples():
     rng = np.random.default_rng(0)
     for _ in range(20):
         x, y, z = (rng.integers(-7, 7, size=2) for _ in range(3))
-        dxy = field.distance(x, y)
-        assert dxy == field.distance(y, x)
-        assert dxy <= field.distance(x, z) + field.distance(z, y)
+        dxy = dual_distance(field, x, y)
+        assert dxy == dual_distance(field, y, x)
+        assert dxy <= dual_distance(field, x, z) + dual_distance(field, z, y)
         assert dxy <= int(np.abs(x - y).sum())  # weights are at most one
 
 
@@ -398,7 +386,7 @@ def test_fpp_distance_matches_zero_one_bfs(n, p, seed, data):
     field = DualFppField(config)
     oracle = ReferenceDualFpp(config)
     expected = [oracle.distance(x, y) for x, y in pairs]
-    assert [field.distance(x, y) for x, y in pairs] == expected
+    assert [dual_distance(field, x, y) for x, y in pairs] == expected
     xs, ys = zip(*pairs)
     assert field.distances(xs, ys).tolist() == expected
     l1 = [abs(x[0] - y[0]) + abs(x[1] - y[1]) for x, y in pairs]
@@ -480,7 +468,7 @@ def test_fpp_search_holds_only_layers(monkeypatch):
         return member(sorted_keys, keys)
 
     monkeypatch.setattr(geometry_module, "_member", spy)
-    assert field.distance((-10, -10), (9, 9)) == 38
+    assert dual_distance(field, (-10, -10), (9, 9)) == 38
     assert 0 < max(sizes) <= 4 * 19
 
 
@@ -505,7 +493,6 @@ def test_good_sites_full_lattice():
     field = pm.classify_good_vertices(pm.sample_bond_config(BoxSpec(2, 24), 1.0, 0), 8)
     assert field.num_classified > 0
     assert field.density() == 1.0
-    assert np.all(field.witness[field.good] >= 0)
 
 
 def test_good_sites_empty_lattice():
@@ -611,23 +598,19 @@ def test_good_sites_match_per_site_loop_where_block_tenth_steps(d, n, block, p):
 
 
 @pytest.mark.parametrize("d,n,block", [(2, 24, 8), (2, 40, 13), (3, 12, 8)])
-def test_good_sites_full_lattice_witness_is_lowest_corner(d, n, block):
+def test_good_sites_full_lattice_every_classified_site_good(d, n, block):
     config = pm.sample_bond_config(BoxSpec(d, n), 1.0, 0)
     field = classify_good_vertices(config, block)
-    inner = field.classified
-    corners = build_box(config.box).coord_to_vertex(field.sites[inner] - (5 * block) // 4)
-    assert field.good[inner].all()
-    np.testing.assert_array_equal(field.witness[inner], corners)
-    assert (field.witness[~inner] == -1).all()
+    assert field.good[field.classified].all()
 
 
 def _cell_pieces(config, block):
-    """The cube the windows cover, its cell starts, and its pieces, by a plain route.
+    """The cube the windows cover and the pieces of its cells, by a plain route.
 
-    Returns the cube side, the offsets that start a cell, each window's
-    lowest corner in the cube, the piece of every cube vertex (row-major),
-    the open pieces (those an open edge joins to another cell) and the
-    distinct pairs of pieces such edges join.
+    Returns the cube side, each window's lowest corner in the cube, the
+    piece of every cube vertex (row-major), the open pieces (those an open
+    edge joins to another cell) and the distinct pairs of pieces such edges
+    join.
     """
     d, n = config.box.d, config.box.n
     box = build_box(config.box)
@@ -652,13 +635,13 @@ def _cell_pieces(config, block):
                               shape=(ids.size, ids.size))
     piece = csgraph.connected_components(graph, directed=False)[1]
     pairs = np.unique(np.stack([piece[tail[~inner]], piece[head[~inner]]], axis=1), axis=0)
-    return span, starts, corners - start, piece, np.unique(pairs), pairs
+    return span, corners - start, piece, np.unique(pairs), pairs
 
 
 @pytest.mark.parametrize("d,n,block", [(2, 80, 8), (3, 18, 8)])
 def test_good_sites_one_label_call_per_batch(monkeypatch, d, n, block):
     config = pm.sample_bond_config(BoxSpec(d, n), 0.7, 0)
-    span, starts, corners, piece, opened, pairs = _cell_pieces(config, block)
+    span, corners, piece, opened, pairs = _cell_pieces(config, block)
     side = 2 * ((5 * block) // 4) + 1
     grid = piece.reshape((span,) * d)
     nodes, edges, entries = [], [], []
@@ -682,25 +665,13 @@ def test_good_sites_one_label_call_per_batch(monkeypatch, d, n, block):
 
     monkeypatch.setattr(geometry_module.csgraph, "connected_components", counting_label)
     monkeypatch.setattr(geometry_module.sparse, "coo_matrix", no_coo)
-    layer = span ** (d - 1)
-    rows = np.append(starts, span)
-    # the default budget makes one slab here; the small one makes several
+    # the budget bounds the window batches only: the contraction is one call
     for budget in (geometry_module._BATCH_ENTRIES, 2**12):
         monkeypatch.setattr(geometry_module, "_BATCH_ENTRIES", budget)
         calls.clear()
         classify_good_vertices(config, block)
-        # first the contraction: slabs of whole cell rows, each as many rows
-        # as fit in the budget (at least one), then one call per window batch
-        ends = np.cumsum([size for size, _ in calls]) // layer
-        num_slabs = int(np.searchsorted(ends, span)) + 1
-        assert ends[num_slabs - 1] == span
-        lo = 0
-        for hi in ends[:num_slabs]:
-            assert hi in rows
-            assert (hi - lo) * layer <= budget or rows[rows > lo][0] == hi
-            assert hi == span or (rows[rows > hi][0] - lo) * layer > budget
-            lo = hi
-        assert [nnz for _, nnz in calls[:num_slabs]] == [size * d for size, _ in calls[:num_slabs]]
+        # first the contraction: one call over the whole cube, d slots a node
+        assert calls[0] == (span**d, d * span**d)
         # then the windows, in order, as many per batch as fit in the budget
         batches, done = 0, 0
         while done < len(entries):
@@ -708,7 +679,7 @@ def test_good_sites_one_label_call_per_batch(monkeypatch, d, n, block):
             while stop < len(entries) and sum(entries[done:stop + 1]) <= budget:
                 stop += 1
             batches, done = batches + 1, stop
-        windows = calls[num_slabs:]
+        windows = calls[1:]
         assert len(windows) == batches
         assert sum(size for size, _ in windows) == sum(nodes)
         assert sum(nnz for _, nnz in windows) == sum(edges)

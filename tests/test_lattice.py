@@ -6,8 +6,8 @@ from scipy.sparse import csgraph
 
 from percmix.errors import CapacityError, DomainError, UnsupportedDimensionError
 from percmix.lattice import BoxSpec, DualGraph, build_box, dual_lattice
-from helpers import (box_adjacency, box_degrees, dual_adjacency, edge_id, l1_diameter,
-                     window_vertex_ids)
+from helpers import (box_adjacency, box_degrees, coord_to_vertex, dual_adjacency, edge_id,
+                     l1_diameter, window_vertex_ids)
 
 
 def brute_edge_count(d, n):
@@ -56,14 +56,14 @@ def test_edge_count_formula(d, n):
 
 def test_interior_degree():
     box = build_box(BoxSpec(3, 2))
-    center = box.coord_to_vertex(np.zeros(3, dtype=int))
+    center = coord_to_vertex(box, np.zeros(3, dtype=int))
     assert box_degrees(box)[center] == 6
 
 
 def test_vertex_roundtrip_all():
     box = build_box(BoxSpec(3, 2))
     vids = np.arange(box.num_vertices)
-    assert np.array_equal(box.coord_to_vertex(box.vertex_coords(vids)), vids)
+    assert np.array_equal(coord_to_vertex(box, box.vertex_coords(vids)), vids)
 
 
 def test_edge_roundtrip_all():
@@ -81,7 +81,7 @@ def test_coord_roundtrip_random(d, n, data):
         n = 1
     box = build_box(BoxSpec(d, n))
     coord = np.array([data.draw(st.integers(-n, n)) for _ in range(d)])
-    vid = box.coord_to_vertex(coord)
+    vid = coord_to_vertex(box, coord)
     assert np.array_equal(box.vertex_coords(vid), coord)
 
 

@@ -2,7 +2,6 @@
 
 import ast
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,18 +32,31 @@ def _defined_names():
     return sorted(names)
 
 
+def _code_words(path):
+    """The identifiers a file's code uses, and its string constants that name an attribute.
+
+    A name or attribute counts, and so does a string constant that is exactly
+    an identifier (``perfbench/tracer.py`` wraps functions by name); a word in
+    a docstring, a comment or a longer string does not.
+    """
+    words = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            words.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            words.add(node.value)
+    return words
+
+
 def _uncalled(names):
-    """The names that no line outside tests/ mentions, other than their own def or class."""
+    """The names that no code outside tests/ uses; a def or class is no use of its own name."""
     files = [f for f in SRC.glob("*.py") if f.name != "__init__.py"]
     files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    lines = [line for f in files for line in f.read_text(encoding="utf-8").splitlines()]
-    unused = []
-    for name in names:
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
-        if not any(word.search(line) and not own.match(line) for line in lines):
-            unused.append(name)
-    return unused
+    used = set().union(*(_code_words(f) for f in files))
+    return [name for name in names if name not in used]
 
 
 def test_every_export_has_a_caller_outside_tests():

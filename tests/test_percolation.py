@@ -14,7 +14,7 @@ from percmix.percolation import (
     largest_cluster,
     sample_bond_config,
 )
-from helpers import chemical_distance, edge_id, fit_through_origin
+from helpers import chemical_distance, coord_to_vertex, edge_id, fit_through_origin
 
 BOX = BoxSpec(2, 3)
 
@@ -135,8 +135,8 @@ def _config_with_edges(box, coordinate_pairs):
     graph = build_box(box)
     mask = np.zeros(box.edge_count, dtype=bool)
     for a, b in coordinate_pairs:
-        u = int(graph.coord_to_vertex(np.array(a)))
-        v = int(graph.coord_to_vertex(np.array(b)))
+        u = int(coord_to_vertex(graph, np.array(a)))
+        v = int(coord_to_vertex(graph, np.array(b)))
         mask[edge_id(graph, u, v)] = True
     return BondConfig(box, 0.5, 0, mask)
 
@@ -216,7 +216,7 @@ def test_chemical_distance_same_vertex():
 def test_chemical_distance_membership_error():
     config = _config_with_edges(BoxSpec(2, 8), [((5, 5), (5, 6)), ((5, 6), (6, 6))])
     cluster = largest_cluster(config)
-    outsider = int(build_box(config.box).coord_to_vertex(np.array([0, 0])))
+    outsider = int(coord_to_vertex(build_box(config.box), np.array([0, 0])))
     with pytest.raises(DomainError):
         chemical_distance(cluster, int(cluster.vertex_ids[0]), outsider)
 
