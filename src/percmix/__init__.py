@@ -42,7 +42,7 @@ from .geometry import (
     fpp_regression,
     good_density_curve,
 )
-from .lattice import BoxGraph, BoxSpec, DualGraph, build_box, dual_lattice
+from .lattice import BoxGraph, BoxSpec, build_box
 from .percolation import (
     BondConfig,
     ClusterCensus,

@@ -26,8 +26,8 @@ from .caps import DENSE_CAP
 from .chain import Chain, build_chain, mixing_time
 from .errors import DomainError, InequalityViolationError
 from .fitting import fit_loglog
-from .geometry import (check_block_scales, check_fpp_request, check_windows_fit,
-                       classify_good_vertices, fpp_regression)
+from .geometry import (check_block_scales, check_fpp_fits, check_fpp_request,
+                       check_windows_fit, classify_good_vertices, fpp_regression)
 from .lattice import BoxSpec
 from .percolation import cluster_census, largest_cluster, sample_bond_config
 
@@ -95,6 +95,8 @@ class ExperimentConfig:
         if "renorm" in self.quantities:
             check_windows_fit(self.n_list[0], self.renorm_blocks)
         check_fpp_request(self.fpp_pairs, (self.fpp_l1_lo, self.fpp_l1_hi))
+        if "fpp" in self.quantities and self.d == 2:  # other d fail per instance
+            check_fpp_fits(self.n_list[0], self.fpp_l1_hi)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

@@ -10,41 +10,42 @@ Two instruments, both pure functions of a bond configuration:
   an open cluster touching all faces that absorbs every component of
   non-trivial diameter.
 
-Both run as whole-array passes. Dual distances contract the weight-0 dual
-edges (one ``connected_components`` call) and then run one bidirectional
-level BFS over the quotient graph that serves every pair at once and stops
-each pair where its two searches meet. The good-site windows of one block
-scale share one contraction of the box: cuts at every x = -r or r+1 (mod
-block), with r the window radius, split the covered range into cells, so
-each window is a product of whole cells. One padded CSR
-``connected_components`` call over the whole cube labels the pieces of
-every cell, and the open edges between cells become pairs of pieces. Each
-window is then the small graph of its cells' pieces and the pairs among
-them, a batch of windows one ``connected_components`` call, and crossing
-and goodness are reductions over its components. Batches stay within
-``_BATCH_ENTRIES`` entries.
+Both run as whole-array passes. Dual distances read the dual edges off the
+2n x 2n face grid, contract the weight-0 ones (one ``connected_components``
+call) and then run one bidirectional level BFS over the quotient graph per
+chunk of pairs: a visit bitmap per chunk makes each membership test one
+gather, the side with the smaller frontier grows first, and each pair stops
+where its two searches meet. The good-site windows of one block scale share
+one contraction of the box: cuts at every x = -r or r+1 (mod block), with r
+the window radius, split the covered range into cells, so each window is a
+product of whole cells. One padded CSR ``connected_components`` call over
+the whole cube labels the pieces of every cell, and the open edges between
+cells become pairs of pieces. Each window is then the small graph of its
+cells' pieces and the pairs among them, a batch of windows one
+``connected_components`` call, and crossing and goodness are reductions
+over its components. Window batches stay within ``_BATCH_ENTRIES`` entries,
+and search bitmaps within 64 times as many bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import itertools
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
 from .errors import DomainError, UnsupportedDimensionError
-from .lattice import BoxSpec, build_box, concat_ranges, dual_lattice
+from .lattice import BoxSpec, build_box, concat_ranges
 from .percolation import BondConfig, bernoulli_site_field, sample_bond_config
 
-# Entries one batched call may allocate: dual search keys (pairs x
-# _FRONTIER_PER_PAIR) or the window graphs of a batch (their cells' pieces
-# and pairs; a cell lies in about 2.5^d windows, so one graph of all windows
-# would be that many times the contracted cube).
+# Entries one batched call may allocate: the window graphs of a batch (their
+# cells' pieces and pairs; a cell lies in about 2.5^d windows, so one graph of
+# all windows would be that many times the contracted cube). A dual search's
+# visit bitmap (pairs x classes bytes) may take 64 times this, 4 MB: a larger
+# one added resident memory and saved no time at n=160.
 _BATCH_ENTRIES = 2**16
-# Keys a pair's dual search gathers in its widest layer, with room to spare:
-# at most 1279 over 1188 pairs at L1 10..60, p=0.7, n=80 and 160.
-_FRONTIER_PER_PAIR = 2**10
+# Faces an FPP pair keeps from the box boundary.
+FPP_MARGIN = 5
 
 
 class DualFppField:
@@ -60,47 +61,63 @@ class DualFppField:
     def __init__(self, config: BondConfig):
         if config.box.d != 2:
             raise UnsupportedDimensionError("dual first-passage needs d=2")
-        box = build_box(config.box)
-        self.dual = dual_lattice(box)
-        u, v = self.dual.dual_u, self.dual.dual_v
-        interior = (u != self.dual.outer_face) & (v != self.dual.outer_face)
-        free = interior & ~config.open_mask
-        size = self.dual.num_inner_faces
-        num_classes, self._face_class = csgraph.connected_components(
+        n = config.box.n
+        # face (fx, fy) is the unit square [fx, fx+1] x [fy, fy+1], at row
+        # fx + n and column fy + n of the face grid; the step to (fx, fy+1)
+        # crosses the axis-0 edge with tail (fx, fy+1), the step to (fx+1, fy)
+        # the axis-1 edge with tail (fx+1, fy)
+        lookup = build_box(config.box).edge_lookup.T.reshape(2, 2 * n + 1, 2 * n + 1)
+        faces = np.arange(4 * n * n, dtype=np.int32).reshape(2 * n, 2 * n)
+        steps = [(faces[:, :-1], faces[:, 1:], lookup[0, :-1, 1:-1]),
+                 (faces[:-1], faces[1:], lookup[1, 1:-1, :-1])]
+        u, v = (np.concatenate([step[k].ravel() for step in steps]) for k in range(2))
+        paid = np.concatenate([config.open_mask[step[2]].ravel() for step in steps])
+        free = ~paid
+        num_classes, face_class = csgraph.connected_components(
             sparse.coo_matrix((np.ones(int(free.sum()), dtype=np.int8), (u[free], v[free])),
-                              shape=(size, size)),
+                              shape=(faces.size, faces.size)),
             directed=False,
         )
-        paid = interior & config.open_mask
-        cu, cv = self._face_class[u[paid]], self._face_class[v[paid]]
+        self._face_class = face_class.reshape(faces.shape)
+        cu, cv = face_class[u[paid]], face_class[v[paid]]
         cross = cu != cv
         cu, cv = cu[cross], cv[cross]
         # symmetric, so BFS runs directed without a transpose; tocsr merges
         # repeated edges, and only the pattern matters to an unweighted search
+        ends = (np.concatenate([cu, cv]), np.concatenate([cv, cu]))
         self._quotient = sparse.coo_matrix(
-            (np.ones(2 * cu.size), (np.concatenate([cu, cv]), np.concatenate([cv, cu]))),
-            shape=(num_classes, num_classes),
-        ).tocsr()
+            (np.ones(2 * cu.size, dtype=bool), ends), shape=(num_classes, num_classes)).tocsr()
 
     def distances(self, x_faces, y_faces) -> np.ndarray:
-        """0-1 distances between paired faces, given as (P, 2) face coordinates.
+        """0-1 distances between paired faces, given as (P, 2) integer face coordinates.
 
         Faces in one class are at distance 0. The other pairs are sorted by
-        L1 separation and solved ``_BATCH_ENTRIES // _FRONTIER_PER_PAIR`` at
-        a time by one bidirectional level BFS on the quotient graph (see
-        ``_meet``). Each pair stops where its two searches meet, and by its
-        L1 separation at the latest: the staircase path between two interior
-        faces stays on interior faces and costs at most their L1 distance.
+        L1 separation and solved in chunks whose visit bitmaps (pairs x
+        classes bytes) stay within ``64 * _BATCH_ENTRIES``, each by one
+        bidirectional level BFS on the quotient graph (see ``_meet``). Each
+        pair stops where its two searches meet, and by its L1 separation at
+        the latest: the staircase path between two interior faces stays on
+        interior faces and costs at most their L1 distance.
         """
-        x = np.asarray(x_faces, dtype=np.int64).reshape(-1, 2)
-        y = np.asarray(y_faces, dtype=np.int64).reshape(-1, 2)
-        src = self._face_class[self.dual.coord_to_face(x)]
-        dst = self._face_class[self.dual.coord_to_face(y)]
+        n = self._face_class.shape[0] // 2
+        coords = []
+        for faces in (x_faces, y_faces):
+            raw = np.asarray(faces).reshape(-1, 2)
+            with np.errstate(invalid="ignore"):  # NaN and infinities fail the test below
+                face = raw.astype(np.int64)
+            if (face != raw).any():
+                raise DomainError("face coordinates must be integers")
+            if ((face < -n) | (face >= n)).any():
+                raise DomainError("face coordinate outside the box")
+            coords.append(face)
+        x, y = coords
+        src = self._face_class[x[:, 0] + n, x[:, 1] + n]
+        dst = self._face_class[y[:, 0] + n, y[:, 1] + n]
         bound = np.abs(x - y).sum(axis=1)
         out = np.zeros(bound.size, dtype=np.int64)  # pairs inside one class stay 0
         todo = np.nonzero(src != dst)[0]
         todo = todo[np.argsort(bound[todo], kind="stable")]
-        per_chunk = max(1, _BATCH_ENTRIES // _FRONTIER_PER_PAIR)
+        per_chunk = max(1, 64 * _BATCH_ENTRIES // max(1, self._quotient.shape[0]))
         for start in range(0, todo.size, per_chunk):
             chunk = todo[start:start + per_chunk]
             out[chunk] = self._meet(src[chunk], dst[chunk], bound[chunk])
@@ -109,58 +126,54 @@ class DualFppField:
     def _meet(self, src, dst, bound) -> np.ndarray:
         """Quotient distances of class pairs with src != dst, all searched at once.
 
-        Search state keys are ``pair * classes + class``, kept sorted. The
-        two sides grow one layer in turn, and a pair settles at la + lb the
-        first time the new layer of one side meets the current layer of the
-        other. That is exact: before the meeting la + lb < D, and on a
-        shortest path the node la steps from a lies D - la steps from b.
-        Settled pairs leave both frontiers. Each side keeps its last two
-        layers only: in an undirected graph the neighbours of layer L lie in
-        layers L-1..L+1, so those two drop every revisit. A pair still open
-        at its L1 bound, or whose frontier empties, is disconnected.
+        Search keys are int32 ``pair * classes + class``, and one uint8
+        bitmap over every key marks what each side has seen (bit 1 the
+        search from src, bit 2 the one from dst), so each membership test
+        is one gather. The side with the smaller frontier grows one layer,
+        dropping the keys it has seen, and a pair settles at la + lb the
+        first time a new layer meets what the other side has seen. That is
+        exact: while the seen sets are disjoint la + lb < D (a node on a
+        shortest path la steps from a would lie within lb of b), and a new
+        node la steps from a and within lb of b gives D <= la + lb. Settled
+        pairs leave both frontiers. A pair still open at its L1 bound, or
+        whose frontier empties, is disconnected.
         """
         classes = self._quotient.shape[0]
         indptr, indices = self._quotient.indptr, self._quotient.indices
         degree = np.diff(indptr)
         num = src.size
-        base = np.arange(num, dtype=np.int64) * classes
+        base = np.arange(num, dtype=np.int32) * classes  # chunks keep num * classes < 2**31
+        seen = np.zeros(num * classes, dtype=np.uint8)
+        fronts = [base + src, base + dst]
+        seen[fronts[0]] = 1
+        seen[fronts[1]] = 2
         out = np.full(num, -1, dtype=np.int64)
-        empty = base[:0]
-        sides = [[base + src, empty], [base + dst, empty]]  # [current, previous]
         depth = 0  # la + lb
-        for turn in itertools.cycle((0, 1)):
-            cur, prev = sides[turn]
-            other = sides[1 - turn][0]
-            owner, node = np.divmod(cur, classes)
+        while True:
+            side = int(fronts[1].size < fronts[0].size)
+            cur, bit = fronts[side], 1 << side
+            node = cur % classes
             deg = degree[node]
-            ends = np.cumsum(deg)  # CSR rows of every node, gathered in one pass
-            gather = np.arange(ends[-1]) - np.repeat(ends - deg - indptr[node], deg)
-            nxt = np.sort(np.repeat(owner * classes, deg) + indices[gather])
+            nxt = np.repeat(cur - node, deg) + indices[concat_ranges(indptr[node], deg)]
+            nxt = np.sort(nxt[(seen[nxt] & bit) == 0])
             nxt = nxt[np.diff(nxt, prepend=-1) != 0]  # keys are >= 0
-            nxt = nxt[~(_member(cur, nxt) | _member(prev, nxt))]
+            mark = seen[nxt]
+            seen[nxt] = mark | bit
             depth += 1
+            owner = nxt // classes
             met = np.zeros(num, dtype=bool)
-            met[nxt[_member(other, nxt)] // classes] = True
+            met[owner[mark != 0]] = True
             out[met] = depth
             live = np.zeros(num, dtype=bool)
-            live[nxt // classes] = True
+            live[owner] = True
             waiting = out < 0
             if (waiting & (~live | (depth >= bound))).any():
                 raise DomainError("dual vertices are not connected")  # unreachable on a box
             if not waiting.any():
                 return out
-            sides[turn] = [nxt, cur]
+            fronts[side] = nxt
             if met.any():
-                for side in sides:
-                    side[:] = [keys[~met[keys // classes]] for keys in side]
-
-
-def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Which of ``keys`` occur in the sorted array ``sorted_keys``."""
-    if sorted_keys.size == 0:
-        return np.zeros(keys.size, dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
-    return sorted_keys[pos] == keys
+                fronts = [keys[~met[keys // classes]] for keys in fronts]
 
 
 @dataclass(frozen=True)
@@ -175,8 +188,8 @@ class FppRegression:
 def check_fpp_request(n_pairs: int, l1_range) -> None:
     """Reject a pair count or L1 range that no sample can meet."""
     lo, hi = l1_range
-    if not 0 <= lo <= hi:
-        raise DomainError(f"L1 range needs 0 <= lo <= hi, got {lo},{hi}")
+    if not 0 <= lo < hi:  # a line needs two separations
+        raise DomainError(f"L1 range needs 0 <= lo < hi, got {lo},{hi}")
     if n_pairs < 1:
         raise DomainError(f"need at least one FPP pair, got {n_pairs}")
 
@@ -209,8 +222,17 @@ def check_windows_fit(n: int, blocks) -> None:
                           f"floor(5*block/4) wider than the box radius {n}")
 
 
+def check_fpp_fits(n: int, l1_hi: int, margin: int = FPP_MARGIN) -> None:
+    """Reject a box of radius n whose faces ``margin`` steps inside cannot lie l1_hi apart."""
+    span = 2 * n - 1 - 2 * margin  # per axis, between the extreme admissible faces
+    if span <= 0:
+        raise DomainError("box too small for the requested boundary margin")
+    if l1_hi > 2 * span:
+        raise DomainError("L1 range exceeds the interior span")
+
+
 def fpp_regression(config: BondConfig, n_pairs: int = 300,
-                   l1_range: tuple = (10, 60), margin: int = 5,
+                   l1_range: tuple = (10, 60), margin: int = FPP_MARGIN,
                    rng_seed: int = 0) -> FppRegression:
     """Linear growth fit of dual FPP distance against L1 separation.
 
@@ -226,11 +248,8 @@ def fpp_regression(config: BondConfig, n_pairs: int = 300,
     check_fpp_request(n_pairs, l1_range)
     field = DualFppField(config)
     n = config.box.n
+    check_fpp_fits(n, l1_range[1], margin)
     lo, hi = -n + margin, n - 1 - margin
-    if hi <= lo:
-        raise DomainError("box too small for the requested boundary margin")
-    if l1_range[1] > (hi - lo) * 2:
-        raise DomainError("L1 range exceeds the interior span")
     rng = np.random.default_rng(rng_seed)
     targets = np.unique(np.linspace(l1_range[0], l1_range[1], 11).round()
                         .astype(np.int64))
@@ -243,15 +262,15 @@ def fpp_regression(config: BondConfig, n_pairs: int = 300,
             attempts += 1
             if attempts > 10_000 * per:
                 raise DomainError("could not sample enough admissible face pairs")
-            a = rng.integers(lo, hi + 1, size=2)
+            ax, ay = rng.integers(lo, hi + 1, size=2).tolist()
             dx = int(rng.integers(-t, t + 1))
-            dy = t - abs(dx)
+            dy = int(t) - abs(dx)
             if rng.integers(2):
                 dy = -dy
-            b = a + np.array([dx, dy])
-            if not (lo <= b[0] <= hi and lo <= b[1] <= hi):
+            bx, by = ax + dx, ay + dy
+            if not (lo <= bx <= hi and lo <= by <= hi):
                 continue
-            faces.append((a, b))
+            faces.append(((ax, ay), (bx, by)))
             drawn += 1
     a_faces, b_faces = np.array(faces).transpose(1, 0, 2)
     dist = field.distances(a_faces, b_faces).reshape(len(targets), per)

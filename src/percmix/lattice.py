@@ -1,4 +1,4 @@
-"""Finite lattice boxes {-n..n}^d: canonical indexing, geometry, planar dual.
+"""Finite lattice boxes {-n..n}^d: canonical indexing and geometry.
 
 Vertices are ranked row-major over coordinate tuples (axis 0 slowest), edges
 are ranked by (tail vertex, axis) with only positive-axis neighbours counted.
@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, UnsupportedDimensionError
+from .errors import CapacityError, DomainError
 
 # Vertex ids must stay addressable with signed 32-bit indices so edge and
 # adjacency arrays keep a bounded footprint.
@@ -105,58 +105,3 @@ def _cached_box(spec: BoxSpec) -> BoxGraph:
 def build_box(spec: BoxSpec) -> BoxGraph:
     """Construct (or fetch the cached) box graph for a spec."""
     return _cached_box(spec)
-
-
-class DualGraph:
-    """Planar dual of B_2(n): one vertex per unit face plus one merged outer face.
-
-    Every primal edge crosses exactly one dual edge and the pairing is indexed
-    by primal EdgeId, so dual edge k crosses primal edge k. The single outer
-    face keeps boundary cut curves connected.
-    """
-
-    def __init__(self, box: BoxGraph):
-        if box.spec.d != 2:
-            raise UnsupportedDimensionError("dual lattice is defined for d=2 only")
-        self.box = box
-        n = box.spec.n
-        self.n = n
-        self.faces_per_side = 2 * n
-        self.num_inner_faces = self.faces_per_side**2
-        self.outer_face = self.num_inner_faces  # id of the merged outer face
-
-        # Face (fx, fy) is the unit square [fx, fx+1] x [fy, fy+1],
-        # fx, fy in {-n .. n-1}. Axis 0 of a primal edge changes x, axis 1 y.
-        coords = box.vertex_coords(box.edge_tail)  # (E, 2)
-        x, y = coords[:, 0], coords[:, 1]
-        ax = box.edge_axis
-        # axis-0 edge (x,y)-(x+1,y): separates faces (x, y-1) and (x, y)
-        # axis-1 edge (x,y)-(x,y+1): separates faces (x-1, y) and (x, y)
-        fu = np.where(ax == 0, self._face_id(x, y - 1), self._face_id(x - 1, y))
-        fv = self._face_id(x, y)
-        self.dual_u = fu
-        self.dual_v = fv
-        self.dual_u.setflags(write=False)
-        self.dual_v.setflags(write=False)
-
-    def _face_id(self, fx, fy) -> np.ndarray:
-        n, side = self.n, self.faces_per_side
-        inside = (fx >= -n) & (fx < n) & (fy >= -n) & (fy < n)
-        ids = (fx + n) * side + (fy + n)
-        return np.where(inside, ids, self.outer_face).astype(np.int64)
-
-    def coord_to_face(self, coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.int64)
-        n, side = self.n, self.faces_per_side
-        if np.any(coords < -n) or np.any(coords >= n):
-            raise DomainError("face coordinate outside the box")
-        return (coords[..., 0] + n) * side + (coords[..., 1] + n)
-
-
-@lru_cache(maxsize=16)
-def dual_lattice(box: BoxGraph) -> DualGraph:
-    """Planar dual of a d=2 box (cached per box; its arrays are read-only).
-
-    Errors on any other dimension.
-    """
-    return DualGraph(box)

@@ -4,6 +4,7 @@ Closed-form graphs, oracles and accessors that tests compare the package
 against; nothing in ``percmix`` calls them.
 """
 
+import itertools
 import math
 from dataclasses import fields
 from functools import lru_cache
@@ -16,11 +17,12 @@ from scipy.special import pdtr, pdtrc
 from percmix.chain import MODE_TOL, Chain
 from percmix.conductance import (EXHAUSTIVE_CAP, ConductanceProfile, CutValue, ProfilePoint,
                                  connected_subsets, set_conductance)
-from percmix.errors import CapacityError, DomainError, NonConvergenceError
+from percmix.errors import (CapacityError, DomainError, NonConvergenceError,
+                            UnsupportedDimensionError)
 from percmix.experiments import SCHEMA_VERSION, ExperimentConfig
 from percmix.fitting import FitResult
 from percmix.geometry import DualFppField
-from percmix.lattice import BoxGraph, BoxSpec
+from percmix.lattice import BoxGraph, BoxSpec, build_box
 from percmix.percolation import ClusterGraph, largest_cluster, sample_bond_config
 
 
@@ -331,6 +333,152 @@ def dual_adjacency(dual, include_outer: bool = True) -> sparse.csr_matrix:
         u, v = u[keep], v[keep]
     a = sparse.coo_matrix((np.ones(u.size, dtype=np.int8), (u, v)), shape=(size, size))
     return (a + a.T).tocsr()
+
+
+# ---------------------------------------------------------------------------
+# the planar dual as an explicit graph: the oracle of the face-grid arithmetic
+# in `DualFppField`, and the sorted-key search its bitmap search replaced
+
+
+class DualGraph:
+    """Planar dual of B_2(n): one vertex per unit face plus one merged outer face.
+
+    Every primal edge crosses exactly one dual edge and the pairing is indexed
+    by primal EdgeId, so dual edge k crosses primal edge k. The single outer
+    face keeps boundary cut curves connected.
+    """
+
+    def __init__(self, box: BoxGraph):
+        if box.spec.d != 2:
+            raise UnsupportedDimensionError("dual lattice is defined for d=2 only")
+        self.box = box
+        n = box.spec.n
+        self.n = n
+        self.faces_per_side = 2 * n
+        self.num_inner_faces = self.faces_per_side**2
+        self.outer_face = self.num_inner_faces  # id of the merged outer face
+
+        # Face (fx, fy) is the unit square [fx, fx+1] x [fy, fy+1],
+        # fx, fy in {-n .. n-1}. Axis 0 of a primal edge changes x, axis 1 y.
+        coords = box.vertex_coords(box.edge_tail)  # (E, 2)
+        x, y = coords[:, 0], coords[:, 1]
+        ax = box.edge_axis
+        # axis-0 edge (x,y)-(x+1,y): separates faces (x, y-1) and (x, y)
+        # axis-1 edge (x,y)-(x,y+1): separates faces (x-1, y) and (x, y)
+        fu = np.where(ax == 0, self._face_id(x, y - 1), self._face_id(x - 1, y))
+        fv = self._face_id(x, y)
+        self.dual_u = fu
+        self.dual_v = fv
+        self.dual_u.setflags(write=False)
+        self.dual_v.setflags(write=False)
+
+    def _face_id(self, fx, fy) -> np.ndarray:
+        n, side = self.n, self.faces_per_side
+        inside = (fx >= -n) & (fx < n) & (fy >= -n) & (fy < n)
+        ids = (fx + n) * side + (fy + n)
+        return np.where(inside, ids, self.outer_face).astype(np.int64)
+
+    def coord_to_face(self, coords) -> np.ndarray:
+        coords = np.asarray(coords, dtype=np.int64)
+        n, side = self.n, self.faces_per_side
+        if np.any(coords < -n) or np.any(coords >= n):
+            raise DomainError("face coordinate outside the box")
+        return (coords[..., 0] + n) * side + (coords[..., 1] + n)
+
+
+@lru_cache(maxsize=16)
+def dual_lattice(box: BoxGraph) -> DualGraph:
+    """Planar dual of a d=2 box (cached per box; its arrays are read-only).
+
+    Errors on any other dimension.
+    """
+    return DualGraph(box)
+
+
+def dual_graph_field(config):
+    """Face classes (by face id) and quotient graph of a d=2 configuration, via `DualGraph`.
+
+    Free dual edges cross closed primal edges; paid ones cross open edges.
+    Only dual edges between two interior faces count.
+    """
+    dual = dual_lattice(build_box(config.box))
+    u, v = dual.dual_u, dual.dual_v
+    interior = (u != dual.outer_face) & (v != dual.outer_face)
+    free = interior & ~config.open_mask
+    size = dual.num_inner_faces
+    num_classes, face_class = csgraph.connected_components(
+        sparse.coo_matrix((np.ones(int(free.sum()), dtype=np.int8), (u[free], v[free])),
+                          shape=(size, size)),
+        directed=False,
+    )
+    paid = interior & config.open_mask
+    cu, cv = face_class[u[paid]], face_class[v[paid]]
+    cross = cu != cv
+    cu, cv = cu[cross], cv[cross]
+    quotient = sparse.coo_matrix(
+        (np.ones(2 * cu.size), (np.concatenate([cu, cv]), np.concatenate([cv, cu]))),
+        shape=(num_classes, num_classes),
+    ).tocsr()
+    return face_class, quotient
+
+
+def face_classes(field: DualFppField, faces) -> np.ndarray:
+    """The classes of an array of face coordinates, shape (..., 2)."""
+    n = field._face_class.shape[0] // 2
+    faces = np.asarray(faces, dtype=np.int64) + n
+    return field._face_class[faces[..., 0], faces[..., 1]]
+
+
+def sorted_key_meet(field: DualFppField, src, dst, bound) -> np.ndarray:
+    """The bidirectional search over sorted int64 keys that the bitmap search replaced.
+
+    Keys are ``pair * classes + class``, kept sorted; the sides grow one
+    layer in turn, each keeping its last two layers to drop revisits, and a
+    pair settles at la + lb the first time one side's new layer meets the
+    other side's current layer.
+    """
+    classes = field._quotient.shape[0]
+    indptr, indices = field._quotient.indptr, field._quotient.indices
+    degree = np.diff(indptr)
+    num = src.size
+    base = np.arange(num, dtype=np.int64) * classes
+    out = np.full(num, -1, dtype=np.int64)
+    empty = base[:0]
+    sides = [[base + src, empty], [base + dst, empty]]  # [current, previous]
+    depth = 0
+    for turn in itertools.cycle((0, 1)):
+        cur, prev = sides[turn]
+        other = sides[1 - turn][0]
+        owner, node = np.divmod(cur, classes)
+        deg = degree[node]
+        ends = np.cumsum(deg)
+        gather = np.arange(ends[-1]) - np.repeat(ends - deg - indptr[node], deg)
+        nxt = np.sort(np.repeat(owner * classes, deg) + indices[gather])
+        nxt = nxt[np.diff(nxt, prepend=-1) != 0]
+        nxt = nxt[~(_sorted_member(cur, nxt) | _sorted_member(prev, nxt))]
+        depth += 1
+        met = np.zeros(num, dtype=bool)
+        met[nxt[_sorted_member(other, nxt)] // classes] = True
+        out[met] = depth
+        live = np.zeros(num, dtype=bool)
+        live[nxt // classes] = True
+        waiting = out < 0
+        if (waiting & (~live | (depth >= bound))).any():
+            raise DomainError("dual vertices are not connected")
+        if not waiting.any():
+            return out
+        sides[turn] = [nxt, cur]
+        if met.any():
+            for side in sides:
+                side[:] = [keys[~met[keys // classes]] for keys in side]
+
+
+def _sorted_member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of ``keys`` occur in the sorted array ``sorted_keys``."""
+    if sorted_keys.size == 0:
+        return np.zeros(keys.size, dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[pos] == keys
 
 
 def config_to_file(cfg: ExperimentConfig, path) -> None:

@@ -141,6 +141,15 @@ def test_renorm_window_wider_than_box_exits_1_before_writing(tmp_path, capsys, a
     assert not out.exists()
 
 
+def test_scaling_fpp_range_wider_than_box_exits_1_before_writing(tmp_path, capsys):
+    # it wrote one error row per instance and exited 3
+    out = tmp_path / "out"
+    assert main(["scaling", "--n", "16", "--seeds", "0", "--quantities", "fpp",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: L1 range exceeds the interior span\n"
+    assert not out.exists()
+
+
 def test_scaling_renorm_window_wider_than_box_exits_1_before_writing(tmp_path, capsys):
     # it wrote one error row per instance and exited 3
     out = tmp_path / "out"
@@ -231,8 +240,8 @@ def test_empty_quantity_list_exits_1_before_writing(tmp_path, capsys, command, q
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args", [["--l1=-3,10"], ["--l1", "20,10"], ["--pairs", "0"],
-                                  ["--pairs", "-4"], ["--n", "8"]])
+@pytest.mark.parametrize("args", [["--l1=-3,10"], ["--l1", "20,10"], ["--l1", "5,5"],
+                                  ["--pairs", "0"], ["--pairs", "-4"], ["--n", "8"]])
 def test_bad_fpp_request_exits_1_before_writing(tmp_path, capsys, args):
     out = tmp_path / "f.csv"
     assert main(["fpp", "--n", "16", "--out", str(out), *args]) == 1

@@ -99,7 +99,7 @@ def test_config_validation():
     with pytest.raises(DomainError):
         ExperimentConfig(mode="warp")
     for bad in (dict(fpp_l1_lo=-1), dict(fpp_l1_lo=20, fpp_l1_hi=10),
-                dict(fpp_pairs=0), dict(fpp_pairs=-3)):
+                dict(fpp_l1_lo=6, fpp_l1_hi=6), dict(fpp_pairs=0), dict(fpp_pairs=-3)):
         with pytest.raises(DomainError):
             ExperimentConfig(**bad)
 
@@ -151,6 +151,20 @@ def test_config_refuses_renorm_windows_wider_than_the_smallest_box():
                             renorm_blocks=(8,)).renorm_blocks == (8,)
     # without renorm the block scales are never used: the desk preset loads
     assert default_preset().renorm_blocks == (8, 16)
+
+
+def test_config_refuses_fpp_ranges_the_smallest_box_cannot_hold():
+    # faces 5 steps inside a box of radius n lie at most 2 * (2n - 11) apart;
+    # a wider range wrote one error row per instance
+    with pytest.raises(DomainError, match="boundary margin"):
+        ExperimentConfig(n_list=(5, 40), quantities=("fpp",))
+    with pytest.raises(DomainError, match="interior span"):
+        ExperimentConfig(n_list=(20, 40), quantities=("census", "fpp"))
+    assert ExperimentConfig(n_list=(21, 40), quantities=("fpp",)).fpp_l1_hi == 60
+    assert ExperimentConfig(n_list=(16,), quantities=("fpp",), fpp_l1_hi=42).n_list == (16,)
+    # without fpp, or at d=3 where each instance records its own error row, no check
+    assert ExperimentConfig(n_list=(5,), quantities=("census",)).n_list == (5,)
+    assert ExperimentConfig(d=3, n_list=(2,), quantities=("fpp",)).d == 3
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -20,8 +20,9 @@ from percmix.geometry import (
     density_rows_to_csv,
     good_density_curve,
 )
-from percmix.lattice import BoxSpec, build_box, dual_lattice
-from helpers import box_adjacency, dual_distance, window_vertex_ids
+from percmix.lattice import BoxSpec, build_box
+from helpers import (box_adjacency, dual_distance, dual_graph_field, dual_lattice, face_classes,
+                     sorted_key_meet, window_vertex_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +71,7 @@ def batched_dijkstra_distances(field, x_faces, y_faces):
     """The batched, L1-limited csgraph route the bidirectional search replaced."""
     x = np.asarray(x_faces, dtype=np.int64).reshape(-1, 2)
     y = np.asarray(y_faces, dtype=np.int64).reshape(-1, 2)
-    src = field._face_class[field.dual.coord_to_face(x)]
-    dst = field._face_class[field.dual.coord_to_face(y)]
+    src, dst = face_classes(field, x), face_classes(field, y)
     bound = np.abs(x - y).sum(axis=1)
     order = np.argsort(bound, kind="stable")
     per_batch = max(1, geometry_module._BATCH_ENTRIES // max(1, field._quotient.shape[0]))
@@ -441,7 +441,7 @@ def test_fpp_meeting_search_matches_both_oracles(n, p, seed, data):
                       label="pairs")
     # the same face twice, two faces of one class, and each pair again swapped
     x0 = data.draw(face, label="x0")
-    cls = field._face_class[field.dual.coord_to_face(np.array(faces))]
+    cls = face_classes(field, faces)
     mates = [f for f, c in zip(faces, cls) if c == cls[faces.index(x0)]]
     pairs += [(x0, x0), (x0, data.draw(st.sampled_from(mates), label="mate"))]
     pairs += [(y, x) for x, y in pairs]
@@ -456,18 +456,18 @@ def test_fpp_meeting_search_matches_both_oracles(n, p, seed, data):
 
 
 def test_fpp_search_holds_only_layers(monkeypatch):
-    # revisits never change a distance, only the work: each side must hold
-    # its BFS layers alone, and on the full lattice (one face per class) the
-    # layer at L1 radius r has at most 4r faces
+    # revisits never change a distance, only the work: each frontier the
+    # search expands must be one BFS layer, and on the full lattice (one face
+    # per class) the layer at L1 radius r has at most 4r faces
     field = DualFppField(pm.sample_bond_config(BoxSpec(2, 16), 1.0, 0))
     sizes = []
-    member = geometry_module._member
+    concat_ranges = geometry_module.concat_ranges
 
-    def spy(sorted_keys, keys):
-        sizes.append(sorted_keys.size)
-        return member(sorted_keys, keys)
+    def spy(starts, lens):  # the CSR rows of every frontier class
+        sizes.append(starts.size)
+        return concat_ranges(starts, lens)
 
-    monkeypatch.setattr(geometry_module, "_member", spy)
+    monkeypatch.setattr(geometry_module, "concat_ranges", spy)
     assert dual_distance(field, (-10, -10), (9, 9)) == 38
     assert 0 < max(sizes) <= 4 * 19
 
@@ -481,8 +481,39 @@ def test_fpp_regression_matches_dijkstra_at_benchmark_scale(monkeypatch):
     assert sum(reg.n_pairs for reg in fast) == 1188
 
 
+def test_fpp_search_matches_sorted_key_search_at_benchmark_scale(monkeypatch):
+    configs = [pm.sample_bond_config(BoxSpec(2, n), 0.7, seed)
+               for n in (80, 160) for seed in (0, 1)]
+    fast = [pm.fpp_regression(c, rng_seed=c.seed) for c in configs]
+    monkeypatch.setattr(DualFppField, "_meet", sorted_key_meet)
+    assert fast == [pm.fpp_regression(c, rng_seed=c.seed) for c in configs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 10), p=probabilities, seed=st.integers(0, 2**32 - 1))
+def test_fpp_face_grid_matches_dual_graph(n, p, seed):
+    config = pm.sample_bond_config(BoxSpec(2, n), p, seed)
+    field = DualFppField(config)
+    face_class, quotient = dual_graph_field(config)
+    assert np.array_equal(field._face_class.ravel(), face_class)
+    assert field._quotient.shape == quotient.shape  # both canonical: sorted, no repeats
+    assert np.array_equal(field._quotient.indptr, quotient.indptr)
+    assert np.array_equal(field._quotient.indices, quotient.indices)
+
+
+@pytest.mark.parametrize("x", [[[0.5, 0]], [[0, -1.25]], [[np.nan, 0]], [[np.inf, 0]]])
+def test_fpp_distances_reject_fractional_faces(x):
+    field = DualFppField(pm.sample_bond_config(BoxSpec(2, 4), 0.7, 0))
+    with pytest.raises(DomainError, match="integers"):
+        field.distances(x, [[0, 0]])
+    with pytest.raises(DomainError, match="integers"):
+        field.distances([[0, 0]], x)
+    assert field.distances([[1.0, -2.0]], [[1, -2]]).tolist() == [0]
+
+
 @pytest.mark.parametrize("kwargs", [dict(l1_range=(-3, 10)), dict(l1_range=(20, 10)),
-                                    dict(n_pairs=0), dict(n_pairs=-5)])
+                                    dict(l1_range=(6, 6)), dict(n_pairs=0),
+                                    dict(n_pairs=-5)])
 def test_fpp_regression_rejects_bad_requests(kwargs):
     config = pm.sample_bond_config(BoxSpec(2, 16), 0.7, 0)
     with pytest.raises(DomainError):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
 from percmix.errors import CapacityError, DomainError, UnsupportedDimensionError
-from percmix.lattice import BoxSpec, DualGraph, build_box, dual_lattice
-from helpers import (box_adjacency, box_degrees, coord_to_vertex, dual_adjacency, edge_id,
-                     l1_diameter, window_vertex_ids)
+from percmix.lattice import BoxSpec, build_box
+from helpers import (DualGraph, box_adjacency, box_degrees, coord_to_vertex, dual_adjacency,
+                     dual_lattice, edge_id, l1_diameter, window_vertex_ids)
 
 
 def brute_edge_count(d, n):
