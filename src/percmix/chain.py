@@ -8,22 +8,23 @@ transient kernel is e^{tQ} = D^{-1/2} V e^{t lambda} V^T D^{1/2}
 mixing probe reads the modes with e^{t lambda} > MODE_TOL/m only, as the m x k
 matrix A = V e^{t lambda / 2}, and those are all the eigenpairs it computes:
 above SPARSE_EIGEN_MIN vertices one sparse shift-invert Lanczos solve,
-certified complete by Sylvester's law of inertia (`Chain.eigenpairs_above`),
+certified complete by Sylvester's law of inertia (`Chain.solve_above`),
 with the dense eigendecomposition as fallback up to MATRIX_HARD_CAP. The
-kernel is the rank-k product D^{-1/2} A A^T D^{1/2}; a probe makes its rows
-in blocks, one matrix product each, and never holds it whole. Row x lies
-within chi_x / 2 of pi in TV, chi_x its chi-square distance from the
-k-vectors, so a probe makes rows in decreasing order of chi_x and stops once
-no row left can change its answer (`_row_pass`); one routine, `_probe`, reads
-either profile off those rows. Bisection only asks whether
-d(t) > e^{-1}, so a probe stops as soon as that is proven against the kernel
-error bound, and its value is then a bound on d(t), not d(t) itself: the
-mixing trace holds bounds, and `mixing_time(..., exact=True)` the exact
-values. At d=2 n=21 the probes make about an eighth of the rows for the
-distance to stationarity and under a third for the pairwise sup. The mixing
-search needs no probe below a lower bound on the crossing of e^{-1}: the
-relaxation time tau2 for the pairwise profile, (1 - ln 2) tau2 for the
-distance to stationarity.
+solves of a chain share one factor of S - sigma I, and the chain keeps no
+solve. The kernel is the rank-k product D^{-1/2} A A^T D^{1/2}; a probe makes
+its rows in blocks of at least 64, one matrix product each, and never holds
+it whole. Row x lies within chi_x / 2 of pi in TV, chi_x its chi-square
+distance from the k-vectors, so a probe makes rows in decreasing order of
+chi_x and stops once no row left can change its answer (`_row_pass`); one
+routine, `_probe`, reads either profile off those rows. Bisection only asks
+whether d(t) > e^{-1}, so a probe stops as soon as that is proven against
+the kernel error bound, and its value is then a bound on d(t), not d(t)
+itself: the mixing trace holds bounds, and `mixing_time(..., exact=True)`
+the exact values. At d=2 n=21 the probes make about an eighth of the rows
+for the distance to stationarity and under a third for the pairwise sup.
+The mixing search needs no probe below a lower bound on the crossing of
+e^{-1}: the relaxation time tau2 for the pairwise profile, (1 - ln 2) tau2
+for the distance to stationarity.
 """
 
 from __future__ import annotations
@@ -81,14 +82,14 @@ def count_above(s: sparse.spmatrix, theta: float) -> int | None:
     return int(np.count_nonzero(w > 0))
 
 
-def top_eigenpairs(s: sparse.spmatrix, k: int) -> tuple:
+def top_eigenpairs(s: sparse.spmatrix, lu, k: int) -> tuple:
     """The k largest eigenpairs of the symmetric S (spectrum <= 0), ascending.
 
-    Shift-invert Lanczos about a pole just above 0, from a fixed start
-    vector, so the result is deterministic. Raises ArpackNoConvergence.
+    Shift-invert Lanczos about the pole _SHIFT just above 0, through ``lu``,
+    the factor of S - _SHIFT I, from a fixed start vector, so the result is
+    deterministic. Raises ArpackNoConvergence.
     """
     m = s.shape[0]
-    lu = _symmetric_lu(s, _SHIFT)
     op = LinearOperator((m, m), matvec=lu.solve, dtype=float)
     v0 = 1.0 + (np.arange(m) * 0.6180339887498949) % 1.0
     w, v = eigsh(s, k=k, sigma=_SHIFT, which="LM", v0=v0, OPinv=op)
@@ -113,7 +114,6 @@ class Chain:
         self.degrees = graph.degrees
         self.total_degree = int(self.degrees.sum())
         self.pi = self.degrees / self.total_degree
-        self._above = None  # (theta, w, v) of the widest eigenpairs_above solve
 
     @property
     def pi_min(self) -> float:
@@ -146,17 +146,10 @@ class Chain:
         v.setflags(write=False)
         return w, v
 
-    def eigenpairs_above(self, theta: float) -> tuple:
-        """Every eigenpair of S with eigenvalue above theta, ascending, read-only.
-
-        The widest `solve_above` is kept, and a later theta at or above it is
-        a slice of it.
-        """
-        if self._above is None or theta < self._above[0]:
-            self._above = self.solve_above(theta)
-        _, w, v = self._above
-        cut = w.size - int(np.count_nonzero(w > theta))
-        return w[cut:], v[:, cut:]
+    @cached_property
+    def shift_factor(self):
+        """Sparse LU of S - _SHIFT I: every sparse solve of the chain shares it."""
+        return _symmetric_lu(self.symmetrized, _SHIFT)
 
     def solve_above(self, theta: float) -> tuple:
         """(floor, w, v): a certified solve for the eigenpairs of S above theta.
@@ -167,14 +160,14 @@ class Chain:
         theta separates the K-th from the (K + 1)-th, and the floor is theta.
         Any other outcome, a small chain, or K beyond a quarter of m reads the
         dense eigensystem, whose floor is -inf. Nothing is kept on the chain
-        but the dense eigensystem.
+        but the dense eigensystem and the shift factor.
         """
         s = self.symmetrized
         if self.m > SPARSE_EIGEN_MIN:
             k = count_above(s, theta)
             if k and k < _MAX_MODE_FRACTION * self.m:
                 try:
-                    w, v = top_eigenpairs(s, k + 1)
+                    w, v = top_eigenpairs(s, self.shift_factor, k + 1)
                 except ArpackNoConvergence:
                     w = None
                 if w is not None and w[0] <= theta < w[1]:
@@ -207,16 +200,15 @@ _GRAM_ROWS = 256  # rows of the keep x keep Gram product made at a time
 _EXACT = (0.0, math.inf)
 
 
-def _probe_modes(chain: Chain, t: float, tol: float) -> tuple:
+def _probe_modes(w: np.ndarray, v: np.ndarray, t: float, tol: float) -> tuple:
     """A = V e^{t lambda / 2} and e^{t lambda} over the modes with e^{t lambda} > tol/m.
 
-    Every mode below the floor is certified absent by `Chain.eigenpairs_above`.
-    Eigenvalues ascend, so the kept modes are a suffix and the stationary one
-    is the last column.
+    (w, v) must hold every eigenpair above the `_mode_floor` of some time at
+    or below t, as the mixing search's block does. Eigenvalues ascend, so the
+    kept modes are a suffix and the stationary one is the last column.
     """
-    w, v = chain.eigenpairs_above(_mode_floor(chain.m, t, tol))
     decay = np.exp(t * w)
-    k = max(1, int(np.count_nonzero(decay > tol / chain.m)))
+    k = max(1, int(np.count_nonzero(decay > tol / v.shape[0])))
     return v[:, w.size - k:] * np.sqrt(decay[w.size - k:]), decay[w.size - k:]
 
 
@@ -244,18 +236,19 @@ class _KernelRows:
     sum_j coords[x, j] v_j over the k orthonormal modes v_j; the stationary
     mode's coordinate is shifted by its sign, which leaves every difference
     unchanged. ``made`` counts the rows made, and ``step`` is the rows of
-    one product, about _BLOCK_ENTRIES entries.
+    one product: about _BLOCK_ENTRIES entries, and at least 64 rows, below
+    which a product costs several times more per row on large chains.
     """
 
-    def __init__(self, chain: Chain, t: float, tol: float):
-        a, decay = _probe_modes(chain, t, tol)
+    def __init__(self, chain: Chain, w: np.ndarray, v: np.ndarray, t: float, tol: float):
+        a, decay = _probe_modes(w, v, t, tol)
         m, k = a.shape
         self.right = np.vstack([a.T * np.sqrt(chain.pi), -chain.pi])
         self.left = np.ones((m, k + 1))
         self.left[:, :k] = a / (a @ self.right[:k].sum(axis=1))[:, None]
         self.coords = self.left[:, :k] * np.sqrt(decay)
         self.coords[:, -1] -= math.copysign(1.0, self.coords[0, -1])
-        self.step = max(1, _BLOCK_ENTRIES // m)
+        self.step = max(64, _BLOCK_ENTRIES // m)
         self.made = 0
 
     def __call__(self, idx: np.ndarray) -> np.ndarray:
@@ -421,14 +414,13 @@ def _probe(dev_rows, coords: np.ndarray, pairwise: bool, step: int,
     return best, (made[i], made[j], tv)
 
 
-def _eigen_residual(s: sparse.spmatrix, w: np.ndarray, v: np.ndarray) -> float:
-    """max_k ||S v_k - lambda_k v_k||_2 over the given eigenpairs."""
-    worst, block = 0.0, 512  # eigenpairs per product
-    for lo in range(0, w.size, block):
-        cols = v[:, lo:lo + block]
-        res = s @ cols - cols * w[lo:lo + block]
-        worst = max(worst, float(np.linalg.norm(res, axis=0).max()))
-    return worst
+def _residual_norms(s: sparse.spmatrix, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """||S v_k - lambda_k v_k||_2 of each eigenpair, 512 pairs per product."""
+    norms = np.empty(w.size)
+    for lo in range(0, w.size, 512):
+        cols = v[:, lo:lo + 512]
+        norms[lo:lo + 512] = np.linalg.norm(s @ cols - cols * w[lo:lo + 512], axis=0)
+    return norms
 
 
 @dataclass
@@ -543,10 +535,11 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     The lower end is verified only if bisection pins the crossing against
     it; where the bound holds with equality up to rounding (the single edge,
     the 4-cycle) the check can fail, and the lower end is halved and the
-    bracket bisected again. One certified eigenpair solve at the lower end
-    serves every probe above it. Pairwise results carry the kernel error
-    bound that decides ``certified``; stationarity results, which are never
-    tagged exact, leave it at NaN.
+    bracket bisected again. One certified eigenpair solve at the lower end,
+    held by the search with its residual norms, serves every probe above it.
+    Pairwise results carry the kernel error bound that decides
+    ``certified``; stationarity results, which are never tagged exact, leave
+    it at NaN.
     """
     if mode == "auto":
         mode = "pairwise" if chain.m <= PAIRWISE_CAP else "stationarity"
@@ -574,16 +567,24 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     pairwise = mode == "pairwise"
     ratio = float(chain.degrees.max()) / float(chain.degrees.min())
 
+    def solve(t):
+        """The eigenpairs every probe at or above t reads, and their residual norms."""
+        floor = _mode_floor(chain.m, t, MODE_TOL)
+        _, w, v = chain.solve_above(floor)
+        cut = w.size - int(np.count_nonzero(w > floor))
+        w, v = w[cut:], v[:, cut:]
+        return w, v, _residual_norms(chain.symmetrized, w, v) if pairwise else None
+
     @lru_cache(maxsize=None)
     def error_bound(t):
         if not pairwise:
             return math.nan
         # truncation, plus roughly m eps rounding and t times the eigen-residual
-        # of the computed modes, each moved to a row's L1 by pi(x)^{-1/2};
-        # renormalisation doubles it
-        residual = _eigen_residual(
-            chain.symmetrized,
-            *chain.eigenpairs_above(_mode_floor(chain.m, t, MODE_TOL)))
+        # of the modes above the floor of t, each moved to a row's L1 by
+        # pi(x)^{-1/2}; renormalisation doubles it
+        w, _, norms = block
+        keep = int(np.count_nonzero(w > _mode_floor(chain.m, t, MODE_TOL)))
+        residual = float(norms[w.size - keep:].max())
         eps = np.finfo(float).eps
         rounding = math.sqrt(chain.m * ratio) * (chain.m * eps + t * residual)
         return 2.0 * (math.sqrt(ratio) * MODE_TOL + rounding)
@@ -599,7 +600,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     def evaluate(t, settle=not exact):
         nonlocal rows_made, pairs_evaluated
         floor, ceil = levels(t) if settle else _EXACT
-        rows = _KernelRows(chain, t, MODE_TOL)
+        rows = _KernelRows(chain, block[0], block[1], t, MODE_TOL)
         d, (_, _, tv) = _probe(rows, rows.coords, pairwise, rows.step, (floor, ceil))
         rows_made += rows.made
         pairs_evaluated += tv.size
@@ -610,12 +611,9 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
             decided.discard(t)
         return d
 
-    def solve_at(t):  # no probe goes below t
-        return chain.eigenpairs_above(_mode_floor(chain.m, t, MODE_TOL))[0].size
-
     t_lo = float(tau2_hint) if pairwise else (1.0 - math.log(2.0)) * tau2_hint
     d_lo = None  # d(t_lo) is evaluated only when the bracket needs it
-    modes = solve_at(t_lo)
+    block = solve(t_lo)  # no probe goes below t_lo
     while True:
         t = 2.0 * t_lo
         if t > t_max:
@@ -649,7 +647,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         # (or the hint overshot tau2): the crossing lies below t_lo
         t_hi, d_hi = t_lo, d_lo
         t_lo, d_lo = t_lo / 2.0, None
-        modes = solve_at(t_lo)
+        block = solve(t_lo)
 
     if pairwise and t_lo in decided and not d_lo - thr > error_bound(t_hi):
         # d(t_lo) was decided against E(t_lo); certification reads E(t_hi)
@@ -659,7 +657,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         mode=mode, resolution=resolution,
         trace=sorted(trace.items()), error_bound=error_bound(t_hi),
         pairs_evaluated=pairs_evaluated, rows_made=rows_made,
-        decided=sorted(decided), modes=modes,
+        decided=sorted(decided), modes=block[0].size,
     )
     result.check_monotone()
     return result

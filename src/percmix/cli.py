@@ -28,8 +28,8 @@ from .experiments import (
     run_instance,
     run_scaling,
 )
-from .geometry import (check_block_scales, check_fpp_request, density_rows_to_csv,
-                       fpp_regression, good_density_curve)
+from .geometry import (check_block_scales, check_fpp_fits, check_fpp_request,
+                       density_rows_to_csv, fpp_regression, good_density_curve)
 from .lattice import BoxSpec
 from .percolation import largest_cluster, sample_bond_config
 
@@ -218,6 +218,8 @@ def _cmd_fpp(args) -> int:
         raise DomainError(f"--l1 needs two values lo,hi, got {args.l1!r}")
     lo, hi = l1
     check_fpp_request(args.pairs, (lo, hi))
+    if args.d == 2:  # other dimensions fail in the field, which names the cause
+        check_fpp_fits(n, hi)
     out = Path(args.out) if args.out else Path(f"fpp_d{args.d}_n{n}.csv")
     lines = ["p,n,seed,pairs,slope,intercept,r_squared\n"]
     for seed in _seed_list(args):  # every fit first: a failure writes no file

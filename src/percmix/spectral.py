@@ -9,9 +9,10 @@ Lanczos, a separation check, the dense eigendecomposition as fallback), run
 at a floor proven to lie below lambda_2. The floor comes from the
 variational characterisation gap = min_f E(f, f) / Var_pi(f)
 (Levin-Peres-Wilmer, Markov Chains and Mixing Times, Ch. 13) at one test
-function f. The solve is not kept on the chain, so the gap is the same
-whatever the chain solved before. ``dense_cap`` only labels ``method`` by
-size: ``dense`` up to it, ``iterative`` above.
+function f. The chain keeps no solve, only the one factor of S - sigma I
+that its solves share, so the gap is the same whatever the chain solved
+before. ``dense_cap`` only labels ``method`` by size: ``dense`` up to it,
+``iterative`` above.
 
 The distance-variance lower bound is exact at every size: a source search
 pruned by |sigma_u - sigma_v| <= d(u, v), where sigma_v is the
@@ -82,8 +83,8 @@ def _gap_floor(chain: Chain) -> float:
 def spectral_gap(chain: Chain, dense_cap: int = DENSE_CAP) -> SpectralResult:
     """Spectral gap -lambda_2 of the generator, certified, with the achieved residual.
 
-    A pure function of the chain: one `Chain.solve_above` at `_gap_floor`,
-    not kept, reads lambda_2 and its eigenvector, which must lie above the
+    A pure function of the chain: one `Chain.solve_above` at `_gap_floor`
+    reads lambda_2 and its eigenvector, which must lie above the
     floor. ``dense_cap`` sets only the ``method`` label.
     """
     s = chain.symmetrized

@@ -7,10 +7,11 @@ against; nothing in ``percmix`` calls them.
 import itertools
 import math
 from dataclasses import fields
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import brentq
 from scipy.sparse import csgraph
 from scipy.special import pdtr, pdtrc
 
@@ -202,6 +203,47 @@ def transient_distribution(chain: Chain, start: np.ndarray, t: float,
         vec = pt @ vec
         out += wk * vec
     return out / out.sum()
+
+
+def eigen_residual(s: sparse.spmatrix, w: np.ndarray, v: np.ndarray) -> float:
+    """max_k ||S v_k - lambda_k v_k||_2 over the given eigenpairs."""
+    worst, block = 0.0, 512  # eigenpairs per product
+    for lo in range(0, w.size, block):
+        cols = v[:, lo:lo + block]
+        res = s @ cols - cols * w[lo:lo + block]
+        worst = max(worst, float(np.linalg.norm(res, axis=0).max()))
+    return worst
+
+
+def continuum_limits(d: int) -> tuple:
+    """(lim tau2 / n^2, lim tau1 / n^2) of the walk on the full box {-n..n}^d.
+
+    Under x/n and t/n^2 the walk at p = 1 converges to Brownian motion on
+    [-1, 1]^d with generator Delta/(2d), reflected at the faces. Its gap
+    (pi/2)^2 / (2d) gives tau2 / n^2 -> 8d/pi^2. Each coordinate has the
+    Neumann kernel 1/2 + sum_k cos(k pi (x+1)/2) cos(k pi (y+1)/2)
+    e^{-(k pi/2)^2 t/(2d)}, and tau1 / n^2 -> T*_d, the time at which the TV
+    distance between the product kernels from opposite corners is e^{-1}
+    (that opposite corners are the worst pair is an assumption): 400 cosine
+    terms on a midpoint grid of 1000 (d=2) or 200 (d=3) points per axis,
+    solved to 1e-8 by `brentq`.
+    """
+    points = {2: 1000, 3: 200}[d]
+    y = -1.0 + (np.arange(points) + 0.5) * (2.0 / points)
+    k = np.arange(1, 401)
+    cos = np.cos(np.outer(k, y + 1.0) * (np.pi / 2.0))  # the corner at -1 has cos = 1
+    rate = (k * (np.pi / 2.0)) ** 2 / (2 * d)
+
+    def tv(t):
+        f = 0.5 + np.exp(-rate * t) @ cos  # the kernel from -1
+        g = f[::-1]  # from +1: the grid is symmetric under y -> -y
+        rest_f = reduce(np.multiply.outer, [f] * (d - 1)).ravel()
+        rest_g = reduce(np.multiply.outer, [g] * (d - 1)).ravel()
+        total = sum(float(np.abs(fi * rest_f - gi * rest_g).sum()) for fi, gi in zip(f, g))
+        return 0.5 * total * (2.0 / points) ** d
+
+    t_star = brentq(lambda t: tv(t) - math.exp(-1.0), 0.5, 20.0, xtol=1e-8)
+    return 8.0 * d / math.pi**2, t_star
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ Pilot-frozen reference values (recorded 2026-08-09, this repository):
     R^2 0.935;
   renorm (d=2, n=80, p=0.7): density(N=24) > density(N=8) on 20/20 seeds,
     p=0.95 beats p=0.7 at N=16 on 20/20 seeds, zero condition-2 flips.
+  continuum limits at p=1 (recorded 2026-10-21, this repository): intercepts
+    of tau/n^2 against 1/n, relative to the limit, tau1 -0.107% and tau2
+    -0.095% (d=2, n in {8,16,32}), tau1 -0.562% and tau2 -0.635% (d=3,
+    n in {4,6,8}); tolerances 0.3% (d=2) and 1.5% (d=3).
 """
 
 import math
@@ -24,9 +28,9 @@ import pytest
 import percmix as pm
 from percmix.errors import EmptyClusterError
 from percmix.experiments import ExperimentConfig, default_preset, run_instance, run_scaling
-from percmix.fitting import fit_loglog, fit_loglog_geomean
+from percmix.fitting import fit_linear, fit_loglog, fit_loglog_geomean
 from percmix.geometry import classify_good_vertices
-from helpers import cheeger_exact, cycle_graph, single_edge
+from helpers import cheeger_exact, continuum_limits, cycle_graph, full_box_cluster, single_edge
 from test_conductance import cheeger_unrestricted
 
 E_INV = math.exp(-1.0)
@@ -273,3 +277,31 @@ def test_criterion_9_determinism(preset_run, tmp_path):
     _report("9 (byte determinism)", ok,
             f"rows.csv identical across two full preset runs: {ok} "
             f"({len(first)} bytes)")
+
+
+def test_continuum_limits_pinned():
+    for d, tau2, tau1 in ((2, 1.6211, 2.40147), (3, 2.4317, 4.08181)):
+        got2, got1 = continuum_limits(d)
+        assert got2 == 8.0 * d / math.pi**2 and abs(got2 - tau2) < 5e-5
+        assert abs(got1 - tau1) < 5e-6
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d, ns, rtol", [(2, (8, 16, 32), 3e-3), (3, (4, 6, 8), 1.5e-2)])
+def test_full_box_times_extrapolate_to_the_continuum_limits(d, ns, rtol):
+    # at p = 1, tau/n^2 = limit + c/n + O(1/n^2); the fit's intercept estimates the limit
+    tau1, tau2 = [], []
+    for n in ns:
+        ch = pm.build_chain(full_box_cluster(d, n))
+        spec = pm.spectral_gap(ch)
+        mix = pm.mixing_time(ch, tau2_hint=spec.tau2)
+        assert mix.certified
+        tau1.append(mix.tau1 / n**2)
+        tau2.append(spec.tau2 / n**2)
+    inverse = [1.0 / n for n in ns]
+    lim2, lim1 = continuum_limits(d)
+    got1 = fit_linear(inverse, tau1).intercept
+    got2 = fit_linear(inverse, tau2).intercept
+    ok = abs(got1 / lim1 - 1.0) < rtol and abs(got2 / lim2 - 1.0) < rtol
+    _report(f"continuum limits d={d}", ok,
+            f"tau1 intercept {got1:.5f} vs {lim1:.5f}, tau2 {got2:.5f} vs {lim2:.5f}")

@@ -33,6 +33,7 @@ from helpers import (
     complete_graph,
     coord_to_vertex,
     cycle_graph,
+    eigen_residual,
     full_box_cluster,
     jump_kernel,
     path_graph,
@@ -41,6 +42,7 @@ from helpers import (
     transient_distribution,
     tv_distance,
 )
+from test_spectral import cluster_chain
 
 
 def small_cluster(n=6, p=0.7, seed=0):
@@ -69,9 +71,17 @@ def _kernel_matrix(chain, t, tol):
     return mat
 
 
-def _spectral_kernel(chain, t, tol):
-    """Row-stochastic e^{tQ} as one m x m matrix from the modes with e^{t lambda} > tol/m."""
-    w, v = chain.eigenpairs_above(_mode_floor(chain.m, t, tol))
+def modes_at(chain, t, tol):
+    """(floor, w, v): the certified solve of every probe at or above t."""
+    return chain.solve_above(_mode_floor(chain.m, t, tol))
+
+
+def _spectral_kernel(chain, t, tol, solve=None):
+    """Row-stochastic e^{tQ} as one m x m matrix from the modes with e^{t lambda} > tol/m.
+
+    ``solve`` is the `modes_at` solve to read, else a fresh one.
+    """
+    _, w, v = solve or modes_at(chain, t, tol)
     decay = np.exp(t * w)
     k = max(1, int(np.count_nonzero(decay > tol / chain.m)))
     a = v[:, w.size - k:] * np.sqrt(decay[w.size - k:])
@@ -115,7 +125,8 @@ def _kernel_pass(a, pi, pivot=None):
 
 def probe_at(chain, t, tol, pairwise=True):
     """One exact probe of d(t) through `_probe`, on the kernel rows a search makes."""
-    rows = _KernelRows(chain, t, tol)
+    _, w, v = modes_at(chain, t, tol)
+    rows = _KernelRows(chain, w, v, t, tol)
     return _probe(rows, rows.coords, pairwise, rows.step)
 
 
@@ -507,13 +518,64 @@ def test_decided_lower_end_is_evaluated_again_where_certification_needs_it(monke
     ratio = float(ch.degrees.max()) / float(ch.degrees.min())
     t_mid = math.sqrt(plain.t_lo * plain.t_hi)
     residual = margin / (2.0 * math.sqrt(ch.m * ratio) * t_mid)
-    monkeypatch.setattr(chain_module, "_eigen_residual", lambda s, w, v: residual)
+    monkeypatch.setattr(chain_module, "_residual_norms",
+                        lambda s, w, v: np.full(w.size, residual))
     exact = pm.mixing_time(ch, exact=True, **kw)
     fast = pm.mixing_time(ch, **kw)
     assert (fast.t_lo, fast.t_hi) == (exact.t_lo, exact.t_hi) == (plain.t_lo, plain.t_hi)
     assert not fast.certified and not exact.certified
     assert fast.t_lo not in fast.decided
     assert abs(fast.d_lo - exact.d_lo) < 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(2, 21), (3, 5)])
+def test_one_shift_factor_per_chain(monkeypatch, d, n):
+    shifts = []
+    lu = chain_module._symmetric_lu
+    monkeypatch.setattr(chain_module, "_symmetric_lu",
+                        lambda s, shift: shifts.append(shift) or lu(s, shift))
+    ch = cluster_chain(n, d=d)
+    spec = pm.spectral_gap(ch)
+    assert not spec.dense  # the certified sparse solve, through the factor
+    for mode in ("pairwise", "stationarity"):
+        pm.mixing_time(ch, mode=mode, tau2_hint=spec.tau2)
+    # the inertia counts factor S - theta I at their own floors
+    assert shifts.count(chain_module._SHIFT) == 1 and len(shifts) == 4
+
+
+@pytest.mark.parametrize("d, n", [(2, 12), (3, 5)])
+def test_sliced_residuals_match_the_oracle(monkeypatch, d, n):
+    blocks = []
+    norms_of = chain_module._residual_norms
+    monkeypatch.setattr(chain_module, "_residual_norms",
+                        lambda s, w, v: blocks.append((w, v, norms_of(s, w, v))) or blocks[-1][2])
+    ch = cluster_chain(n, d=d)
+    result = pm.mixing_time(ch)
+    assert len(blocks) == 1  # one solve, no halving
+    w, v, norms = blocks[0]
+    assert w.size == result.modes
+    for t, _ in result.trace:
+        keep = int(np.count_nonzero(w > _mode_floor(ch.m, t, MODE_TOL)))
+        assert 1 <= keep <= w.size
+        oracle = eigen_residual(ch.symmetrized, w[w.size - keep:], v[:, w.size - keep:])
+        assert float(norms[w.size - keep:].max()) == oracle, t
+    # the result's error bound reads the oracle's residual at t_hi
+    ratio = float(ch.degrees.max()) / float(ch.degrees.min())
+    keep = int(np.count_nonzero(w > _mode_floor(ch.m, result.t_hi, MODE_TOL)))
+    residual = eigen_residual(ch.symmetrized, w[w.size - keep:], v[:, w.size - keep:])
+    rounding = math.sqrt(ch.m * ratio) * (ch.m * np.finfo(float).eps + result.t_hi * residual)
+    assert result.error_bound == 2.0 * (math.sqrt(ratio) * MODE_TOL + rounding)
+
+
+def test_mixing_twice_on_one_chain_gives_equal_results():
+    # a hint above tau2 halves the lower end, so the search solves twice
+    ch = cluster_chain(12)
+    hint = 2.0 * pm.spectral_gap(ch).tau2
+    first = pm.mixing_time(ch, tau2_hint=hint)
+    assert first.t_lo < hint
+    again = pm.mixing_time(ch, tau2_hint=hint)
+    fresh = pm.mixing_time(cluster_chain(12), tau2_hint=hint)
+    assert first == again == fresh
 
 
 def test_check_monotone_orders_decisions_not_lower_bounds():
@@ -654,9 +716,10 @@ def test_partial_mode_kernel_matches_uniformized(box, p, seed, f):
     t = f / -float(pm.build_chain(cluster).eigensystem[0][-2])  # f relaxation times
     with mock.patch.object(chain_module, "SPARSE_EIGEN_MIN", 8):
         ch = pm.build_chain(cluster)
-        fast = _spectral_kernel(ch, t, 1e-12)
+        solve = modes_at(ch, t, 1e-12)
     # built from certified partial modes unless more than a quarter of them are wanted
-    assume(ch._above[0] > -math.inf)
+    assume(solve[0] > -math.inf)
+    fast = _spectral_kernel(ch, t, 1e-12, solve)
     oracle = _kernel_matrix(ch, t, 1e-12)
     assert np.abs(fast - oracle).max() < 1e-9
 
@@ -726,10 +789,11 @@ def test_ordered_row_pass_matches_the_all_rows_oracle(seed):
     tau2 = pm.spectral_gap(ch).tau2
     tol = MODE_TOL
     for t in (1.2 * tau2, 1.8 * tau2):  # inside the first pairwise bracket [tau2, 2 tau2]
-        rows = _KernelRows(ch, t, tol)
+        _, w, v = modes_at(ch, t, tol)
+        rows = _KernelRows(ch, w, v, t, tol)
         ub = _row_bounds(rows.coords)
         pivot = int(np.argmax(ub))
-        r_all, tv_all = _kernel_pass(_probe_modes(ch, t, tol)[0], ch.pi, pivot)
+        r_all, tv_all = _kernel_pass(_probe_modes(w, v, t, tol)[0], ch.pi, pivot)
         for pairwise in (True, False):
             made, r, tv_pivot = _row_pass(rows, rows.coords, pairwise, rows.step)
             assert np.all(np.diff(made) > 0) and made.size < ch.m
@@ -802,11 +866,19 @@ def test_hard_cap_spares_chains_whose_sparse_solve_certifies(monkeypatch):
     ch = pm.build_chain(cluster)
     assert ch.m > 256
     monkeypatch.setattr(chain_module, "MATRIX_HARD_CAP", 10)
+    solves = []
+    solve_above = chain_module.Chain.solve_above
+    monkeypatch.setattr(chain_module.Chain, "solve_above",
+                        lambda self, theta: solves.append(solve_above(self, theta))
+                        or solves[-1])
     result = pm.mixing_time(ch, resolution=0.5, mode="stationarity")
     assert result.trace == reference.trace
-    # the solve at the start floor certified, and nothing read the dense route
-    floor = (1.0 - math.log(2.0)) * pm.spectral_gap(ch).tau2
-    assert ch._above[0] == _mode_floor(ch.m, floor, MODE_TOL)
+    # the gap solve and the one solve at the start floor certified, and
+    # nothing read the dense route
+    floors = [floor for floor, _, _ in solves]
+    start = (1.0 - math.log(2.0)) * pm.spectral_gap(ch).tau2
+    assert floors[0] > -math.inf
+    assert floors[1:] == [_mode_floor(ch.m, start, MODE_TOL)]
     assert "eigensystem" not in vars(ch)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import percmix as pm
-from percmix import experiments
+from percmix import cli, experiments
 from percmix.cli import main
 from helpers import cheeger_exact
 
@@ -246,6 +246,18 @@ def test_bad_fpp_request_exits_1_before_writing(tmp_path, capsys, args):
     out = tmp_path / "f.csv"
     assert main(["fpp", "--n", "16", "--out", str(out), *args]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_fpp_range_wider_than_box_exits_1_before_sampling(tmp_path, capsys, monkeypatch):
+    # the fit check ran only inside fpp_regression, after the first seed was sampled
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a configuration")
+
+    monkeypatch.setattr(cli, "sample_bond_config", no_sampling)
+    out = tmp_path / "f.csv"
+    assert main(["fpp", "--n", "16", "--l1", "10,60", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: L1 range exceeds the interior span\n"
     assert not out.exists()
 
 

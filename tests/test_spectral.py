@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import percmix as pm
 from percmix import chain as chain_module
 from percmix import spectral as spectral_module
-from percmix.chain import count_above, top_eigenpairs
+from percmix.chain import MODE_TOL, _mode_floor, count_above, top_eigenpairs
 from percmix.errors import DomainError, EmptyClusterError, InequalityViolationError
 from percmix.spectral import (
     _gap_floor,
@@ -141,7 +141,9 @@ def test_gap_is_the_same_before_and_after_mixing(n):
     ch = cluster_chain(n)
     before = spectral_gap(ch)
     pm.mixing_time(ch, resolution=1.0, mode="stationarity")
-    assert ch._above is not None  # the mixing search kept a wider solve
+    # the chain holds its inputs and cached properties, and none of the search's solves
+    assert set(vars(ch)) <= {"graph", "m", "degrees", "total_degree", "pi",
+                             "symmetrized", "shift_factor", "eigensystem"}
     after = spectral_gap(ch)
     if ch.m > chain_module.SPARSE_EIGEN_MIN:
         assert "eigensystem" not in vars(ch)  # both came from the certified sparse solve
@@ -180,7 +182,9 @@ def test_certified_pairs_match_dense_suffix(box, p, seed, u):
     theta = 0.5 * (w[-k] + w[-k - 1])
     with sparse_route():
         fresh = cluster_chain(box[1], p=p, seed=seed, d=box[0])
-        got_w, got_v = fresh.eigenpairs_above(theta)
+        _, got_w, got_v = fresh.solve_above(theta)
+    cut = got_w.size - int(np.count_nonzero(got_w > theta))  # the dense fallback has all
+    got_w, got_v = got_w[cut:], got_v[:, cut:]
     assert got_w.size == k
     assert np.abs(got_w - w[-k:]).max() < 1e-12
     projector = got_v @ got_v.T
@@ -192,14 +196,13 @@ def test_sparse_route_runs_on_clusters():
     ch = cluster_chain(10)
     assert ch.m > chain_module.SPARSE_EIGEN_MIN
     gap = spectral_gap(ch).gap
-    theta = gap * math.log(1e-10 / ch.m)  # the mixing search's floor at tau2
-    w, _ = ch.eigenpairs_above(theta)
-    assert ch._above[0] == theta  # certified, not the dense fallback
+    theta = _mode_floor(ch.m, 1.0 / gap, MODE_TOL)  # the mixing search's floor at tau2
+    floor, w, _ = ch.solve_above(theta)
+    assert floor == theta  # certified, not the dense fallback
     assert "eigensystem" not in ch.__dict__  # no dense solve happened
     assert 2 < w.size < ch.m // 4
-    # a higher floor is a slice of the held solve
-    w2, _ = ch.eigenpairs_above(theta / 2)
-    assert ch._above[0] == theta and np.array_equal(w2, w[w > theta / 2])
+    # the mixing search at tau2 reads exactly this block
+    assert pm.mixing_time(ch, tau2_hint=1.0 / gap).modes == w.size
 
 
 @pytest.mark.parametrize("tamper", ["count", "pairs"])
@@ -217,16 +220,16 @@ def test_certificate_mismatch_falls_back_to_dense(tamper):
         tampered = patched("count_above", wrong_count)
     else:
         # a solve that misses the top pair
-        def wrong_pairs(s, k):
-            got_w, got_v = top_eigenpairs(s, k + 1)
+        def wrong_pairs(s, lu, k):
+            got_w, got_v = top_eigenpairs(s, lu, k + 1)
             return got_w[:-1], got_v[:, :-1]
 
         tampered = patched("top_eigenpairs", wrong_pairs)
     with tampered:
-        got_w, got_v = fresh.eigenpairs_above(theta)
+        floor, got_w, got_v = fresh.solve_above(theta)
         spec = spectral_gap(fresh)
-    assert fresh._above[0] == -math.inf  # the dense fallback
-    assert np.array_equal(got_w, w[-6:]) and np.array_equal(got_v, v[:, -6:])
+    assert floor == -math.inf  # the dense fallback
+    assert np.array_equal(got_w, w) and np.array_equal(got_v, v)
     assert spec.gap == -w[-2] and spec.method == "dense"
     assert abs(spec.gap - reference.gap) < 1e-12
     assert np.abs(spec.vector - reference.vector).max() < 1e-9
