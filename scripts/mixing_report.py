@@ -5,9 +5,10 @@ For each box (d, n) it samples the bond configuration at --p and --seed,
 takes the largest cluster, solves the spectral gap and runs the pairwise
 `mixing_time` from it. It prints the gap and mixing wall times, the peak
 RSS of the process, tau1 with its certification, and the counted tokens
-rows=, pairs_evaluated= and modes=. Each run is a new process, so its peak
-RSS is its own. To compare two versions, run it once with each source tree
-on PYTHONPATH:
+rows=, pairs_evaluated=, modes= and landmarks=. A cluster above the
+pairwise cap gets one "skipped" line, and the report goes on to the next
+box. Each run is a new process, so its peak RSS is its own. To compare two
+versions, run it once with each source tree on PYTHONPATH:
 
     PYTHONPATH=src python3 scripts/mixing_report.py --box 3,8 --box 2,32
 """
@@ -20,8 +21,11 @@ import time
 
 def run(d, n, p, seed):
     import percmix as pm
+    from percmix.caps import PAIRWISE_CAP
 
     chain = pm.build_chain(pm.largest_cluster(pm.sample_bond_config(pm.BoxSpec(d, n), p, seed)))
+    if chain.m > PAIRWISE_CAP:
+        return f"d={d} n={n} m={chain.m} skipped: above the pairwise cap {PAIRWISE_CAP}"
     t0 = time.perf_counter()
     tau2 = pm.spectral_gap(chain).tau2
     t1 = time.perf_counter()
@@ -30,7 +34,8 @@ def run(d, n, p, seed):
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # kB on Linux
     return (f"d={d} n={n} m={chain.m} gap_s={t1 - t0:.3f} mixing_s={t2 - t1:.3f} "
             f"peak_rss_mb={peak_mb:.1f} tau1={mix.tau1!r} certified={int(mix.certified)} "
-            f"rows={mix.rows_made} pairs_evaluated={mix.pairs_evaluated} modes={mix.modes}")
+            f"rows={mix.rows_made} pairs_evaluated={mix.pairs_evaluated} modes={mix.modes} "
+            f"landmarks={mix.landmarks}")
 
 
 def main():

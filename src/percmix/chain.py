@@ -192,10 +192,9 @@ def _mode_floor(m: int, t: float, tol: float) -> float:
     return (math.log(tol / m) - 1e-9) / t
 
 
-# Kernel rows are made, and start pairs evaluated, in batches of about this
-# many entries, so no probe holds an m x m array.
+# Kernel rows are made, and start pairs bounded and evaluated, in batches of
+# about this many entries, so no probe holds an m x m array.
 _BLOCK_ENTRIES = 1 << 17
-_GRAM_ROWS = 256  # rows of the keep x keep Gram product made at a time
 # (floor, ceil) levels of a probe that settles nothing by a bound: the exact value
 _EXACT = (0.0, math.inf)
 
@@ -314,64 +313,60 @@ def _row_pass(dev_rows, coords: np.ndarray, pairwise: bool, step: int,
     return order[:done][c], r[c], None if tv_pivot is None else tv_pivot[c]
 
 
-def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarray,
-                 chunk: int = 1024, levels: tuple = _EXACT) -> tuple:
+def _pair_search(dev_rows, r: np.ndarray, tv_pivot: np.ndarray, chunk: int = 1024,
+                 levels: tuple = _EXACT) -> tuple:
     """Sup over start pairs of the TV distance between kernel rows, up to ``levels``.
 
     The incumbent is the farthest row from the pivot row (``tv_pivot``), and
-    rigorous bounds close in on the maximizing pair:
-    - TV_ij <= r_i + r_j, with r the distances to stationarity, drops every
-      row too close to stationarity to beat the incumbent;
-    - TV_ij <= TV_ip + TV_pj through the pivot row p;
-    - TV_ij <= TV_iq + TV_qj through a second pivot q, the kept row farthest
-      from p, whose distances come from the kept rows;
-    - TV_ij <= chi_ij / 2 for the kept rows (Cauchy-Schwarz with weights pi),
-      where chi_ij = ||coords_i - coords_j|| comes from a Gram product: the
-      rows of ``coords`` must be isometric to the weighted deviations
-      (K(x, .) - pi) / sqrt(pi).
-
-    The kept rows minus pi (``dev_rows(keep)``) are made once, before the
-    bounds. The remaining pairs are evaluated exactly from them, in batches
-    of ``chunk`` in decreasing order of bound, until no bound beats the best
-    exact value. ``levels`` = (floor, ceil) cut the search short: it returns
-    as soon as an exact value exceeds ceil, and every bound is held against
-    max(best, floor) rather than best. The result is therefore an exact pair
-    value above ceil (a lower bound on the sup), floor itself when no pair
-    beats it (an upper bound), and the exact sup in between, since every
-    discarded pair then lies at or below the final best; the levels (0, inf)
+    one rule bounds every pair: TV_ij <= min_a (TV_ia + TV_aj) over landmarks
+    a (LAESA: Mico, Oncina & Vidal, Pattern Recognit. Lett. 1994). The first
+    two are pi, whose distances r drop every row too close to stationarity
+    to beat the incumbent, and the pivot; one pass over the kept rows lists
+    the pairs these two leave. The kept rows minus pi (``dev_rows(keep)``)
+    are made once. Each further landmark is the kept row farthest from the
+    landmarks so far (Gonzalez, Theor. Comput. Sci. 1985), and its distances
+    to the kept rows raise the incumbent and tighten the listed pairs. It
+    costs one distance per kept row, so one is added only while the pairs
+    outnumber the kept rows and the last one dropped at least that many
+    pairs: pairs that tie at the incumbent survive every landmark. The pairs left are evaluated
+    exactly, in batches of ``chunk`` in decreasing order of bound, until no
+    bound beats the best value. ``levels`` = (floor, ceil) cut the search
+    short: it returns as soon as a distance exceeds ceil, and every bound is
+    held against max(best, floor). The result is therefore a pair value
+    above ceil (a lower bound on the sup), floor itself when no pair beats
+    it (an upper bound), and the exact sup in between; the levels (0, inf)
     give the exact sup. Returns it with the evaluated pairs (i, j, TV_ij),
-    i < j; the distances to q raise the incumbent but are not among them.
+    i < j, and the number of landmarks added, whose distances are not
+    among the pairs.
     """
     floor, ceil = levels
-    none = np.empty(0, dtype=np.intp)
     best = float(tv_pivot.max())
     keep = np.nonzero(r > max(best, floor) - float(r.max()) - 1e-12)[0]
     if best > ceil or keep.size < 2:
-        return min(1.0, max(best, floor)), (none, none, np.empty(0))
+        return min(1.0, max(best, floor)), (keep[:0], keep[:0], np.empty(0)), 0
     rows = dev_rows(keep)
-    rk = r[keep]
-    tk = tv_pivot[keep]
-    tq = _tv_to(rows, rows[int(np.argmax(tk))][None])[:, 0]
-    best = max(best, float(tq.max()))
-    if best > ceil:
-        return min(1.0, max(best, floor)), (none, none, np.empty(0))
-    level = max(best, floor)
-    c = coords[keep]
-    sq = (c * c).sum(axis=1)
+    rk, tk = r[keep], tv_pivot[keep]
     found = []
-    for lo in range(0, keep.size - 1, _GRAM_ROWS):
-        hi = min(lo + _GRAM_ROWS, keep.size)
-        gram = c[lo:hi] @ c[lo:].T
-        chi = np.sqrt(np.maximum(sq[lo:hi, None] + sq[lo:] - 2.0 * gram, 0.0))
-        bound = 0.5 * chi * (1.0 + 1e-9) + 1e-12
-        # the triangle bounds carry the same slack: r and tv_pivot come from
-        # the pass, the exact values from rows made again
-        np.minimum(bound, rk[lo:hi, None] + rk[lo:] + 1e-12, out=bound)
-        np.minimum(bound, tk[lo:hi, None] + tk[lo:] + 1e-12, out=bound)
-        np.minimum(bound, tq[lo:hi, None] + tq[lo:] + 1e-12, out=bound)
-        i, j = np.nonzero(np.triu(bound > level, k=1))
+    block = max(1, _BLOCK_ENTRIES // keep.size)
+    for lo in range(0, keep.size - 1, block):
+        # rounding slack: r and tv_pivot come from the pass, exact values from rows made again
+        bound = np.minimum(rk[lo:lo + block, None] + rk[lo:],
+                           tk[lo:lo + block, None] + tk[lo:]) + 1e-12
+        i, j = np.nonzero(np.triu(bound > max(best, floor), k=1))
         found.append((i + lo, j + lo, bound[i, j]))
     i, j, bound = (np.concatenate(parts) for parts in zip(*found))
+
+    near = np.minimum(rk, tk)  # each kept row's distance to its nearest landmark
+    landmarks, dropped = 0, keep.size
+    while best <= ceil and i.size > keep.size and dropped >= keep.size:
+        to_a = _tv_to(rows, rows[int(np.argmax(near))][None])[:, 0]
+        landmarks += 1
+        best = max(best, float(to_a.max()))
+        np.minimum(near, to_a, out=near)
+        np.minimum(bound, to_a[i] + to_a[j] + 1e-12, out=bound)
+        alive = bound > max(best, floor)
+        dropped = i.size - int(np.count_nonzero(alive))
+        i, j, bound = i[alive], j[alive], bound[alive]
     order = np.argsort(-bound, kind="stable")
     i, j, neg_bound = i[order], j[order], -bound[order]
 
@@ -388,7 +383,7 @@ def _pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarr
         tv[done:stop] = 0.5 * diff.sum(axis=1)
         best = max(best, float(tv[done:stop].max()))
         done = stop
-    return min(1.0, max(best, floor)), (keep[i[:done]], keep[j[:done]], tv[:done])
+    return min(1.0, max(best, floor)), (keep[i[:done]], keep[j[:done]], tv[:done]), landmarks
 
 
 def _probe(dev_rows, coords: np.ndarray, pairwise: bool, step: int,
@@ -403,15 +398,15 @@ def _probe(dev_rows, coords: np.ndarray, pairwise: bool, step: int,
     d(t)), floor itself when nothing beats it (an upper bound), and the
     exact d(t) in between; the levels (0, inf) give the exact value. Returns
     it, capped at 1, with the exactly evaluated pairs (i, j, TV_ij), i < j,
-    in global indices (none for the distance to stationarity).
+    in global indices, and the landmarks added (neither for stationarity).
     """
     made, r, tv_pivot = _row_pass(dev_rows, coords, pairwise, step, levels)
     if not pairwise:
         none = np.empty(0, dtype=np.intp)
-        return min(1.0, max(float(r.max()), levels[0])), (none, none, np.empty(0))
-    best, (i, j, tv) = _pair_search(lambda idx: dev_rows(made[idx]), coords[made], r,
-                                    tv_pivot, step, levels)
-    return best, (made[i], made[j], tv)
+        return min(1.0, max(float(r.max()), levels[0])), (none, none, np.empty(0)), 0
+    best, (i, j, tv), landmarks = _pair_search(lambda idx: dev_rows(made[idx]), r, tv_pivot,
+                                               step, levels)
+    return best, (made[i], made[j], tv), landmarks
 
 
 def _residual_norms(s: sparse.spmatrix, w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -437,9 +432,10 @@ class MixingResult:
     d(t_lo) and d(t_hi); it is NaN where it was not computed, which leaves
     the result uncertified. ``pairs_evaluated`` counts the start pairs whose
     distance the pairwise probes evaluated exactly after pruning, and
-    ``rows_made`` the kernel rows the probes made, each summed over the
-    probes. ``modes`` is the number of eigenpairs of the solve at the lower
-    end of the search, which every probe reads from.
+    ``rows_made`` the kernel rows the probes made, and ``landmarks`` the
+    landmarks their pair searches added, each summed over the probes.
+    ``modes`` is the number of eigenpairs of the solve at the lower end of
+    the search, which every probe reads from.
     """
 
     tau1: float
@@ -455,6 +451,7 @@ class MixingResult:
     rows_made: int = 0
     decided: list = field(default_factory=list)  # probe times settled by a bound
     modes: int = 0
+    landmarks: int = 0
 
     @property
     def certified(self) -> bool:
@@ -507,9 +504,9 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     value off that pass, and pairwise mode then searches the pairs of the
     rows made (`_pair_search`), holding only the rows it keeps. The mode
     sets only the probe's value, its levels, its error bound and the start
-    of the search. ``rows_made`` counts every row made and
-    ``pairs_evaluated`` every pair evaluated exactly, each summed over the
-    probes; no probe reads another's distances.
+    of the search. ``rows_made`` counts every row made, ``pairs_evaluated``
+    every pair evaluated exactly and ``landmarks`` every landmark added,
+    each summed over the probes; no probe reads another's distances.
 
     Bisection only asks whether d(t) > e^{-1}, so each probe stops once its
     answer is proven (Levin-Peres-Wilmer, Ch. 4: d is non-increasing). A
@@ -595,15 +592,16 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
 
     trace = {}
     decided = set()
-    rows_made = pairs_evaluated = 0
+    rows_made = pairs_evaluated = landmarks = 0
 
     def evaluate(t, settle=not exact):
-        nonlocal rows_made, pairs_evaluated
+        nonlocal rows_made, pairs_evaluated, landmarks
         floor, ceil = levels(t) if settle else _EXACT
         rows = _KernelRows(chain, block[0], block[1], t, MODE_TOL)
-        d, (_, _, tv) = _probe(rows, rows.coords, pairwise, rows.step, (floor, ceil))
+        d, (_, _, tv), added = _probe(rows, rows.coords, pairwise, rows.step, (floor, ceil))
         rows_made += rows.made
         pairs_evaluated += tv.size
+        landmarks += added
         trace[t] = d
         if settle and not floor < d <= ceil:
             decided.add(t)
@@ -657,7 +655,7 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         mode=mode, resolution=resolution,
         trace=sorted(trace.items()), error_bound=error_bound(t_hi),
         pairs_evaluated=pairs_evaluated, rows_made=rows_made,
-        decided=sorted(decided), modes=block[0].size,
+        decided=sorted(decided), modes=block[0].size, landmarks=landmarks,
     )
     result.check_monotone()
     return result

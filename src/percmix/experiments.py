@@ -250,7 +250,8 @@ def _quantity_rows(inst: _Instance) -> list:
                 detail = (f"t_lo={mix.t_lo!r} t_hi={mix.t_hi!r} mode={mix.mode} "
                           f"resolution={mix.resolution!r} probes={len(mix.trace)} "
                           f"pairs_evaluated={mix.pairs_evaluated} rows={mix.rows_made} "
-                          f"decided={len(mix.decided)} modes={mix.modes}")
+                          f"decided={len(mix.decided)} modes={mix.modes} "
+                          f"landmarks={mix.landmarks}")
                 cert = "heuristic"
                 if mix.mode == "pairwise" and mix.certified:
                     cert = "exact"

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 from scipy.sparse import csgraph
 from scipy.special import pdtr, pdtrc
 
-from percmix.chain import MODE_TOL, Chain
+from percmix.chain import MODE_TOL, Chain, _tv_to
 from percmix.conductance import (EXHAUSTIVE_CAP, ConductanceProfile, CutValue, ProfilePoint,
                                  connected_subsets, set_conductance)
 from percmix.errors import (CapacityError, DomainError, NonConvergenceError,
@@ -248,6 +248,71 @@ def continuum_limits(d: int) -> tuple:
 
 # ---------------------------------------------------------------------------
 # conductance profiles
+
+
+def two_pivot_pair_search(dev_rows, coords: np.ndarray, r: np.ndarray, tv_pivot: np.ndarray,
+                          chunk: int = 1024, levels: tuple = (0.0, math.inf)) -> tuple:
+    """The pair search before landmarks: two pivots and a Gram chi-square bound.
+
+    The oracle of `percmix.chain._pair_search`, with the same inputs plus
+    ``coords``, whose rows must be isometric to the weighted deviations
+    (K(x, .) - pi) / sqrt(pi). The incumbent is the farthest row from the
+    pivot, and each kept pair is bounded by the least of
+    - TV_ij <= r_i + r_j through pi;
+    - TV_ij <= TV_ip + TV_pj through the pivot row p;
+    - TV_ij <= TV_iq + TV_qj through a second pivot q, the kept row farthest
+      from p;
+    - TV_ij <= chi_ij / 2, chi_ij = ||coords_i - coords_j|| from a Gram
+      product (Cauchy-Schwarz with weights pi).
+
+    The survivors are evaluated exactly, largest bound first, against
+    max(best, floor) and up to ceil, as in `_pair_search`. Returns the
+    value and the evaluated pairs (i, j, TV_ij), i < j.
+    """
+    floor, ceil = levels
+    none = np.empty(0, dtype=np.intp)
+    best = float(tv_pivot.max())
+    keep = np.nonzero(r > max(best, floor) - float(r.max()) - 1e-12)[0]
+    if best > ceil or keep.size < 2:
+        return min(1.0, max(best, floor)), (none, none, np.empty(0))
+    rows = dev_rows(keep)
+    rk = r[keep]
+    tk = tv_pivot[keep]
+    tq = _tv_to(rows, rows[int(np.argmax(tk))][None])[:, 0]
+    best = max(best, float(tq.max()))
+    if best > ceil:
+        return min(1.0, max(best, floor)), (none, none, np.empty(0))
+    level = max(best, floor)
+    c = coords[keep]
+    sq = (c * c).sum(axis=1)
+    found = []
+    for lo in range(0, keep.size - 1, 256):
+        hi = min(lo + 256, keep.size)
+        gram = c[lo:hi] @ c[lo:].T
+        chi = np.sqrt(np.maximum(sq[lo:hi, None] + sq[lo:] - 2.0 * gram, 0.0))
+        bound = 0.5 * chi * (1.0 + 1e-9) + 1e-12
+        np.minimum(bound, rk[lo:hi, None] + rk[lo:] + 1e-12, out=bound)
+        np.minimum(bound, tk[lo:hi, None] + tk[lo:] + 1e-12, out=bound)
+        np.minimum(bound, tq[lo:hi, None] + tq[lo:] + 1e-12, out=bound)
+        i, j = np.nonzero(np.triu(bound > level, k=1))
+        found.append((i + lo, j + lo, bound[i, j]))
+    i, j, bound = (np.concatenate(parts) for parts in zip(*found))
+    order = np.argsort(-bound, kind="stable")
+    i, j, neg_bound = i[order], j[order], -bound[order]
+
+    done = 0
+    tv = np.empty(i.size)
+    while best <= ceil:
+        stop = min(done + chunk, int(np.searchsorted(neg_bound, -max(best, floor))))
+        if stop <= done:
+            break
+        diff = rows[i[done:stop]]
+        diff -= rows[j[done:stop]]
+        np.abs(diff, out=diff)
+        tv[done:stop] = 0.5 * diff.sum(axis=1)
+        best = max(best, float(tv[done:stop].max()))
+        done = stop
+    return min(1.0, max(best, floor)), (keep[i[:done]], keep[j[:done]], tv[:done])
 
 
 def cheeger_exact(chain: Chain) -> CutValue:

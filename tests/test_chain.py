@@ -124,10 +124,13 @@ def _kernel_pass(a, pi, pivot=None):
 
 
 def probe_at(chain, t, tol, pairwise=True):
-    """One exact probe of d(t) through `_probe`, on the kernel rows a search makes."""
+    """One exact probe of d(t) through `_probe`, on the kernel rows a search makes.
+
+    Returns the value and the evaluated pairs, without the landmark count.
+    """
     _, w, v = modes_at(chain, t, tol)
     rows = _KernelRows(chain, w, v, t, tol)
-    return _probe(rows, rows.coords, pairwise, rows.step)
+    return _probe(rows, rows.coords, pairwise, rows.step)[:2]
 
 
 def _row_bounds(coords):
@@ -188,14 +191,13 @@ def _pairwise_sup_distance(mat, pi, chunk=1024):
 
 
 def pair_search_on_matrix(mat, pi, chunk=1024, pivot=None):
-    """`_pair_search` over an explicit kernel matrix, with coordinates dev / sqrt(pi)."""
+    """`_pair_search` over an explicit kernel matrix."""
     dev = mat - pi
     r = 0.5 * np.abs(dev).sum(axis=1)
     if pivot is None:
         pivot = int(np.argmax(r))
     tv_pivot = 0.5 * np.abs(dev - dev[pivot]).sum(axis=1)
-    return _pair_search(lambda idx: dev[idx], dev / np.sqrt(pi), r, tv_pivot,
-                        chunk=chunk)
+    return _pair_search(lambda idx: dev[idx], r, tv_pivot, chunk=chunk)
 
 
 def brute_pairwise(mat, pi):
@@ -772,7 +774,7 @@ def test_ordered_row_pass_keeps_the_sup_on_random_kernels(m):
         coords = dev / np.sqrt(pi)
         brute = brute_pairwise(mat, pi)
         for chunk in (16, 1024):
-            best, (i, j, tv) = _probe(lambda idx: dev[idx], coords, True, chunk)
+            best, (i, j, tv), _ = _probe(lambda idx: dev[idx], coords, True, chunk)
             assert abs(best - brute) < 1e-12
             assert np.all(i < j)
             exact = 0.5 * np.abs(dev[i] - dev[j]).sum(axis=1)
@@ -926,6 +928,96 @@ def test_pair_search_keeps_the_sup_from_a_pivot_near_stationarity(m):
     sup = brute_pairwise(mat, pi)
     assert incumbent < sup - 1e-6
     assert abs(pair_search_on_matrix(mat, pi, pivot=pivot)[0] - sup) < 1e-12
+
+
+def _search_levels(sup, rng):
+    """The exact levels (0, inf), then random (floor, ceil) in [0, 1] around sup."""
+    draws = np.minimum(np.sort(rng.uniform(0.5, 1.5, size=(8, 2)), axis=1) * sup, 1.0)
+    return [(0.0, math.inf)] + [(float(lo), float(hi)) for lo, hi in draws]
+
+
+def _check_levelled_search(dev_rows, coords, r, tv_pivot, chunk, sup, levels):
+    """The landmark search and the two-pivot oracle against the brute-force sup.
+
+    Inside (floor, ceil] both give the sup; above ceil both give a distance
+    above ceil and no larger than the sup; at or below floor both give floor.
+    Returns which of the three cases the levels made.
+    """
+    floor, ceil = levels
+    fast, (i, j, tv), _ = _pair_search(dev_rows, r, tv_pivot, chunk, levels)
+    oracle, _ = helpers.two_pivot_pair_search(dev_rows, coords, r, tv_pivot, chunk, levels)
+    assert np.all(i < j)
+    exact = 0.5 * np.abs(dev_rows(i[:256]) - dev_rows(j[:256])).sum(axis=1)
+    assert np.abs(tv[:256] - exact).max(initial=0.0) < 1e-12
+    if sup > ceil:
+        assert ceil < fast <= sup + 1e-12 and ceil < oracle <= sup + 1e-12
+        return "above"
+    if sup <= floor:
+        assert fast == oracle == floor
+        return "below"
+    assert abs(fast - sup) < 1e-12 and abs(oracle - sup) < 1e-12
+    return "inside"
+
+
+@pytest.mark.parametrize("m", [40, 300, 600])
+def test_landmark_search_matches_two_pivot_oracle_on_random_kernels(m):
+    rng = np.random.default_rng(m)
+    pi = rng.random(m) + 0.5
+    pi /= pi.sum()
+    sides = set()
+    for spread in (1e-3, 0.3, 3.0):
+        mat = pi * np.exp(spread * rng.standard_normal((m, m)))
+        # a few far rows, as started near a bottleneck
+        far = rng.choice(m, size=3, replace=False)
+        mat[far] *= np.exp(spread * np.linspace(-2.0, 2.0, m))
+        mat /= mat.sum(axis=1, keepdims=True)
+        dev = mat - pi
+        r = 0.5 * np.abs(dev).sum(axis=1)
+        tv_pivot = 0.5 * np.abs(dev - dev[int(np.argmax(r))]).sum(axis=1)
+        sup = brute_pairwise(mat, pi)
+        for levels in _search_levels(sup, rng):
+            sides.add(_check_levelled_search(lambda idx: dev[idx], dev / np.sqrt(pi), r,
+                                             tv_pivot, 64, sup, levels))
+    assert sides == {"above", "inside", "below"}
+
+
+def test_landmark_search_matches_two_pivot_oracle_on_cluster_probes():
+    ch = pm.build_chain(small_cluster(n=12))
+    tau2 = pm.spectral_gap(ch).tau2
+    rng = np.random.default_rng(12)
+    sides = set()
+    for t in (1.2 * tau2, 1.8 * tau2, 3.0 * tau2):
+        _, w, v = modes_at(ch, t, MODE_TOL)
+        rows = _KernelRows(ch, w, v, t, MODE_TOL)
+        dev = rows(np.arange(ch.m))
+        sup = brute_pairwise(dev + ch.pi, ch.pi)
+        for levels in _search_levels(sup, rng):
+            # the row pass at the same levels picks the rows both searches read
+            made, r, tv_pivot = _row_pass(rows, rows.coords, True, rows.step, levels)
+            sides.add(_check_levelled_search(lambda idx: dev[made[idx]], rows.coords[made], r,
+                                             tv_pivot, rows.step, sup, levels))
+    assert sides == {"above", "inside", "below"}
+
+
+def test_landmarks_stop_when_pairs_tie_at_the_incumbent(monkeypatch):
+    # all six pairs of the 4-cycle tie at the incumbent and keep their rounding
+    # slack through every landmark: adding landmarks only while the pairs
+    # outnumber the four kept rows never stops
+    ch = pm.build_chain(cycle_graph(4))
+    mat = _kernel_matrix(ch, pm.spectral_gap(ch).tau2, 1e-12)
+    tv_to = chain_module._tv_to
+    calls = []
+
+    def spy(rows, refs):
+        calls.append(rows.shape[0])
+        if len(calls) > rows.shape[0] + 2:  # rows.shape[0] is the kept rows
+            raise AssertionError("the pair search kept adding landmarks")
+        return tv_to(rows, refs)
+
+    monkeypatch.setattr(chain_module, "_tv_to", spy)
+    value, (i, _, _), landmarks = pair_search_on_matrix(mat, ch.pi)
+    assert abs(value - brute_pairwise(mat, ch.pi)) < 1e-12
+    assert i.size == 6 and landmarks == len(calls) == 1
 
 
 def test_mixing_allocates_less_than_one_dense_kernel():

@@ -478,6 +478,7 @@ def test_tau1_detail_counts_probes_and_pairs(tmp_path):
         assert f"pairs_evaluated={mix.pairs_evaluated}" in tokens
         assert f"decided={len(mix.decided)}" in tokens
         assert f"modes={mix.modes}" in tokens
+        assert f"landmarks={mix.landmarks}" in tokens
         assert 0 <= len(mix.decided) <= len(mix.trace)
         assert 1 <= mix.modes <= (2 * row.n + 1) ** 2  # at most one per box vertex
         evaluated.append(mix.pairs_evaluated)
