@@ -515,9 +515,10 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
     exact pair distance above ceil (a lower bound on d(t)), floor itself
     when no pair beats it (an upper bound), and the exact d(t) in between.
     Every decision, and whether each bracket end clears e^{-1} by more than
-    E, is then what the exact values give; certification reads E(t_hi), so
-    a d(t_lo) decided against E(t_lo) that does not clear E(t_hi) is
-    evaluated again exactly. Stationarity probes, which carry no error
+    E, is then what the exact values give; certification reads the larger
+    of E(t_lo) and E(t_hi), since a smaller t keeps more modes and E need
+    not grow with t, so a decided end that does not clear it is evaluated
+    again exactly. Stationarity probes, which carry no error
     bound, use floor = ceil = e^{-1}. The trace therefore holds bounds at
     the probe times listed in ``decided``; ``exact=True`` runs the same
     probes with the levels (0, inf), and its trace holds the exact d(t)
@@ -547,16 +548,18 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         )
     if mode not in ("pairwise", "stationarity"):
         raise DomainError(f"unknown mixing mode {mode!r}")
+    if resolution is not None and not 0.0 < resolution < math.inf:
+        raise DomainError(f"resolution must be positive and finite, got {resolution}")
+    if t_max is not None and not t_max > 0.0:
+        raise DomainError(f"t_max must be positive, got {t_max}")
     if tau2_hint is None:
         from .spectral import spectral_gap  # spectral builds on this module
 
         tau2_hint = spectral_gap(chain).tau2
-    if not tau2_hint > 0.0:
-        raise DomainError(f"tau2_hint must be positive, got {tau2_hint}")
+    if not 0.0 < tau2_hint < math.inf:
+        raise DomainError(f"tau2_hint must be positive and finite, got {tau2_hint}")
     if resolution is None:
         resolution = max(1e-3, 1e-3 * tau2_hint)
-    if not 0.0 < resolution < math.inf:
-        raise DomainError(f"resolution must be positive and finite, got {resolution}")
     if t_max is None:
         t_max = 100.0 * chain.m**2
 
@@ -647,13 +650,16 @@ def mixing_time(chain: Chain, resolution: float | None = None, mode: str = "pair
         t_lo, d_lo = t_lo / 2.0, None
         block = solve(t_lo)
 
-    if pairwise and t_lo in decided and not d_lo - thr > error_bound(t_hi):
-        # d(t_lo) was decided against E(t_lo); certification reads E(t_hi)
+    # each end was decided against its own E(t); certification reads the larger
+    err = max(error_bound(t_lo), error_bound(t_hi))
+    if pairwise and t_lo in decided and not d_lo - thr > err:
         d_lo = evaluate(t_lo, settle=False)
+    if pairwise and t_hi in decided and not thr - d_hi > err:
+        d_hi = evaluate(t_hi, settle=False)
     result = MixingResult(
         tau1=(t_lo + t_hi) / 2.0, t_lo=t_lo, t_hi=t_hi, d_lo=d_lo, d_hi=d_hi,
         mode=mode, resolution=resolution,
-        trace=sorted(trace.items()), error_bound=error_bound(t_hi),
+        trace=sorted(trace.items()), error_bound=err,
         pairs_evaluated=pairs_evaluated, rows_made=rows_made,
         decided=sorted(decided), modes=block[0].size, landmarks=landmarks,
     )

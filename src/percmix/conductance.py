@@ -46,11 +46,10 @@ from scipy.sparse import csgraph
 
 from .chain import Chain
 from .errors import CapacityError, DomainError
-from .lattice import concat_ranges
+from .lattice import chunks, components, concat_ranges, edge_graph
 from .spectral import SpectralResult, spectral_gap, sweep_ordering
 
 EXHAUSTIVE_CAP = 22
-_ENUMERATION_BUDGET = 60_000_000
 
 
 @dataclass(frozen=True)
@@ -119,19 +118,15 @@ def connected_subsets(chain: Chain):
 
     Canonical neighbour expansion: subsets are grouped by their minimum
     vertex, candidates excluded at one branch stay excluded in all later
-    branches, so each connected set appears exactly once.
+    branches, so each connected set appears exactly once. The callers refuse
+    chains above ``EXHAUSTIVE_CAP`` vertices, which bounds the count by 2^m.
     """
     adj = _adjacency_bitmasks(chain)
     deg = chain.degrees.tolist()
     m = chain.m
-    produced = 0
 
     def rec(smask, degsum, inner, frontier, banned, allowed):
-        nonlocal produced
         yield smask, degsum, inner
-        produced += 1
-        if produced > _ENUMERATION_BUDGET:
-            raise CapacityError("connected-subset enumeration budget exceeded")
         f = frontier & ~banned
         while f:
             bit = f & -f
@@ -262,7 +257,7 @@ def reattach_complement(chain: Chain, cut: CutValue) -> list:
     if comp_idx.size == 0:
         return []
     sub = chain.graph.adjacency[comp_idx][:, comp_idx]
-    ncomp, labels = csgraph.connected_components(sub, directed=False)
+    ncomp, labels = components(sub)[:2]
     if ncomp <= 1:
         return []
     weights = np.bincount(labels, weights=chain.degrees[comp_idx], minlength=ncomp)
@@ -298,18 +293,6 @@ def _window_offsets(d: int, k: int) -> list:
 # chunk handled together, so memory stays bounded however many tilings an
 # instance has.
 _BATCH_ENTRIES = 1 << 17
-
-
-def _chunks(items: list, entries: list):
-    """Runs of consecutive items of at most ``_BATCH_ENTRIES`` entries, or single items."""
-    lo, held = 0, 0
-    for i, e in enumerate(entries):
-        if i > lo and held + e > _BATCH_ENTRIES:
-            yield items[lo:i]
-            lo, held = i, 0
-        held += e
-    if items:
-        yield items[lo:]
 
 
 def _window_ids(coords: np.ndarray, n: int, k: int, off: tuple) -> np.ndarray:
@@ -378,25 +361,6 @@ def _check_depth_first(q, order, disc, end, child, child_par, first) -> None:
         raise RuntimeError("the traversal is not a depth-first search of the quotient graph")
 
 
-def _components(u: np.ndarray, v: np.ndarray, n: int) -> tuple:
-    """Connected components of the graph on n nodes with edges u-v, u ascending.
-
-    The CSR rows are read off the sorted ``u`` directly, with float64 data
-    as csgraph reads it, so neither a COO conversion nor csgraph's own cast
-    sorts the rows. csgraph numbers components in the order of their lowest
-    node, so the lowest node of each is where the running maximum label
-    grows; a numbering in any other order is refused.
-    """
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
-    graph = sparse.csr_matrix((np.ones(u.size), v, indptr), shape=(n, n))
-    K, labels = csgraph.connected_components(graph, directed=False)
-    low = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
-    if low.size != K:
-        raise RuntimeError("connected components are not numbered by their lowest node")
-    return K, labels, low
-
-
 @dataclass(frozen=True)
 class _Cells:
     """Cell pieces of one or more copies of the cluster and the edges between them.
@@ -431,7 +395,7 @@ def _cell_pieces(chain: Chain, keep: np.ndarray) -> _Cells:
     base = np.arange(R, dtype=np.int64)[:, None] * m
     gu, gv = base + eu, base + ev
     ku = gu[keep]
-    K, labels, low = _components(ku, gv[keep], R * m)
+    K, labels, low = components(edge_graph(ku, gv[keep], R * m))
     # csgraph labels are int32, and the pair keys need 64 bits
     cu, cv = labels[gu[~keep]].astype(np.int64), labels[gv[~keep]]
     pair, mult = np.unique(np.minimum(cu, cv) * K + np.maximum(cu, cv), return_counts=True)
@@ -475,7 +439,7 @@ def _quotient(cells: _Cells, copy: np.ndarray, wid: np.ndarray) -> tuple:
     intra = wid[eu] == wid[ev]
     # cells follow the lowest vertex within a tiling, so piece labels and
     # lowest nodes follow (tiling, lowest vertex)
-    K, labels, low = _components(eu[intra], ev[intra], wid.size)
+    K, labels, low = components(edge_graph(eu[intra], ev[intra], wid.size))
     cell = concat_ranges(cells.start[copy], n_cells)
     size = np.bincount(labels, weights=cells.size[cell], minlength=K).astype(np.int64)
     degsum = np.bincount(labels, weights=cells.deg[cell], minlength=K).astype(np.int64)
@@ -623,7 +587,8 @@ def _radius_cuts(chain: Chain, radii: list) -> list:
     # and Q holds it both ways
     entries = np.diff(cells.start) + 2 * np.diff(cells.edge_start)
     cuts = []
-    for chunk in _chunks(tilings, [entries[r] for r, _, _ in tilings]):
+    for part in chunks([entries[r] for r, _, _ in tilings], _BATCH_ENTRIES):
+        chunk = tilings[part]
         wid = np.concatenate([
             _window_ids(graph.coords[cells.vertex[cells.start[r]:cells.start[r + 1]]], n, k, off)
             for r, k, off in chunk])
@@ -668,8 +633,8 @@ def profile_upper_box(chain: Chain, k_values=None) -> ConductanceProfile:
         if not 1 <= k < n:
             raise DomainError(f"window radius {k} outside [1, n)")
     cuts = [np.zeros((0, 3), dtype=np.int64)]
-    for radii in _chunks(ks, [chain.m + graph.edges_local.shape[0]] * len(ks)):
-        cuts.extend(_radius_cuts(chain, radii))
+    for part in chunks([chain.m + graph.edges_local.shape[0]] * len(ks), _BATCH_ENTRIES):
+        cuts.extend(_radius_cuts(chain, ks[part]))
     cuts = np.concatenate(cuts)
     profile = ConductanceProfile.lower_envelope(cuts, chain.total_degree, "upper-bound")
     profile.cuts = cuts.shape[0]

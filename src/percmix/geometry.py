@@ -11,18 +11,18 @@ Two instruments, both pure functions of a bond configuration:
   non-trivial diameter.
 
 Both run as whole-array passes. Dual distances read the dual edges off the
-2n x 2n face grid, contract the weight-0 ones (one ``connected_components``
+2n x 2n face grid, contract the weight-0 ones (one ``components``
 call) and then run one bidirectional level BFS over the quotient graph per
 chunk of pairs: a visit bitmap per chunk makes each membership test one
 gather, the side with the smaller frontier grows first, and each pair stops
 where its two searches meet. The good-site windows of one block scale share
 one contraction of the box: cuts at every x = -r or r+1 (mod block), with r
 the window radius, split the covered range into cells, so each window is a
-product of whole cells. One padded CSR ``connected_components`` call over
+product of whole cells. One padded CSR ``components`` call over
 the whole cube labels the pieces of every cell, and the open edges between
 cells become pairs of pieces. Each window is then the small graph of its
 cells' pieces and the pairs among them, a batch of windows one
-``connected_components`` call, and crossing and goodness are reductions
+``components`` call, and crossing and goodness are reductions
 over its components. Window batches stay within ``_BATCH_ENTRIES`` entries,
 and search bitmaps within 64 times as many bytes.
 """
@@ -32,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import DomainError, UnsupportedDimensionError
-from .lattice import BoxSpec, build_box, concat_ranges
+from .lattice import BoxSpec, build_box, chunks, components, concat_ranges, edge_graph
 from .percolation import BondConfig, bernoulli_site_field, sample_bond_config
 
 # Entries one batched call may allocate: the window graphs of a batch (their
@@ -52,7 +51,7 @@ class DualFppField:
     """0/1 edge weights on the interior dual lattice of a d=2 configuration.
 
     Weight(dual edge) = 1 iff the crossed primal edge is open. Faces joined by
-    weight-0 edges are contracted into classes (one ``connected_components``
+    weight-0 edges are contracted into classes (one ``components``
     call); the 0-1 shortest-path distance between two interior faces is then
     the unweighted BFS distance between their classes in the quotient graph
     of the weight-1 edges.
@@ -73,11 +72,9 @@ class DualFppField:
         u, v = (np.concatenate([step[k].ravel() for step in steps]) for k in range(2))
         paid = np.concatenate([config.open_mask[step[2]].ravel() for step in steps])
         free = ~paid
-        num_classes, face_class = csgraph.connected_components(
-            sparse.coo_matrix((np.ones(int(free.sum()), dtype=np.int8), (u[free], v[free])),
-                              shape=(faces.size, faces.size)),
-            directed=False,
-        )
+        num_classes, face_class = components(sparse.coo_matrix(
+            (np.ones(int(free.sum()), dtype=np.int8), (u[free], v[free])),
+            shape=(faces.size, faces.size)))[:2]
         self._face_class = face_class.reshape(faces.shape)
         cu, cv = face_class[u[paid]], face_class[v[paid]]
         cross = cu != cv
@@ -358,7 +355,7 @@ def _contract(forward, first, block: int) -> _Pieces:
     edges, and ``first[x]`` tells whether offset x starts a cell
     (``first[side]`` is set: the cube ends there). Cells share no edge, so
     the whole cube is one padded CSR graph, whose node slots keep the open
-    edges inside a cell, and one ``connected_components`` call. The open
+    edges inside a cell, and one ``components`` call. The open
     edges between cells become piece pairs.
     A closed piece is its own component in every window, so it only marks
     its cell when it is large enough to be stray.
@@ -378,7 +375,7 @@ def _contract(forward, first, block: int) -> _Pieces:
     ones = np.broadcast_to(np.float64(1.0), indices.size)
     graph = sparse.csr_matrix(
         (ones, indices.ravel(), np.arange(0, num * d + 1, d, dtype=np.int32)), shape=(num, num))
-    ncomp, labels = csgraph.connected_components(graph, directed=False)
+    ncomp, labels = components(graph)[:2]
     coords = np.indices((side,) * d, dtype=np.int32).reshape(d, num)
     lo = np.full((d, ncomp), side, dtype=np.int32)  # ufunc.at is fast on matching dtypes only
     hi = np.zeros((d, ncomp), dtype=np.int32)
@@ -425,7 +422,7 @@ def _classify_windows(pieces: _Pieces, cells, corners, q: int, side: int, block:
     open pieces of those cells and the pairs among them: window j owns a
     run of nodes, one run per cell, and the pairs of each cell, minus those
     leading out of the window, give CSR rows in node order. One
-    ``connected_components`` call labels the batch; each component's face
+    ``components`` call labels the batch; each component's face
     contact and diameter follow from the union of its pieces' boxes.
     """
     num, q_cells = cells.shape
@@ -446,11 +443,7 @@ def _classify_windows(pieces: _Pieces, cells, corners, q: int, side: int, block:
     to = at + step[axis]
     u = pieces.pu[pair] - pieces.start[cell[at]] + head[at]
     v = pieces.pv[pair] - pieces.start[cell[to]] + head[to]
-    total = nodes.size
-    indptr = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u, minlength=total), out=indptr[1:])
-    graph = sparse.csr_matrix((np.ones(u.size), v, indptr), shape=(total, total))
-    ncomp, labels = csgraph.connected_components(graph, directed=False)
+    ncomp, labels = components(edge_graph(u, v, nodes.size))[:2]
 
     owner = np.zeros(ncomp, dtype=np.int64)
     owner[labels] = np.repeat(np.arange(num), count.reshape(num, q_cells).sum(axis=1))
@@ -522,15 +515,10 @@ def classify_good_vertices(config: BondConfig, block: int) -> GoodSiteField:
              * (num_cells ** np.arange(d - 1, -1, -1))[:, None, None]).sum(axis=0)
     # a window's entries: the open pieces and the pairs of its cells
     entries = (pieces.start[cells + 1] - pieces.start[cells]
-               + pieces.pair_start[cells + 1] - pieces.pair_start[cells]).sum(axis=1).cumsum()
-    done = 0
-    while done < todo.size:
-        before = entries[done - 1] if done else 0
-        stop = max(done + 1, int(np.searchsorted(entries, before + _BATCH_ENTRIES, side="right")))
-        batch = slice(done, stop)
+               + pieces.pair_start[cells + 1] - pieces.pair_start[cells]).sum(axis=1)
+    for batch in chunks(entries, _BATCH_ENTRIES):
         crossing[todo[batch]], good[todo[batch]] = _classify_windows(
             pieces, cells[batch], corners[batch], q, side, block)
-        done = stop
     return field
 
 

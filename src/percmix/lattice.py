@@ -4,6 +4,9 @@ Vertices are ranked row-major over coordinate tuples (axis 0 slowest), edges
 are ranked by (tail vertex, axis) with only positive-axis neighbours counted.
 Both rankings are pure functions of (d, n), so every downstream artifact that
 keys off a VertexId or EdgeId is reproducible across machines.
+
+Every contraction of the package labels its components here, through
+``components``, and splits its batches here, through ``chunks``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import CapacityError, DomainError
 
@@ -95,6 +100,47 @@ class BoxGraph:
 def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The concatenated ranges [s, s + l) over paired ``starts`` and ``lens``."""
     return np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+
+
+def edge_graph(u: np.ndarray, v: np.ndarray, n: int) -> sparse.csr_matrix:
+    """CSR pattern of the graph on n nodes with edges u-v, given with ``u`` ascending.
+
+    The row pointers are read off the sorted ``u`` and the data is one
+    broadcast float64 1.0, as csgraph reads it, so neither a COO conversion
+    nor csgraph's own cast sorts the rows or copies the data.
+    """
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+    return sparse.csr_matrix((np.broadcast_to(np.float64(1.0), u.size), v, indptr), shape=(n, n))
+
+
+def components(graph) -> tuple:
+    """Connected components of an undirected sparse graph: count, labels, lowest node of each.
+
+    csgraph numbers components in the order of their lowest node, and the
+    tie-breaks downstream (largest piece, heaviest complement component,
+    census order) follow that order; the lowest node of each is where the
+    running maximum label grows, so a numbering in any other order is refused.
+    """
+    count, labels = csgraph.connected_components(graph, directed=False)
+    run = np.maximum.accumulate(labels)
+    grows = np.ones(labels.size, dtype=bool)  # a byte a node: whole boxes are labelled
+    np.not_equal(run[1:], run[:-1], out=grows[1:])
+    low = np.flatnonzero(grows)
+    if low.size != count:
+        raise RuntimeError("connected components are not numbered by their lowest node")
+    return count, labels, low
+
+
+def chunks(entries, budget: int):
+    """Slices of consecutive items whose ``entries`` total at most ``budget``, or single items."""
+    ends = np.cumsum(entries)
+    done = 0
+    while done < ends.size:
+        before = int(ends[done - 1]) if done else 0
+        stop = max(done + 1, int(np.searchsorted(ends, before + budget, side="right")))
+        yield slice(done, stop)
+        done = stop
 
 
 @lru_cache(maxsize=16)

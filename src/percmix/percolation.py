@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import DomainError, EmptyClusterError
-from .lattice import BoxGraph, BoxSpec, build_box
+from .lattice import BoxGraph, BoxSpec, build_box, components, edge_graph
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MULT1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -156,14 +155,9 @@ def bernoulli_site_field(seed: int, count: int, p: float) -> np.ndarray:
 
 def _component_labels(config: BondConfig, graph: BoxGraph) -> np.ndarray:
     """Open-cluster label of every box vertex; isolated vertices are singletons."""
-    open_ids = config.open_edges()
-    v = graph.num_vertices
-    adj = sparse.coo_matrix(
-        (np.ones(open_ids.size, dtype=np.int8),
-         (graph.edge_tail[open_ids], graph.edge_head[open_ids])),
-        shape=(v, v),
-    )
-    return csgraph.connected_components(adj.tocsr(), directed=False)[1]
+    open_ids = config.open_edges()  # ascending EdgeIds, so their tails ascend
+    return components(edge_graph(graph.edge_tail[open_ids], graph.edge_head[open_ids],
+                                 graph.num_vertices))[1]
 
 
 class ClusterGraph:
@@ -196,8 +190,7 @@ class ClusterGraph:
             (ones, (self.edges_local[:, 0], self.edges_local[:, 1])), shape=(m, m)
         )
         self.adjacency = (a + a.T).tocsr()
-        ncomp, _ = csgraph.connected_components(self.adjacency, directed=False)
-        if ncomp != 1:
+        if components(self.adjacency)[0] != 1:
             raise DomainError("cluster graph is not connected")
 
     @property

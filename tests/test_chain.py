@@ -398,6 +398,50 @@ def test_mixing_rejects_nonpositive_tau2_hint():
             pm.mixing_time(ch, tau2_hint=hint)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(resolution=0.0), dict(resolution=-1.0), dict(resolution=math.nan),
+    dict(resolution=math.inf), dict(t_max=0.0), dict(t_max=-5.0), dict(t_max=math.nan),
+    dict(tau2_hint=math.inf),
+])
+def test_mixing_checks_its_arguments_before_any_solve(monkeypatch, kwargs):
+    # an input error is a DomainError, raised before the gap or the mode solve
+    from percmix import spectral as spectral_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+
+    monkeypatch.setattr(spectral_module, "spectral_gap", refuse)
+    monkeypatch.setattr(chain_module.Chain, "solve_above", refuse)
+    with pytest.raises(DomainError):
+        pm.mixing_time(cluster_chain(12), **kwargs)
+
+
+def test_certification_reads_the_larger_end_error_bound(monkeypatch):
+    # at d=2 n=9 seed 0 one mode is kept at t_lo but not at t_hi; a large
+    # residual on it lifts E(t_lo) above the t_lo margin, which E(t_hi),
+    # reading no such mode, still clears
+    ch = cluster_chain(9)
+    plain = pm.mixing_time(ch)
+    assert plain.certified
+    floor_lo, floor_hi = (_mode_floor(ch.m, t, MODE_TOL) for t in (plain.t_lo, plain.t_hi))
+    norms_of = chain_module._residual_norms
+    inflated = []
+
+    def inflate(s, w, v):
+        norms = norms_of(s, w, v)
+        only_lo = (w > floor_lo) & (w <= floor_hi)
+        norms[only_lo] = 1e-6
+        inflated.append(int(only_lo.sum()))
+        return norms
+
+    monkeypatch.setattr(chain_module, "_residual_norms", inflate)
+    result = pm.mixing_time(ch)
+    assert inflated == [1]
+    assert (result.t_lo, result.t_hi) == (plain.t_lo, plain.t_hi)
+    assert not result.certified
+    assert plain.error_bound < result.d_lo - math.exp(-1) < result.error_bound
+
+
 def test_stationarity_search_starts_at_its_lower_bound():
     ch = pm.build_chain(small_cluster(n=16, seed=1))
     tau2 = pm.spectral_gap(ch).tau2
@@ -561,12 +605,15 @@ def test_sliced_residuals_match_the_oracle(monkeypatch, d, n):
         assert 1 <= keep <= w.size
         oracle = eigen_residual(ch.symmetrized, w[w.size - keep:], v[:, w.size - keep:])
         assert float(norms[w.size - keep:].max()) == oracle, t
-    # the result's error bound reads the oracle's residual at t_hi
+    # the result's error bound is the larger of the oracle's bounds at the two ends
     ratio = float(ch.degrees.max()) / float(ch.degrees.min())
-    keep = int(np.count_nonzero(w > _mode_floor(ch.m, result.t_hi, MODE_TOL)))
-    residual = eigen_residual(ch.symmetrized, w[w.size - keep:], v[:, w.size - keep:])
-    rounding = math.sqrt(ch.m * ratio) * (ch.m * np.finfo(float).eps + result.t_hi * residual)
-    assert result.error_bound == 2.0 * (math.sqrt(ratio) * MODE_TOL + rounding)
+    bounds = []
+    for t in (result.t_lo, result.t_hi):
+        keep = int(np.count_nonzero(w > _mode_floor(ch.m, t, MODE_TOL)))
+        residual = eigen_residual(ch.symmetrized, w[w.size - keep:], v[:, w.size - keep:])
+        rounding = math.sqrt(ch.m * ratio) * (ch.m * np.finfo(float).eps + t * residual)
+        bounds.append(2.0 * (math.sqrt(ratio) * MODE_TOL + rounding))
+    assert result.error_bound == max(bounds)
 
 
 def test_mixing_twice_on_one_chain_gives_equal_results():

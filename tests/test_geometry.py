@@ -9,6 +9,7 @@ from scipy.sparse import csgraph
 
 import percmix as pm
 import percmix.geometry as geometry_module
+import percmix.lattice as lattice_module
 from percmix.errors import DomainError, UnsupportedDimensionError
 from percmix.fitting import fit_linear
 from percmix.geometry import (
@@ -694,7 +695,8 @@ def test_good_sites_one_label_call_per_batch(monkeypatch, d, n, block):
     def no_coo(*args, **kwargs):
         raise AssertionError("cell and window graphs are built as CSR directly")
 
-    monkeypatch.setattr(geometry_module.csgraph, "connected_components", counting_label)
+    # every contraction labels through lattice.components
+    monkeypatch.setattr(lattice_module.csgraph, "connected_components", counting_label)
     monkeypatch.setattr(geometry_module.sparse, "coo_matrix", no_coo)
     # the budget bounds the window batches only: the contraction is one call
     for budget in (geometry_module._BATCH_ENTRIES, 2**12):

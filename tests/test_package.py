@@ -93,3 +93,10 @@ def test_import_loads_scipy_special():
     # chain imports it with the package; the first probe's cdist import would
     # otherwise load it inside a timed sweep
     assert _loaded_by_import("scipy.special")
+
+
+def test_only_lattice_labels_components():
+    # every contraction labels through lattice.components, which refuses a
+    # numbering that is not by lowest node
+    users = sorted(f.name for f in SRC.glob("*.py") if "connected_components" in _code_words(f))
+    assert users == ["lattice.py"]
